@@ -8,6 +8,16 @@ hyperparameter fitting with analytic gradients.
 Models are values: ``add_observation`` returns a new model, queries are
 read-only. Observation counts stay small (one per heating day), so the
 Gram factor is rebuilt on every update instead of rank-1 patched.
+
+Posterior queries are factored through the distinct observed gain rows.
+Every kernel family is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'):
+a Matern 5/2 factor m over the leading gain dims and a squared-exponential
+factor c over the trailing context dims (``matern52`` has no context
+dims, ``squared_exponential`` no gain dims, so the missing factor is 1).
+The tuner only ever observes gains on a grid and queries the whole grid
+at one context, so the n observations sit on few distinct gain rows and
+the query cross-covariance has rank at most that count; see
+:meth:`GPModel.posterior_batch`.
 """
 
 from __future__ import annotations
@@ -76,12 +86,6 @@ class KernelSpec:
         return cls(d["family"], tuple(d["lengthscales"]), d["signal_variance"])
 
 
-@dataclass(frozen=True)
-class PosteriorEstimate:
-    mean: float
-    variance: float  # tiny round-off negatives are clamped to 0
-
-
 def _as_points(x, dim: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != dim:
@@ -93,48 +97,43 @@ def _matern52_profile(r: np.ndarray) -> np.ndarray:
     return (1.0 + _SQRT5 * r + 5.0 / 3.0 * r**2) * np.exp(-_SQRT5 * r)
 
 
-def _scaled_sq_dists(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def _scaled_sq_dists(lengthscales, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Per-dimension squared scaled distances, shape (d, n, m)."""
     diff = x[:, None, :] - x2[None, :, :]
-    ell = np.asarray(spec.lengthscales)
-    return np.moveaxis((diff / ell) ** 2, -1, 0)
+    return np.moveaxis((diff / np.asarray(lengthscales)) ** 2, -1, 0)
 
 
-def _kernel_factors(spec: KernelSpec, sq: np.ndarray):
-    """Unit-variance kernel value plus the pieces gradients reuse.
-
-    Returns (k_unit, r_matern, matern_profile_grad_coeff, se_value) where
-    entries not used by the family are None.
-    """
+def _gain_dims(spec: KernelSpec) -> int:
+    """How many leading input dims the Matern factor covers; the rest
+    are context dims under the squared-exponential factor."""
     if spec.family == MATERN52:
-        r = np.sqrt(np.sum(sq, axis=0))
-        return _matern52_profile(r), r, None
+        return spec.input_dim
     if spec.family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * np.sum(sq, axis=0)), None, None
-    r_a = np.sqrt(sq[0] + sq[1])
-    se = np.exp(-0.5 * sq[2])
-    return _matern52_profile(r_a) * se, r_a, se
+        return 0
+    return 2
+
+
+def _unit_kernel(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Unit-variance kernel value from per-dimension squared distances:
+    the Matern factor over the gain dims times the SE factor over the
+    context dims (an absent factor is exactly 1)."""
+    k = _gain_dims(spec)
+    return _matern52_profile(np.sqrt(np.sum(sq[:k], axis=0))) * np.exp(-0.5 * np.sum(sq[k:], axis=0))
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array and the index of each row among them."""
+    if np.all(a == a[:1]):  # the common case, without a sort
+        return a[:1], np.zeros(a.shape[0], dtype=np.intp)
+    distinct, index = np.unique(a, axis=0, return_inverse=True)
+    return distinct, index.ravel()
 
 
 def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
     """Cross-covariance matrix k(x_m, x2_n)."""
     xa = _as_points(x, spec.input_dim)
     xb = xa if x2 is None else _as_points(x2, spec.input_dim)
-    sq = _scaled_sq_dists(spec, xa, xb)
-    k_unit, _, _ = _kernel_factors(spec, sq)
-    return spec.signal_variance * k_unit
-
-
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """Scalar kernel evaluation; symmetric in its arguments."""
-    return float(kernel_matrix(spec, [np.ravel(x)], [np.ravel(x2)])[0, 0])
-
-
-def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
-    pts = _as_points(points, spec.input_dim)
-    if pts.shape[0] == 0:
-        raise ValueError("gram_matrix needs at least one point")
-    return kernel_matrix(spec, pts)
+    return spec.signal_variance * _unit_kernel(spec, _scaled_sq_dists(spec.lengthscales, xa, xb))
 
 
 def _kernel_log_grads(spec: KernelSpec, sq: np.ndarray) -> list[np.ndarray]:
@@ -235,26 +234,81 @@ class GPModel:
         return self.with_data(new_x, new_y)
 
     def posterior_batch(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances at a batch of query points."""
+        """Posterior means and variances at a batch of query points.
+
+        Exact, factored through the u distinct observed gain rows U
+        (p(j) is the U-row of observation j). For queries sharing one
+        context z, the cross-covariance is k*[i, j] = G[i, p(j)] * s_j
+        with G = s2 * m(g_query, U) of shape (m, u) and s_j = c(z, z_j).
+        So k*^T = D G^T, where D (n, u) holds s_j at [j, p(j)], and
+
+            mean = mu0 + G a,  a = bincount(p, s * alpha)
+            var  = s2 - sum over j of v^2,  v = (L^-1 D) G^T
+
+        with alpha = K^-1 (y - mu0) and L the Gram factor. These are the
+        dense-solve formulas regrouped, not an approximation. A query
+        costs m u kernel entries, an n^2 u solve and an n u m product,
+        against m n entries and an n^2 m solve for k* itself. Queries
+        are grouped by context; a group of at most u rows is cheaper to
+        solve against its own k*^T, so those rows are, in one solve. A
+        batch with every query at its own context and u = n therefore
+        costs what the dense form costs.
+        """
         pts = _as_points(x, self.kernel.input_dim)
-        prior_var = np.full(pts.shape[0], self.kernel.signal_variance)
-        if self.num_observations == 0:
-            return np.full(pts.shape[0], self._prior_mean()), prior_var
-        k_star = kernel_matrix(self.kernel, pts, self.inputs)  # (m, n)
-        resid = self.targets - self._prior_mean()
-        alpha = cho_solve((self.gram_factor, True), resid)
-        mean = self._prior_mean() + k_star @ alpha
-        v = solve_triangular(self.gram_factor, k_star.T, lower=True)
-        var = prior_var - np.sum(v**2, axis=0)
+        prior_mean = self._prior_mean()
+        mean = np.full(pts.shape[0], prior_mean)
+        var = np.full(pts.shape[0], self.kernel.signal_variance)
+        n = self.num_observations
+        if n == 0:
+            return mean, var
+        k = _gain_dims(self.kernel)
+        ell = self.kernel.lengthscales
+        nodes, node_of = _distinct_rows(self.inputs[:, :k])
+        contexts, context_of = _distinct_rows(pts[:, k:])
+        u = nodes.shape[0]
+        gain_cov = self.kernel.signal_variance * _matern52_profile(
+            np.sqrt(np.sum(_scaled_sq_dists(ell[:k], pts[:, :k], nodes), axis=0))
+        )  # (m, u)
+        ctx_corr = np.exp(
+            -0.5 * np.sum(_scaled_sq_dists(ell[k:], contexts, self.inputs[:, k:]), axis=0)
+        )  # (c, n)
+        node_indicator = np.zeros((n, u))
+        node_indicator[np.arange(n), node_of] = 1.0
+
+        alpha = cho_solve((self.gram_factor, True), self.targets - prior_mean)
+        node_weights = (ctx_corr * alpha) @ node_indicator  # (c, u)
+        mean += np.sum(gain_cov * node_weights[context_of], axis=1)
+
+        factored = np.bincount(context_of) > u
+        direct = np.flatnonzero(~factored[context_of])
+        if direct.size:
+            k_star_t = (gain_cov[direct][:, node_of] * ctx_corr[context_of[direct]]).T
+            v = solve_triangular(self.gram_factor, k_star_t, lower=True)
+            var[direct] -= np.sum(v**2, axis=0)
+        for c in np.flatnonzero(factored):
+            rows = np.flatnonzero(context_of == c)
+            w = solve_triangular(self.gram_factor, node_indicator * ctx_corr[c][:, None], lower=True)
+            var[rows] -= np.sum((w @ gain_cov[rows].T) ** 2, axis=0)
         return mean, np.maximum(var, 0.0)
 
-    def posterior(self, x) -> PosteriorEstimate:
-        mean, var = self.posterior_batch([np.ravel(x)])
-        return PosteriorEstimate(float(mean[0]), float(var[0]))
+
+def model_to_dict(model: GPModel) -> dict:
+    """Serialisable prior of a model: kernel, noise and basis mean. The
+    data is not stored; callers rebuild it from their observation log."""
+    return {
+        "kernel": model.kernel.to_dict(),
+        "noise_variance": model.noise_variance,
+        "basis_coefficient": model.basis_coefficient,
+    }
 
 
-def combine_gps(models, weights, x) -> PosteriorEstimate:
-    """Posterior of the weighted sum of independent GPs at one point.
+def model_from_dict(d: dict) -> GPModel:
+    """Data-free model from :func:`model_to_dict` output."""
+    return GPModel.empty(KernelSpec.from_dict(d["kernel"]), d["noise_variance"], d["basis_coefficient"])
+
+
+def combine_gps_batch(models, weights, x) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior of the weighted sum of independent GPs at query points ``x``.
 
     Mean is the weighted sum of means; variance is sum w_i^2 var_i since
     the per-index surrogates carry no cross-covariances.
@@ -264,18 +318,6 @@ def combine_gps(models, weights, x) -> PosteriorEstimate:
         raise ValueError("one weight per model required")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    mean = 0.0
-    var = 0.0
-    for model, wi in zip(models, w):
-        est = model.posterior(x)
-        mean += wi * est.mean
-        var += wi**2 * est.variance
-    return PosteriorEstimate(mean, var)
-
-
-def combine_gps_batch(models, weights, x) -> tuple[np.ndarray, np.ndarray]:
-    """Batched version of :func:`combine_gps` over query points ``x``."""
-    w = np.asarray(weights, dtype=float)
     means = None
     variances = None
     for model, wi in zip(models, w):
@@ -331,9 +373,8 @@ def log_marginal_likelihood(
     """
     spec, noise = _unpack(theta, template)
     n = x.shape[0]
-    sq = _scaled_sq_dists(spec, x, x)
-    k_unit, _, _ = _kernel_factors(spec, sq)
-    gram = spec.signal_variance * k_unit
+    sq = _scaled_sq_dists(spec.lengthscales, x, x)
+    gram = spec.signal_variance * _unit_kernel(spec, sq)
     jitter = JITTER * spec.signal_variance
     cov = gram + (noise + jitter) * np.eye(n)
     factor = cholesky(cov, lower=True)

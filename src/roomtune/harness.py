@@ -27,7 +27,7 @@ from .costs import (
     calibrate_normalization,
     compute_raw_costs,
 )
-from .gp import GPModel, fit_hyperparameters
+from .gp import GPModel, fit_hyperparameters, model_from_dict, model_to_dict
 from .optimizer import (
     ALL_METHODS,
     DEFAULT_ANCHOR,
@@ -43,8 +43,6 @@ from .optimizer import (
     ContextScaler,
     GainDomain,
     OptimizerState,
-    _model_from_dict,
-    _model_to_dict,
     contextual_kernel_template,
     drop_context,
     propose,
@@ -248,9 +246,9 @@ class Calibration:
             "normalization": json.loads(self.normalization.to_json()),
             "context": self.scaler.to_dict(),
             "models": {
-                "cost_contextual": [_model_to_dict(m) for m in self.contextual_cost_models],
-                "constraint_contextual": [_model_to_dict(m) for m in self.contextual_constraint_models],
-                "cost_gain_only": [_model_to_dict(m) for m in self.gain_only_cost_models],
+                "cost_contextual": [model_to_dict(m) for m in self.contextual_cost_models],
+                "constraint_contextual": [model_to_dict(m) for m in self.contextual_constraint_models],
+                "cost_gain_only": [model_to_dict(m) for m in self.gain_only_cost_models],
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -264,11 +262,11 @@ class Calibration:
                 tuple(norm_doc["scales"]), tuple(norm_doc["thresholds"]), tuple(norm_doc["weights"])
             ),
             scaler=ContextScaler.from_dict(doc["context"]),
-            contextual_cost_models=tuple(_model_from_dict(d) for d in doc["models"]["cost_contextual"]),
+            contextual_cost_models=tuple(model_from_dict(d) for d in doc["models"]["cost_contextual"]),
             contextual_constraint_models=tuple(
-                _model_from_dict(d) for d in doc["models"]["constraint_contextual"]
+                model_from_dict(d) for d in doc["models"]["constraint_contextual"]
             ),
-            gain_only_cost_models=tuple(_model_from_dict(d) for d in doc["models"]["cost_gain_only"]),
+            gain_only_cost_models=tuple(model_from_dict(d) for d in doc["models"]["cost_gain_only"]),
         )
 
 

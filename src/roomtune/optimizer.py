@@ -28,7 +28,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .costs import NormalizedCosts
-from .gp import GPModel, KernelSpec, MATERN52, PRODUCT, combine_gps_batch
+from .gp import GPModel, KernelSpec, MATERN52, PRODUCT, combine_gps_batch, model_from_dict, model_to_dict
 from .pid import PIGains
 
 METHOD_FIXED = "fixed"
@@ -427,18 +427,6 @@ def gain_schedule(state: OptimizerState, oats) -> list[tuple[float, PIGains]]:
 # ---------------------------------------------------------------------------
 
 
-def _model_to_dict(model: GPModel) -> dict:
-    return {
-        "kernel": model.kernel.to_dict(),
-        "noise_variance": model.noise_variance,
-        "basis_coefficient": model.basis_coefficient,
-    }
-
-
-def _model_from_dict(d: dict) -> GPModel:
-    return GPModel.empty(KernelSpec.from_dict(d["kernel"]), d["noise_variance"], d["basis_coefficient"])
-
-
 def state_to_json(state: OptimizerState) -> str:
     doc = {
         "method": state.method,
@@ -448,8 +436,8 @@ def state_to_json(state: OptimizerState) -> str:
         "thresholds": list(state.thresholds),
         "domain": state.domain.to_dict(),
         "context": None if state.scaler is None else state.scaler.to_dict(),
-        "cost_models": [_model_to_dict(m) for m in state.cost_models],
-        "constraint_models": [_model_to_dict(m) for m in state.constraint_models],
+        "cost_models": [model_to_dict(m) for m in state.cost_models],
+        "constraint_models": [model_to_dict(m) for m in state.constraint_models],
         "observations": [
             {"day": o.day, "context": o.context, "gain_index": o.gain_index, "costs": list(o.costs)}
             for o in state.observations
@@ -466,8 +454,8 @@ def state_from_json(text: str) -> OptimizerState:
         scaler=None if doc["context"] is None else ContextScaler.from_dict(doc["context"]),
         weights=tuple(doc["weights"]),
         thresholds=tuple(doc["thresholds"]),
-        cost_models=tuple(_model_from_dict(d) for d in doc["cost_models"]),
-        constraint_models=tuple(_model_from_dict(d) for d in doc["constraint_models"]),
+        cost_models=tuple(model_from_dict(d) for d in doc["cost_models"]),
+        constraint_models=tuple(model_from_dict(d) for d in doc["constraint_models"]),
         beta=doc["beta"],
         epsilon=doc["epsilon"],
     )

@@ -13,13 +13,12 @@ from roomtune.gp import (
     DimensionMismatchError,
     GPModel,
     KernelSpec,
-    combine_gps,
     combine_gps_batch,
     fit_hyperparameters,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
 )
+from roomtune.optimizer import GainDomain, drop_context
 
 
 def random_spec(rng, family=PRODUCT):
@@ -62,6 +61,42 @@ def test_incremental_posterior_matches_dense_solve():
         np.testing.assert_allclose(var, want_var, atol=1e-8)
 
 
+def test_grid_node_posterior_matches_dense_solve():
+    """Observations on few grid nodes (u << n) with exact duplicate rows
+    and noise at its lower bound, queried over the full gain grid at one
+    shared context, for the product kernel and its drop_context slice,
+    and in batches that mix contexts."""
+    rng = np.random.default_rng(7)
+    grid = GainDomain.build().unit_points
+    worst = 0.0
+    for trial, u in enumerate((1, 2, 3, 5, 8, 13, 1, 4)):
+        spec = random_spec(rng)
+        noise = VARIANCE_BOUNDS[0] if trial % 2 == 0 else float(rng.uniform(1e-4, 0.1))
+        basis = float(rng.normal()) if trial % 3 else None
+        nodes = grid[rng.choice(grid.shape[0], u, replace=False)]
+        contexts = rng.uniform(0.0, 1.0, 4)
+        n = int(rng.integers(20, 60))
+        x = np.column_stack([nodes[rng.integers(0, u, n)], contexts[rng.integers(0, 4, n)]])
+        x = np.vstack([x, x[:3]])  # exact duplicate (gain, context) rows
+        y = rng.normal(size=x.shape[0])
+        contextual = GPModel.empty(spec, noise, basis).with_data(x, y)
+        gain_only = drop_context(contextual).with_data(x[:, :2], y)
+        shared = np.column_stack([grid, np.full(grid.shape[0], rng.uniform())])
+        mixed = np.vstack(
+            [
+                np.column_stack([grid[::9], np.full(grid[::9].shape[0], contexts[0])]),
+                np.column_stack([nodes, np.full(u, contexts[1])]),
+                np.column_stack([grid[rng.integers(0, grid.shape[0], 3)], rng.uniform(0.0, 1.0, 3)]),
+            ]
+        )
+        cases = [(contextual, x, shared), (contextual, x, mixed), (gain_only, x[:, :2], grid)]
+        for model, train_x, query in cases:
+            mean, var = model.posterior_batch(query)
+            want_mean, want_var = dense_posterior(model.kernel, noise, basis, train_x, y, query)
+            worst = max(worst, np.max(np.abs(mean - want_mean)), np.max(np.abs(var - want_var)))
+    assert worst <= 1e-8
+
+
 def test_prior_before_any_data():
     spec = KernelSpec(MATERN52, (0.5, 0.5), 2.0)
     zero_mean = GPModel.empty(spec, 1e-3)
@@ -69,19 +104,19 @@ def test_prior_before_any_data():
     mean, var = zero_mean.posterior_batch([[0.2, 0.7]])
     assert mean[0] == 0.0
     assert var[0] == 2.0
-    est = with_basis.posterior([0.2, 0.7])
-    assert est.mean == 0.8
-    assert est.variance == 2.0
+    mean, var = with_basis.posterior_batch([[0.2, 0.7]])
+    assert mean[0] == 0.8
+    assert var[0] == 2.0
 
 
 def test_conditioning_shrinks_variance_at_observed_point():
     spec = KernelSpec(MATERN52, (0.3, 0.3), 1.0)
     model = GPModel.empty(spec, 1e-4)
-    before = model.posterior([0.5, 0.5]).variance
+    _, before = model.posterior_batch([[0.5, 0.5]])
     model = model.add_observation([0.5, 0.5], 0.3)
-    after = model.posterior([0.5, 0.5]).variance
-    assert after < before
-    assert model.posterior([0.5, 0.5]).mean == pytest.approx(0.3, abs=1e-3)
+    mean, after = model.posterior_batch([[0.5, 0.5]])
+    assert after[0] < before[0]
+    assert mean[0] == pytest.approx(0.3, abs=1e-3)
 
 
 def test_duplicate_inputs_stay_factorizable():
@@ -89,8 +124,8 @@ def test_duplicate_inputs_stay_factorizable():
     model = GPModel.empty(spec, 1e-6)
     model = model.add_observation([0.5, 0.5], 1.0)
     model = model.add_observation([0.5, 0.5], 1.0)
-    est = model.posterior([0.5, 0.5])
-    assert est.mean == pytest.approx(1.0, abs=1e-3)
+    mean, _ = model.posterior_batch([[0.5, 0.5]])
+    assert mean[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_add_observation_equals_batch_build():
@@ -110,7 +145,7 @@ def test_add_observation_equals_batch_build():
 def test_dimension_mismatch_raises():
     model = GPModel.empty(KernelSpec(MATERN52, (0.3, 0.3), 1.0), 1e-3)
     with pytest.raises(DimensionMismatchError):
-        model.posterior([0.5, 0.5, 0.5])
+        model.posterior_batch([[0.5, 0.5, 0.5]])
     with pytest.raises(DimensionMismatchError):
         model.add_observation([0.5], 1.0)
 
@@ -129,8 +164,8 @@ def test_kernel_symmetry_and_signal_variance_diagonal():
         k = kernel_matrix(spec, x)
         np.testing.assert_allclose(k, k.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(k), spec.signal_variance, atol=1e-14)
-        a, b = x[0], x[1]
-        assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a))
+        cross = kernel_matrix(spec, x[:2], x[2:])
+        np.testing.assert_allclose(cross, kernel_matrix(spec, x[2:], x[:2]).T, rtol=1e-14)
 
 
 def test_product_kernel_factorizes():
@@ -138,10 +173,14 @@ def test_product_kernel_factorizes():
     spec = KernelSpec(PRODUCT, (0.3, 0.5, 0.7), 1.7)
     gains = KernelSpec(MATERN52, (0.3, 0.5), 1.0)
     ctx = KernelSpec(SQUARED_EXPONENTIAL, (0.7, 1.0), 1.0)
-    a = np.array([0.1, 0.2, 0.3])
-    b = np.array([0.6, 0.1, 0.9])
-    want = 1.7 * kernel_eval(gains, a[:2], b[:2]) * kernel_eval(ctx, [a[2], 0.0], [b[2], 0.0])
-    assert kernel_eval(spec, a, b) == pytest.approx(want, rel=1e-12)
+    a = np.array([[0.1, 0.2, 0.3]])
+    b = np.array([[0.6, 0.1, 0.9]])
+    want = (
+        1.7
+        * kernel_matrix(gains, a[:, :2], b[:, :2])
+        * kernel_matrix(ctx, [[a[0, 2], 0.0]], [[b[0, 2], 0.0]])
+    )
+    np.testing.assert_allclose(kernel_matrix(spec, a, b), want, rtol=1e-12)
 
 
 def test_combine_gps_is_weighted_and_independent():
@@ -153,15 +192,16 @@ def test_combine_gps_is_weighted_and_independent():
         m = m.with_data(rng.uniform(0, 1, (6, 2)), rng.normal(size=6))
         models.append(m)
     weights = (0.4, 0.3, 0.2, 0.1)
-    x = [0.3, 0.6]
-    want_mean = sum(w * m.posterior(x).mean for w, m in zip(weights, models))
-    want_var = sum(w * w * m.posterior(x).variance for w, m in zip(weights, models))
-    est = combine_gps(models, weights, x)
-    assert est.mean == pytest.approx(want_mean, rel=1e-12)
-    assert est.variance == pytest.approx(want_var, rel=1e-12)
-    means, variances = combine_gps_batch(models, weights, [x, [0.9, 0.1]])
-    assert means[0] == pytest.approx(want_mean, rel=1e-12)
-    assert variances[0] == pytest.approx(want_var, rel=1e-12)
+    x = [[0.3, 0.6], [0.9, 0.1]]
+    want_mean = sum(w * m.posterior_batch(x)[0] for w, m in zip(weights, models))
+    want_var = sum(w * w * m.posterior_batch(x)[1] for w, m in zip(weights, models))
+    means, variances = combine_gps_batch(models, weights, x)
+    np.testing.assert_allclose(means, want_mean, rtol=1e-12)
+    np.testing.assert_allclose(variances, want_var, rtol=1e-12)
+    with pytest.raises(ValueError):
+        combine_gps_batch(models, weights[:3], x)
+    with pytest.raises(ValueError):
+        combine_gps_batch(models, (0.4, 0.3, 0.2, 0.0), x)
 
 
 def test_kernel_spec_roundtrip_and_validation():

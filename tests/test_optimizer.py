@@ -413,8 +413,8 @@ def test_state_at_day_truncates_the_log():
     assert len(state_at_day(state, 2).observations) == 2
     assert len(state_at_day(state, 99).observations) == 3
     fresh = state_at_day(state, 0)
-    est = fresh.cost_models[0].posterior([0.5, 0.5, 0.5])
-    assert est.mean == 0.5  # back to the prior
+    mean, _ = fresh.cost_models[0].posterior_batch([[0.5, 0.5, 0.5]])
+    assert mean[0] == 0.5  # back to the prior
 
 
 # ---------------------------------------------------------------------------
