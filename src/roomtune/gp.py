@@ -98,9 +98,16 @@ def _matern52_profile(r: np.ndarray) -> np.ndarray:
 
 
 def _scaled_sq_dists(lengthscales, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Per-dimension squared scaled distances, shape (d, n, m)."""
-    diff = x[:, None, :] - x2[None, :, :]
-    return np.moveaxis((diff / np.asarray(lengthscales)) ** 2, -1, 0)
+    """Per-dimension squared scaled distances, shape (d, n, m).
+
+    Filled one dimension at a time so each (n, m) slice is contiguous;
+    the sums and products over slices that every caller does next run
+    several times faster than over a strided (n, m, d) view.
+    """
+    out = np.empty((len(lengthscales), x.shape[0], x2.shape[0]))
+    for i, ell in enumerate(lengthscales):
+        out[i] = ((x[:, i, None] - x2[None, :, i]) / ell) ** 2
+    return out
 
 
 def _gain_dims(spec: KernelSpec) -> int:
@@ -114,11 +121,12 @@ def _gain_dims(spec: KernelSpec) -> int:
 
 
 def _unit_kernel(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Unit-variance kernel value from per-dimension squared distances:
-    the Matern factor over the gain dims times the SE factor over the
-    context dims (an absent factor is exactly 1)."""
-    k = _gain_dims(spec)
-    return _matern52_profile(np.sqrt(np.sum(sq[:k], axis=0))) * np.exp(-0.5 * np.sum(sq[k:], axis=0))
+    """Unit-variance kernel value from per-dimension squared distances."""
+    if spec.family == MATERN52:
+        return _matern52_profile(np.sqrt(np.sum(sq, axis=0)))
+    if spec.family == SQUARED_EXPONENTIAL:
+        return np.exp(-0.5 * np.sum(sq, axis=0))
+    return _matern52_profile(np.sqrt(sq[0] + sq[1])) * np.exp(-0.5 * sq[2])
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
