@@ -65,7 +65,7 @@ def test_grid_node_posterior_matches_dense_solve():
     """Observations on few grid nodes (u << n) with exact duplicate rows
     and noise at its lower bound, queried over the full gain grid at one
     shared context, for the product kernel and its drop_context slice,
-    and in batches that mix contexts."""
+    and in batches that mix contexts; plus the all-context SE kernel."""
     rng = np.random.default_rng(7)
     grid = GainDomain.build().unit_points
     worst = 0.0
@@ -89,7 +89,15 @@ def test_grid_node_posterior_matches_dense_solve():
                 np.column_stack([grid[rng.integers(0, grid.shape[0], 3)], rng.uniform(0.0, 1.0, 3)]),
             ]
         )
-        cases = [(contextual, x, shared), (contextual, x, mixed), (gain_only, x[:, :2], grid)]
+        # all-context kernel: one gain row, repeated query rows share a context
+        se_only = GPModel.empty(random_spec(rng, SQUARED_EXPONENTIAL), noise, basis).with_data(x[:, :2], y)
+        repeated = np.vstack([grid[::50], np.repeat(nodes, 3, axis=0)])
+        cases = [
+            (contextual, x, shared),
+            (contextual, x, mixed),
+            (gain_only, x[:, :2], grid),
+            (se_only, x[:, :2], repeated),
+        ]
         for model, train_x, query in cases:
             mean, var = model.posterior_batch(query)
             want_mean, want_var = dense_posterior(model.kernel, noise, basis, train_x, y, query)
