@@ -10,7 +10,6 @@ thresholds (97.5th percentile, indexes 1-3) for the optimizer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,14 +185,12 @@ class CostNormalization:
         """Any constrained index (1-3) above its safety threshold."""
         return bool(np.any(costs.as_array()[:3] > np.asarray(self.thresholds)))
 
-    def to_json(self) -> str:
-        doc = {"scales": list(self.scales), "thresholds": list(self.thresholds), "weights": list(self.weights)}
-        return json.dumps(doc, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"scales": list(self.scales), "thresholds": list(self.thresholds), "weights": list(self.weights)}
 
     @classmethod
-    def from_json(cls, text: str) -> "CostNormalization":
-        doc = json.loads(text)
-        return cls(tuple(doc["scales"]), tuple(doc["thresholds"]), tuple(doc["weights"]))
+    def from_dict(cls, d: dict) -> "CostNormalization":
+        return cls(tuple(d["scales"]), tuple(d["thresholds"]), tuple(d["weights"]))
 
 
 def calibrate_normalization(

@@ -13,7 +13,7 @@ Posterior queries are factored through the distinct observed gain rows.
 Every kernel family is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'):
 a Matern 5/2 factor m over the leading gain dims and a squared-exponential
 factor c over the trailing context dims (``matern52`` has no context
-dims, ``squared_exponential`` no gain dims, so the missing factor is 1).
+dims, so its c is 1).
 The tuner only ever observes gains on a grid and queries the whole grid
 at one context, so the n observations sit on few distinct gain rows and
 the query cross-covariance has rank at most that count; see
@@ -30,10 +30,9 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 MATERN52 = "matern52"
-SQUARED_EXPONENTIAL = "squared_exponential"
 PRODUCT = "product"
 
-_FAMILIES = (MATERN52, SQUARED_EXPONENTIAL, PRODUCT)
+_FAMILIES = (MATERN52, PRODUCT)
 
 # Relative diagonal jitter: duplicate daily contexts make the Gram matrix
 # near-singular, so every factorization gets signal_variance * JITTER added.
@@ -113,19 +112,13 @@ def _scaled_sq_dists(lengthscales, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
 def _gain_dims(spec: KernelSpec) -> int:
     """How many leading input dims the Matern factor covers; the rest
     are context dims under the squared-exponential factor."""
-    if spec.family == MATERN52:
-        return spec.input_dim
-    if spec.family == SQUARED_EXPONENTIAL:
-        return 0
-    return 2
+    return spec.input_dim if spec.family == MATERN52 else 2
 
 
 def _unit_kernel(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Unit-variance kernel value from per-dimension squared distances."""
     if spec.family == MATERN52:
         return _matern52_profile(np.sqrt(np.sum(sq, axis=0)))
-    if spec.family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * np.sum(sq, axis=0))
     return _matern52_profile(np.sqrt(sq[0] + sq[1])) * np.exp(-0.5 * sq[2])
 
 
@@ -157,11 +150,6 @@ def _kernel_log_grads(spec: KernelSpec, sq: np.ndarray) -> list[np.ndarray]:
         for i in range(spec.input_dim):
             grads.append(spec.signal_variance * coeff * sq[i])
         grads.append(spec.signal_variance * _matern52_profile(r))
-    elif spec.family == SQUARED_EXPONENTIAL:
-        k_unit = np.exp(-0.5 * np.sum(sq, axis=0))
-        for i in range(spec.input_dim):
-            grads.append(spec.signal_variance * k_unit * sq[i])
-        grads.append(spec.signal_variance * k_unit)
     else:
         r_a = np.sqrt(sq[0] + sq[1])
         prof = _matern52_profile(r_a)

@@ -38,7 +38,9 @@ from .optimizer import (
     DEFAULT_KP_BOUNDS,
     GP_METHODS,
     METHOD_ADA,
+    METHOD_BO,
     METHOD_FIXED,
+    METHOD_SCBO,
     AdaptiveZnTuner,
     ContextScaler,
     GainDomain,
@@ -69,10 +71,6 @@ STREAM_CAL_NOISE = 1
 STREAM_CAL_GAINS = 2
 STREAM_PLANT = 3
 STREAM_FIT = 4
-
-RESULTS_HEADER = (
-    "seed,day,oat_c,kp,ki,j1_raw,j2_raw,j3_raw,j4_raw,j1,j2,j3,j4,j_total,safe_set_size,violation"
-)
 
 # Raw-cost passthrough for calibration-free fixed-PI runs: unit scales,
 # thresholds that never flag.
@@ -123,6 +121,19 @@ class SeasonConfig:
         return GainDomain.build(self.kp_bounds, self.ki_bounds, self.grid_size, self.initial_gains)
 
 
+# Config sections whose keys set the SeasonConfig fields of the same name;
+# "season" also holds the "weather" block.
+_CONFIG_SECTIONS = {
+    "costs": ("weights", "calibration_days", "perturbation"),
+    "optimizer": ("beta", "epsilon", "kp_bounds", "ki_bounds", "grid_size", "initial_gains"),
+    "season": ("days", "seeds", "master_seed", "output_dir"),
+}
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _check_keys(doc: dict, allowed, where: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
@@ -131,53 +142,34 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
 
 def config_from_dict(doc: dict) -> SeasonConfig:
     """Assemble a config from the sectioned JSON layout; missing keys
-    fall back to defaults, unknown keys are rejected."""
-    _check_keys(doc, ("plant", "compensation", "schedule", "costs", "optimizer", "season"), "top-level")
-    plant = PlantParams(**doc.get("plant", {}))
+    fall back to the SeasonConfig defaults, unknown keys are rejected."""
+    _check_keys(doc, ("plant", "compensation", "schedule", *_CONFIG_SECTIONS), "top-level")
+    overrides = {}
+    for section, cls in (("plant", PlantParams), ("schedule", DaySchedule)):
+        if section in doc:
+            _check_keys(doc[section], _field_names(cls), section)
+            overrides[section] = cls(**doc[section])
     comp_doc = doc.get("compensation", {})
     _check_keys(comp_doc, ("breakpoints",), "compensation")
-    compensation = (
-        WeatherCompensation(tuple(tuple(p) for p in comp_doc["breakpoints"]))
-        if "breakpoints" in comp_doc
-        else DEFAULT_COMPENSATION
-    )
-    schedule = DaySchedule(**doc.get("schedule", {}))
-    costs_doc = doc.get("costs", {})
-    _check_keys(costs_doc, ("weights", "calibration_days", "perturbation"), "costs")
-    opt_doc = doc.get("optimizer", {})
-    _check_keys(
-        opt_doc, ("beta", "epsilon", "kp_bounds", "ki_bounds", "grid_size", "initial_gains"), "optimizer"
-    )
-    season_doc = doc.get("season", {})
-    _check_keys(season_doc, ("days", "seeds", "master_seed", "output_dir", "weather"), "season")
-    weather_doc = dict(season_doc.get("weather", {}))
-    source = weather_doc.pop("source", "synthetic")
-    if source == "csv":
+    if "breakpoints" in comp_doc:
+        overrides["compensation"] = WeatherCompensation(tuple(tuple(p) for p in comp_doc["breakpoints"]))
+    for section, names in _CONFIG_SECTIONS.items():
+        section_doc = doc.get(section, {})
+        _check_keys(section_doc, names + (("weather",) if section == "season" else ()), section)
+        overrides.update(
+            (k, tuple(v) if isinstance(v, list) else v) for k, v in section_doc.items() if k in names
+        )
+    weather_doc = dict(doc.get("season", {}).get("weather", {}))
+    if "source" in weather_doc:
+        overrides["weather_source"] = weather_doc.pop("source")
+    if overrides.get("weather_source") == "csv":
         _check_keys(weather_doc, ("path",), "weather")
+        overrides["weather_csv"] = weather_doc.get("path")
     else:
-        synth_keys = tuple(f.name for f in fields(WeatherConfig) if f.name not in ("days", "step_seconds"))
+        synth_keys = tuple(n for n in _field_names(WeatherConfig) if n not in ("days", "step_seconds"))
         _check_keys(weather_doc, synth_keys, "weather")
-    return SeasonConfig(
-        plant=plant,
-        compensation=compensation,
-        schedule=schedule,
-        weights=tuple(costs_doc.get("weights", DEFAULT_WEIGHTS)),
-        calibration_days=costs_doc.get("calibration_days", 145),
-        perturbation=costs_doc.get("perturbation", 0.25),
-        beta=opt_doc.get("beta", DEFAULT_BETA),
-        epsilon=opt_doc.get("epsilon", DEFAULT_EPSILON),
-        kp_bounds=tuple(opt_doc.get("kp_bounds", DEFAULT_KP_BOUNDS)),
-        ki_bounds=tuple(opt_doc.get("ki_bounds", DEFAULT_KI_BOUNDS)),
-        grid_size=opt_doc.get("grid_size", DEFAULT_GRID_SIZE),
-        initial_gains=tuple(opt_doc.get("initial_gains", DEFAULT_ANCHOR)),
-        days=season_doc.get("days", 145),
-        seeds=season_doc.get("seeds", 5),
-        master_seed=season_doc.get("master_seed", 20161021),
-        output_dir=season_doc.get("output_dir", "results"),
-        weather_source=source,
-        weather_params=weather_doc if source == "synthetic" else {},
-        weather_csv=weather_doc.get("path") if source == "csv" else None,
-    )
+        overrides["weather_params"] = weather_doc
+    return SeasonConfig(**overrides)
 
 
 def load_config(path) -> SeasonConfig:
@@ -239,16 +231,14 @@ class Calibration:
     scaler: ContextScaler
     contextual_cost_models: tuple[GPModel, ...]  # 4, basis mean enabled
     contextual_constraint_models: tuple[GPModel, ...]  # 3, zero mean
-    gain_only_cost_models: tuple[GPModel, ...]  # 4, context axis dropped from the contextual fits
 
     def to_json(self) -> str:
         doc = {
-            "normalization": json.loads(self.normalization.to_json()),
+            "normalization": self.normalization.to_dict(),
             "context": self.scaler.to_dict(),
             "models": {
                 "cost_contextual": [model_to_dict(m) for m in self.contextual_cost_models],
                 "constraint_contextual": [model_to_dict(m) for m in self.contextual_constraint_models],
-                "cost_gain_only": [model_to_dict(m) for m in self.gain_only_cost_models],
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -256,17 +246,13 @@ class Calibration:
     @classmethod
     def from_json(cls, text: str) -> "Calibration":
         doc = json.loads(text)
-        norm_doc = doc["normalization"]
         return cls(
-            normalization=CostNormalization(
-                tuple(norm_doc["scales"]), tuple(norm_doc["thresholds"]), tuple(norm_doc["weights"])
-            ),
+            normalization=CostNormalization.from_dict(doc["normalization"]),
             scaler=ContextScaler.from_dict(doc["context"]),
             contextual_cost_models=tuple(model_from_dict(d) for d in doc["models"]["cost_contextual"]),
             contextual_constraint_models=tuple(
                 model_from_dict(d) for d in doc["models"]["constraint_contextual"]
             ),
-            gain_only_cost_models=tuple(model_from_dict(d) for d in doc["models"]["cost_gain_only"]),
         )
 
 
@@ -334,8 +320,7 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
         ).build()
         for i in range(3)
     )
-    cost_gain = tuple(drop_context(m) for m in cost_ctx)
-    return Calibration(normalization, scaler, cost_ctx, constraint_ctx, cost_gain)
+    return Calibration(normalization, scaler, cost_ctx, constraint_ctx)
 
 
 def calibration_path(config: SeasonConfig, seed: int) -> Path:
@@ -354,32 +339,20 @@ def load_calibration(path) -> Calibration:
 
 
 def build_optimizer_state(config: SeasonConfig, calibration: Calibration, method: str) -> OptimizerState:
+    """Initial state of a GP method. ``bo`` ignores the context: it gets
+    no scaler and the gain-only slices of the contextual cost fits."""
     if method not in GP_METHODS:
         raise ValueError(f"no optimizer state for method {method!r}")
-    domain = config.build_domain()
-    thresholds = calibration.normalization.thresholds
-    weights = calibration.normalization.weights
-    if method == "bo":
-        return OptimizerState(
-            method=method,
-            domain=domain,
-            scaler=None,
-            weights=weights,
-            thresholds=thresholds,
-            cost_models=calibration.gain_only_cost_models,
-            constraint_models=(),
-            beta=config.beta,
-            epsilon=config.epsilon,
-        )
-    constraints = calibration.contextual_constraint_models if method == "scbo" else ()
+    contextual = method != METHOD_BO
+    cost_models = calibration.contextual_cost_models
     return OptimizerState(
         method=method,
-        domain=domain,
-        scaler=calibration.scaler,
-        weights=weights,
-        thresholds=thresholds,
-        cost_models=calibration.contextual_cost_models,
-        constraint_models=constraints,
+        domain=config.build_domain(),
+        scaler=calibration.scaler if contextual else None,
+        weights=calibration.normalization.weights,
+        thresholds=calibration.normalization.thresholds,
+        cost_models=cost_models if contextual else tuple(drop_context(m) for m in cost_models),
+        constraint_models=calibration.contextual_constraint_models if method == METHOD_SCBO else (),
         beta=config.beta,
         epsilon=config.epsilon,
     )
@@ -408,6 +381,13 @@ class DailyResult:
     j_total: float
     safe_set_size: int
     violation: bool
+
+
+# Results-CSV columns, in DailyResult field order; bools are stored as 0/1.
+RESULTS_FIELDS = _field_names(DailyResult)
+_RESULTS_PARSERS = tuple(
+    {"int": int, "float": float, "bool": lambda text: bool(int(text))}[f.type] for f in fields(DailyResult)
+)
 
 
 @dataclass(frozen=True)
@@ -511,57 +491,24 @@ def write_results_csv(path, results) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER.split(","))
+        writer.writerow(RESULTS_FIELDS)
         for r in results:
-            writer.writerow(
-                [
-                    r.seed,
-                    r.day,
-                    r.oat_c,
-                    r.kp,
-                    r.ki,
-                    r.j1_raw,
-                    r.j2_raw,
-                    r.j3_raw,
-                    r.j4_raw,
-                    r.j1,
-                    r.j2,
-                    r.j3,
-                    r.j4,
-                    r.j_total,
-                    r.safe_set_size,
-                    int(r.violation),
-                ]
-            )
+            values = (getattr(r, name) for name in RESULTS_FIELDS)
+            writer.writerow(int(v) if isinstance(v, bool) else v for v in values)
 
 
 def read_results_csv(path) -> list[DailyResult]:
     out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULTS_HEADER.split(","):
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != RESULTS_FIELDS:
             raise ValueError(f"unexpected results header in {path}")
         for row in reader:
-            out.append(
-                DailyResult(
-                    seed=int(row["seed"]),
-                    day=int(row["day"]),
-                    oat_c=float(row["oat_c"]),
-                    kp=float(row["kp"]),
-                    ki=float(row["ki"]),
-                    j1_raw=float(row["j1_raw"]),
-                    j2_raw=float(row["j2_raw"]),
-                    j3_raw=float(row["j3_raw"]),
-                    j4_raw=float(row["j4_raw"]),
-                    j1=float(row["j1"]),
-                    j2=float(row["j2"]),
-                    j3=float(row["j3"]),
-                    j4=float(row["j4"]),
-                    j_total=float(row["j_total"]),
-                    safe_set_size=int(row["safe_set_size"]),
-                    violation=bool(int(row["violation"])),
+            if len(row) != len(RESULTS_FIELDS):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, header has {len(RESULTS_FIELDS)}"
                 )
-            )
+            out.append(DailyResult(*(parse(text) for parse, text in zip(_RESULTS_PARSERS, row))))
     return out
 
 
@@ -639,7 +586,7 @@ def compare_report(results_by_method: dict[str, list[list[DailyResult]]]) -> Sea
     return SeasonReport(days, cumulative, final_median, improvements)
 
 
-_RESULT_FILE = re.compile(r"^(fixed|ada|bo|cbo|scbo)_seed(\d+)\.csv$")
+_RESULT_FILE = re.compile(rf"^({'|'.join(ALL_METHODS)})_seed(\d+)\.csv$")
 
 
 def collect_results(directory) -> dict[str, list[list[DailyResult]]]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_normalization_roundtrip_and_total():
     costs = norm.normalize(raw)
     assert costs.as_array() == pytest.approx([2.0, 2.0, 0.5, 0.5])
     assert costs.total == pytest.approx(0.25 * (2.0 + 2.0 + 0.5 + 0.5))
-    again = CostNormalization.from_json(norm.to_json())
+    again = CostNormalization.from_dict(json.loads(json.dumps(norm.to_dict())))
     assert again == norm
 
 

@@ -8,7 +8,6 @@ from roomtune.gp import (
     LENGTHSCALE_BOUNDS,
     MATERN52,
     PRODUCT,
-    SQUARED_EXPONENTIAL,
     VARIANCE_BOUNDS,
     DimensionMismatchError,
     GPModel,
@@ -65,7 +64,7 @@ def test_grid_node_posterior_matches_dense_solve():
     """Observations on few grid nodes (u << n) with exact duplicate rows
     and noise at its lower bound, queried over the full gain grid at one
     shared context, for the product kernel and its drop_context slice,
-    and in batches that mix contexts; plus the all-context SE kernel."""
+    and in batches that mix contexts."""
     rng = np.random.default_rng(7)
     grid = GainDomain.build().unit_points
     worst = 0.0
@@ -89,14 +88,10 @@ def test_grid_node_posterior_matches_dense_solve():
                 np.column_stack([grid[rng.integers(0, grid.shape[0], 3)], rng.uniform(0.0, 1.0, 3)]),
             ]
         )
-        # all-context kernel: one gain row, repeated query rows share a context
-        se_only = GPModel.empty(random_spec(rng, SQUARED_EXPONENTIAL), noise, basis).with_data(x[:, :2], y)
-        repeated = np.vstack([grid[::50], np.repeat(nodes, 3, axis=0)])
         cases = [
             (contextual, x, shared),
             (contextual, x, mixed),
             (gain_only, x[:, :2], grid),
-            (se_only, x[:, :2], repeated),
         ]
         for model, train_x, query in cases:
             mean, var = model.posterior_batch(query)
@@ -128,7 +123,7 @@ def test_conditioning_shrinks_variance_at_observed_point():
 
 
 def test_duplicate_inputs_stay_factorizable():
-    spec = KernelSpec(SQUARED_EXPONENTIAL, (0.4, 0.4), 1.0)
+    spec = KernelSpec(MATERN52, (0.4, 0.4), 1.0)
     model = GPModel.empty(spec, 1e-6)
     model = model.add_observation([0.5, 0.5], 1.0)
     model = model.add_observation([0.5, 0.5], 1.0)
@@ -166,7 +161,7 @@ def test_non_finite_target_rejected():
 
 def test_kernel_symmetry_and_signal_variance_diagonal():
     rng = np.random.default_rng(8)
-    for family in (MATERN52, SQUARED_EXPONENTIAL, PRODUCT):
+    for family in (MATERN52, PRODUCT):
         spec = random_spec(rng, family)
         x = rng.uniform(0.0, 1.0, (6, spec.input_dim))
         k = kernel_matrix(spec, x)
@@ -180,14 +175,10 @@ def test_product_kernel_factorizes():
     # product family = Matern over the two gain dims times SE over context
     spec = KernelSpec(PRODUCT, (0.3, 0.5, 0.7), 1.7)
     gains = KernelSpec(MATERN52, (0.3, 0.5), 1.0)
-    ctx = KernelSpec(SQUARED_EXPONENTIAL, (0.7, 1.0), 1.0)
     a = np.array([[0.1, 0.2, 0.3]])
     b = np.array([[0.6, 0.1, 0.9]])
-    want = (
-        1.7
-        * kernel_matrix(gains, a[:, :2], b[:, :2])
-        * kernel_matrix(ctx, [[a[0, 2], 0.0]], [[b[0, 2], 0.0]])
-    )
+    context_factor = math.exp(-0.5 * ((a[0, 2] - b[0, 2]) / 0.7) ** 2)
+    want = 1.7 * kernel_matrix(gains, a[:, :2], b[:, :2]) * context_factor
     np.testing.assert_allclose(kernel_matrix(spec, a, b), want, rtol=1e-12)
 
 

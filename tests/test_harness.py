@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomtune.costs import CalibrationError
 from roomtune.harness import (
-    RESULTS_HEADER,
+    RESULTS_FIELDS,
     Calibration,
     DailyResult,
     SeasonConfig,
@@ -83,7 +85,7 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"optimizer": {"betta": 2.0}})
     with pytest.raises(ValueError, match="weather"):
         config_from_dict({"season": {"weather": {"solar": 0.1}}})
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="plant"):
         config_from_dict({"plant": {"gain": 1.0}})
 
 
@@ -136,14 +138,13 @@ def test_morning_context_reads_the_six_oclock_sample(small_config):
 # ---------------------------------------------------------------------------
 
 
-def test_calibration_artifact_shape(calibration):
+def test_calibration_artifact_shape(small_config, calibration):
     norm = calibration.normalization
     assert all(s > 0 for s in norm.scales)
     assert all(t >= 1.0 for t in norm.thresholds)
     assert calibration.scaler.oat_max > calibration.scaler.oat_min
     assert len(calibration.contextual_cost_models) == 4
     assert len(calibration.contextual_constraint_models) == 3
-    assert len(calibration.gain_only_cost_models) == 4
     for m in calibration.contextual_cost_models:
         assert m.kernel.input_dim == 3
         assert m.basis_coefficient is not None
@@ -151,7 +152,9 @@ def test_calibration_artifact_shape(calibration):
         assert m.kernel.input_dim == 3
         assert m.basis_coefficient is None
     # the context-free surrogates are slices of the contextual fits
-    for ctx, sliced in zip(calibration.contextual_cost_models, calibration.gain_only_cost_models):
+    gain_only = build_optimizer_state(small_config, calibration, "bo").cost_models
+    assert len(gain_only) == 4
+    for ctx, sliced in zip(calibration.contextual_cost_models, gain_only):
         assert sliced.kernel.input_dim == 2
         assert sliced.kernel.lengthscales == ctx.kernel.lengthscales[:2]
         assert sliced.kernel.signal_variance == ctx.kernel.signal_variance
@@ -270,7 +273,27 @@ def test_results_csv_round_trip(tmp_path):
     path = tmp_path / "fixed_seed0.csv"
     write_results_csv(path, rows)
     header = path.read_text().splitlines()[0]
-    assert header == RESULTS_HEADER
+    assert tuple(header.split(",")) == RESULTS_FIELDS
+    assert read_results_csv(path) == rows
+
+
+_FIELD_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(DailyResult, **{f.name: _FIELD_VALUES[f.type] for f in dataclasses.fields(DailyResult)}),
+        max_size=5,
+    )
+)
+def test_results_csv_round_trips_generated_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "generated_seed0.csv"
+    write_results_csv(path, rows)
     assert read_results_csv(path) == rows
 
 
@@ -278,6 +301,19 @@ def test_results_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("day,cost\n1,0.5\n")
     with pytest.raises(ValueError):
+        read_results_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda line: line.rsplit(",", 1)[0], lambda line: line + ",9"], ids=["truncated", "extra_field"]
+)
+def test_results_csv_rejects_rows_of_the_wrong_width(tmp_path, edit):
+    path = tmp_path / "fixed_seed0.csv"
+    write_results_csv(path, [result_row(0, 1, 0.5), result_row(0, 2, 0.5)])
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"fixed_seed0\.csv, line 3: (15|17) fields"):
         read_results_csv(path)
 
 
