@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 MATERN52 = "matern52"
@@ -135,31 +136,6 @@ def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
     xa = _as_points(x, spec.input_dim)
     xb = xa if x2 is None else _as_points(x2, spec.input_dim)
     return spec.signal_variance * _unit_kernel(spec, _scaled_sq_dists(spec.lengthscales, xa, xb))
-
-
-def _kernel_log_grads(spec: KernelSpec, sq: np.ndarray) -> list[np.ndarray]:
-    """d k / d log(lengthscale_i), then d k / d log(signal_variance).
-
-    Uses d m52(r)/dr = -(5/3) r (1 + sqrt5 r) exp(-sqrt5 r), which cancels
-    the 1/r of dr/dlog(ell) so r == 0 needs no special casing.
-    """
-    grads = []
-    if spec.family == MATERN52:
-        r = np.sqrt(np.sum(sq, axis=0))
-        coeff = 5.0 / 3.0 * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
-        for i in range(spec.input_dim):
-            grads.append(spec.signal_variance * coeff * sq[i])
-        grads.append(spec.signal_variance * _matern52_profile(r))
-    else:
-        r_a = np.sqrt(sq[0] + sq[1])
-        prof = _matern52_profile(r_a)
-        coeff = 5.0 / 3.0 * (1.0 + _SQRT5 * r_a) * np.exp(-_SQRT5 * r_a)
-        se = np.exp(-0.5 * sq[2])
-        grads.append(spec.signal_variance * se * coeff * sq[0])
-        grads.append(spec.signal_variance * se * coeff * sq[1])
-        grads.append(spec.signal_variance * prof * se * sq[2])
-        grads.append(spec.signal_variance * prof * se)
-    return grads
 
 
 @dataclass(frozen=True)
@@ -363,11 +339,36 @@ def log_marginal_likelihood(
     """
     spec, noise = _unpack(theta, template)
     n = x.shape[0]
+    s2 = spec.signal_variance
+    k = _gain_dims(spec)
     sq = _scaled_sq_dists(spec.lengthscales, x, x)
-    gram = spec.signal_variance * _unit_kernel(spec, sq)
-    jitter = JITTER * spec.signal_variance
-    cov = gram + (noise + jitter) * np.eye(n)
+    # The value and the gradient share r and exp(-sqrt5 r). The Gram
+    # matrix takes the operations of _unit_kernel in the same order, so
+    # the value is bit-identical to one built on kernel_matrix. Products
+    # are formed in place: at n = 145 the page faults of each fresh
+    # (n, n) temporary are a large share of a call's time.
+    r = np.sqrt(np.sum(sq[:k], axis=0))
+    decay = np.exp(-_SQRT5 * r)
+    lin = 1.0 + _SQRT5 * r
+    gram = np.square(r, out=r)
+    gram *= 5.0 / 3.0
+    gram += lin
+    gram *= decay  # Matern 5/2 profile (1 + sqrt5 r + 5/3 r^2) exp(-sqrt5 r)
+    # d m52(r) / d log(ell_i) = (5/3)(1 + sqrt5 r) exp(-sqrt5 r) sq_i: the
+    # 1/r of dr/dlog(ell) cancels, so r == 0 needs no special casing.
+    dprof = lin
+    dprof *= decay
+    dprof *= s2 * (5.0 / 3.0)
+    if k < spec.input_dim:
+        se = np.exp(-0.5 * sq[2])
+        gram *= se
+        dprof *= se
+    gram *= s2
+    jitter = JITTER * s2
+    cov = gram.copy()
+    cov[np.diag_indices(n)] += noise + jitter
     factor = cholesky(cov, lower=True)
+    del cov
     if with_basis:
         ones = np.ones(n)
         ci_y = cho_solve((factor, True), y)
@@ -379,12 +380,25 @@ def log_marginal_likelihood(
     a = cho_solve((factor, True), resid)
     lml = -0.5 * float(resid @ a) - float(np.sum(np.log(np.diag(factor)))) - 0.5 * n * math.log(2 * math.pi)
 
-    cov_inv = cho_solve((factor, True), np.eye(n))
-    grads = _kernel_log_grads(spec, sq)
-    # signal-variance partial also scales the jitter term
-    grads[-1] = grads[-1] + jitter * np.eye(n)
-    grads.append(noise * np.eye(n))
-    grad = np.array([0.5 * float(a @ g @ a) - 0.5 * float(np.sum(cov_inv * g)) for g in grads])
+    # GPML eq. 5.9: d lml / d theta_j = 1/2 tr(W dK/dtheta_j), W = a a^T - K^-1.
+    # potri overwrites the Cholesky factor with the lower triangle of K^-1.
+    cov_inv, info = dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed with info={info}")
+    w = np.outer(a, a)
+    w -= np.tril(cov_inv)
+    w -= np.tril(cov_inv, -1).T
+    tr_w = float(np.trace(w))
+    dprof *= w
+    w *= gram
+    grad = 0.5 * np.concatenate(
+        [
+            sq[:k].reshape(k, n * n) @ dprof.ravel(),
+            sq[k:].reshape(spec.input_dim - k, n * n) @ w.ravel(),
+            # the signal-variance partial also scales the jitter term
+            [float(np.sum(w)) + jitter * tr_w, noise * tr_w],
+        ]
+    )
     return lml, grad
 
 

@@ -383,10 +383,24 @@ class DailyResult:
     violation: bool
 
 
-# Results-CSV columns, in DailyResult field order; bools are stored as 0/1.
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# Results-CSV columns, in DailyResult field order; bools are stored as 0/1
+# and floats are finite; the reader rejects anything else.
 RESULTS_FIELDS = _field_names(DailyResult)
 _RESULTS_PARSERS = tuple(
-    {"int": int, "float": float, "bool": lambda text: bool(int(text))}[f.type] for f in fields(DailyResult)
+    {"int": int, "float": _parse_finite, "bool": _parse_flag}[f.type] for f in fields(DailyResult)
 )
 
 
@@ -504,11 +518,13 @@ def read_results_csv(path) -> list[DailyResult]:
         if tuple(next(reader, ())) != RESULTS_FIELDS:
             raise ValueError(f"unexpected results header in {path}")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(RESULTS_FIELDS):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, header has {len(RESULTS_FIELDS)}"
-                )
-            out.append(DailyResult(*(parse(text) for parse, text in zip(_RESULTS_PARSERS, row))))
+                raise ValueError(f"{where}: {len(row)} fields, header has {len(RESULTS_FIELDS)}")
+            try:
+                out.append(DailyResult(*(parse(text) for parse, text in zip(_RESULTS_PARSERS, row))))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return out
 
 

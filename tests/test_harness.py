@@ -317,6 +317,27 @@ def test_results_csv_rejects_rows_of_the_wrong_width(tmp_path, edit):
         read_results_csv(path)
 
 
+@pytest.mark.parametrize(
+    "field, text, problem",
+    [
+        ("j_total", "nan", "non-finite value 'nan'"),
+        ("oat_c", "-inf", "non-finite value '-inf'"),
+        ("violation", "7", "flag must be 0 or 1, got '7'"),
+        ("violation", "true", "flag must be 0 or 1, got 'true'"),
+    ],
+)
+def test_results_csv_rejects_non_finite_floats_and_non_binary_flags(tmp_path, field, text, problem):
+    path = tmp_path / "fixed_seed0.csv"
+    write_results_csv(path, [result_row(0, 1, 0.5), result_row(0, 2, 0.5)])
+    lines = path.read_text().splitlines()
+    values = lines[2].split(",")
+    values[RESULTS_FIELDS.index(field)] = text
+    lines[2] = ",".join(values)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"fixed_seed0\.csv, line 3: {problem}"):
+        read_results_csv(path)
+
+
 def test_cumulative_average():
     np.testing.assert_allclose(cumulative_average([1.0, 3.0, 5.0]), [1.0, 2.0, 3.0])
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roomtune.pid import (
     INTEGRAL_TERM_MAX,
@@ -87,3 +89,29 @@ def test_non_finite_inputs_rejected():
         control_step(PIGains(1.0, 0.0), reset(), math.nan, 20.0)
     with pytest.raises(ValueError):
         control_step(PIGains(1.0, 0.0), reset(), 20.0, math.inf)
+
+
+_TEMPERATURE = st.floats(-30.0, 40.0)
+
+
+@given(
+    gains=st.builds(PIGains, st.floats(0.0, 10.0), st.floats(0.0, 1.0)),
+    state=st.builds(ControllerState, st.floats(-1e4, 1e4), st.floats(0.0, 1.0)),
+    setpoint=_TEMPERATURE,
+    measurement=_TEMPERATURE,
+)
+def test_control_step_invariants(gains, state, setpoint, measurement):
+    u, new = control_step(gains, state, setpoint, measurement)
+    assert 0.0 <= u <= 1.0
+    assert new.last_output == u
+    kept = state.integrator
+    if gains.ki > 0.0:
+        lo, hi = INTEGRAL_TERM_MIN / gains.ki, INTEGRAL_TERM_MAX / gains.ki
+        assert lo <= new.integrator <= hi
+        kept = min(max(kept, lo), hi)
+    # conditional integration: while the raw output is saturated in the
+    # direction of the error, the error is not accumulated
+    error = setpoint - measurement
+    raw = gains.kp * error + gains.ki * (state.integrator + error)
+    if (raw > 1.0 and error > 0.0) or (raw < 0.0 and error < 0.0):
+        assert new.integrator == kept
