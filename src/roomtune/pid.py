@@ -27,6 +27,8 @@ class PIGains:
     ki: float  # valve-fraction per (degC * step)
 
     def __post_init__(self):
+        if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
+            raise ValueError("gains must be finite")
         if self.kp < 0 or self.ki < 0:
             raise ValueError("gains must be non-negative")
 
@@ -47,7 +49,9 @@ def control_step(
     setpoint: float,
     measurement: float,
 ) -> tuple[float, ControllerState]:
-    """One controller update: returns (valve command in [0, 1], new state)."""
+    """One controller update: returns (valve command in [0, 1], new state).
+
+    simulate_day inlines this update; keep the two bit-identical."""
     if not (math.isfinite(setpoint) and math.isfinite(measurement)):
         raise ValueError("setpoint and measurement must be finite")
     error = setpoint - measurement

@@ -31,14 +31,7 @@ from datetime import datetime
 import numpy as np
 
 from .costs import EpisodeTrace
-from .pid import (
-    INTEGRAL_TERM_MAX,
-    INTEGRAL_TERM_MIN,
-    ControllerState,
-    PIGains,
-    control_step,
-    reset,
-)
+from .pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 
 SECONDS_PER_DAY = 86400
 
@@ -108,12 +101,13 @@ class WeatherCompensation:
         return False
 
 
-def heating_curve(comp: WeatherCompensation, oat: float) -> float:
+def heating_curve(comp: WeatherCompensation, oat):
     """Supply-water temperature for an outside air temperature, clamped
-    at the end breakpoints."""
-    oats = [o for o, _ in comp.breakpoints]
-    waters = [w for _, w in comp.breakpoints]
-    return float(np.interp(oat, oats, waters))
+    at the end breakpoints: a float for a scalar ``oat``, an array of
+    the same shape for an array."""
+    oats, waters = zip(*comp.breakpoints)
+    water = np.interp(oat, oats, waters)
+    return float(water) if np.ndim(water) == 0 else water
 
 
 DEFAULT_COMPENSATION = WeatherCompensation(((-10.0, 70.0), (-3.0, 60.0), (20.0, 35.0)))
@@ -143,7 +137,9 @@ def step(
     occupancy: float = 0.0,
     noise: float = 0.0,
 ) -> RoomState:
-    """Advance the thermal state by one control period."""
+    """Advance the thermal state by one control period.
+
+    simulate_day inlines this update; keep the two bit-identical."""
     if not 0.0 <= valve <= 1.0:
         raise ValueError("valve command must lie in [0, 1]")
     heat = params.input_gain * params.radiator_ua * valve * max(water_temp - state.t_room, 0.0)
@@ -170,6 +166,12 @@ class DaySchedule:
     comfort_setpoint: float = 21.0
     morning_hour: float = 6.0
     evening_hour: float = 22.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.night_setpoint) and math.isfinite(self.comfort_setpoint)):
+            raise ValueError("setpoints must be finite")
+        if not 0.0 <= self.morning_hour < self.evening_hour <= 24.0:
+            raise ValueError("need 0 <= morning_hour < evening_hour <= 24")
 
     def setpoints(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
         hours = np.arange(steps_per_day) * step_seconds / 3600.0
@@ -237,31 +239,71 @@ def simulate_day(
         noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
     else:
         noise = np.zeros(steps)
+    water = heating_curve(comp, weather.oat_profile)
 
+    # The loop below is control_step followed by step, inlined on Python
+    # floats with every operation in the same order, so its traces are
+    # bit-identical to chaining those two references (tests/test_plant.py).
+    # A finite measurement follows from the validated initial state and
+    # the range check; a finite setpoint from DaySchedule.
     t_room = np.empty(steps)
     valve = np.empty(steps)
-    ctrl = reset()
-    if gains.ki > 0.0 and initial_integral_action != 0.0:
-        action = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX)
-        ctrl = ControllerState(action / gains.ki, 0.0)
-    state = initial_state
-    for k in range(steps):
+    kp, ki, lo, hi = _pi_constants(gains)
+    integrator = 0.0
+    if ki > 0.0 and initial_integral_action != 0.0:
+        integrator = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX) / ki
+    room_pole, wall_coupling = params.room_pole, params.wall_coupling
+    disturbance_gain, wall_pole = params.disturbance_gain, params.wall_pole
+    heat_gain = params.input_gain * params.radiator_ua
+    wall_leak = 1.0 - wall_pole
+    t, t_wall = initial_state.t_room, initial_state.t_wall
+    profiles = zip(
+        setpoints.tolist(),
+        weather.oat_profile.tolist(),
+        water.tolist(),
+        weather.solar_profile.tolist(),
+        weather.occupancy_profile.tolist(),
+        noise.tolist(),
+    )
+    for k, (sp, oat, water_temp, solar, occupancy, eps) in enumerate(profiles):
         if gain_adapter is not None:
             gains = gain_adapter(k, t_room[:k], valve[:k], gains)
-        t_room[k] = state.t_room
-        u, ctrl = control_step(gains, ctrl, setpoints[k], state.t_room)
+            kp, ki, lo, hi = _pi_constants(gains)
+        t_room[k] = t
+        error = sp - t
+        held = integrator
+        integrator = held + error
+        raw = kp * error + ki * integrator
+        if (raw > 1.0 and error > 0.0) or (raw < 0.0 and error < 0.0):
+            integrator = held
+        if integrator < lo:
+            integrator = lo
+        elif integrator > hi:
+            integrator = hi
+        u = kp * error + ki * integrator
+        if u < 0.0:
+            u = 0.0
+        elif u > 1.0:
+            u = 1.0
+        if not 0.0 <= u <= 1.0:
+            raise ValueError("valve command must lie in [0, 1]")
         valve[k] = u
-        oat = weather.oat_profile[k]
-        state = step(
-            params,
-            state,
-            u,
-            oat,
-            heating_curve(comp, oat),
-            weather.solar_profile[k],
-            weather.occupancy_profile[k],
-            noise[k],
+        drive = water_temp - t
+        if drive < 0.0:
+            drive = 0.0
+        t_next = (
+            room_pole * t
+            + wall_coupling * t_wall
+            + heat_gain * u * drive
+            + disturbance_gain * (oat - t)
+            + solar
+            + occupancy
+            + eps
         )
+        t_wall = wall_pole * t_wall + wall_leak * t
+        t = t_next
+        if not ROOM_TEMP_MIN <= t <= ROOM_TEMP_MAX:
+            raise SimulationDivergedError(f"room temperature {t:.2f} degC outside sanity range")
     trace = EpisodeTrace(
         setpoint=setpoints,
         t_room=t_room,
@@ -269,7 +311,15 @@ def simulate_day(
         step_seconds=params.step_seconds,
         step_index=schedule.morning_step_index(params.step_seconds),
     )
-    return trace, state, gains.ki * ctrl.integrator
+    return trace, RoomState(t, t_wall), ki * integrator
+
+
+def _pi_constants(gains: PIGains) -> tuple[float, float, float, float]:
+    """kp, ki and the integrator window of control_step; with ki = 0 the
+    integrator is unbounded."""
+    if gains.ki > 0.0:
+        return gains.kp, gains.ki, INTEGRAL_TERM_MIN / gains.ki, INTEGRAL_TERM_MAX / gains.ki
+    return gains.kp, gains.ki, -math.inf, math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,11 @@ def test_config_field_validation():
         SeasonConfig(perturbation=1.0)
     with pytest.raises(ValueError):
         SeasonConfig(weather_source="forecast")
+    # a bad schedule fails when the config is read, not mid-season
+    with pytest.raises(ValueError):
+        config_from_dict({"schedule": {"morning_hour": 30.0}})
+    with pytest.raises(ValueError):
+        config_from_dict({"schedule": {"night_setpoint": math.nan}})
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,12 @@ def test_negative_gains_rejected():
         PIGains(0.1, -0.01)
 
 
+@pytest.mark.parametrize("kp, ki", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0), (0.5, math.inf)])
+def test_non_finite_gains_rejected(kp, ki):
+    with pytest.raises(ValueError):
+        PIGains(kp, ki)
+
+
 def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
         control_step(PIGains(1.0, 0.0), reset(), math.nan, 20.0)

@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roomtune.pid import PIGains
+from roomtune.pid import (
+    INTEGRAL_TERM_MAX,
+    INTEGRAL_TERM_MIN,
+    ControllerState,
+    PIGains,
+    control_step,
+    reset,
+)
 from roomtune.plant import (
     DEFAULT_COMPENSATION,
     DaySchedule,
@@ -72,6 +83,14 @@ def test_heating_curve_interpolates_and_clamps():
     assert heating_curve(comp, 30.0) == 35.0
 
 
+def test_heating_curve_array_matches_scalar_calls():
+    oat = np.concatenate([np.linspace(-30.0, 30.0, 241), [-10.0, -3.0, 20.0]])
+    water = heating_curve(DEFAULT_COMPENSATION, oat)
+    assert water.shape == oat.shape
+    scalar = [heating_curve(DEFAULT_COMPENSATION, o) for o in oat.tolist()]
+    np.testing.assert_array_equal(water, scalar)
+
+
 def test_heating_curve_slope_break_is_enforced():
     with pytest.raises(ValueError):
         WeatherCompensation(((-10.0, 70.0), (20.0, 35.0)))  # straight line
@@ -87,6 +106,163 @@ def test_compensation_breakpoints_validated():
         WeatherCompensation(((0.0, 60.0), (-3.0, 70.0), (5.0, 40.0)))
     with pytest.raises(ValueError):
         WeatherCompensation(((-10.0, 50.0), (-3.0, 60.0), (20.0, 35.0)))  # water rises
+
+
+def test_day_schedule_validated():
+    with pytest.raises(ValueError):
+        DaySchedule(night_setpoint=math.nan)
+    with pytest.raises(ValueError):
+        DaySchedule(comfort_setpoint=math.inf)
+    for morning, evening in ((30.0, 31.0), (-1.0, 22.0), (8.0, 8.0), (9.0, 6.0), (6.0, 25.0), (math.nan, 22.0)):
+        with pytest.raises(ValueError):
+            DaySchedule(morning_hour=morning, evening_hour=evening)
+    DaySchedule(morning_hour=0.0, evening_hour=24.0)
+
+
+def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
+                  gain_adapter=None, initial_integral_action=0.0):
+    """simulate_day spelled out as control_step and step per sample with a
+    scalar heating_curve lookup: the oracle for its inlined loop."""
+    steps = weather.oat_profile.size
+    setpoints = schedule.setpoints(steps, params.step_seconds)
+    if rng is not None and params.noise_sigma > 0:
+        sigma = params.noise_sigma
+        noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
+    else:
+        noise = np.zeros(steps)
+    t_room, valve = np.empty(steps), np.empty(steps)
+    ctrl = reset()
+    if gains.ki > 0.0 and initial_integral_action != 0.0:
+        action = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX)
+        ctrl = ControllerState(action / gains.ki, 0.0)
+    state = initial_state
+    for k in range(steps):
+        if gain_adapter is not None:
+            gains = gain_adapter(k, t_room[:k], valve[:k], gains)
+        t_room[k] = state.t_room
+        u, ctrl = control_step(gains, ctrl, setpoints[k], state.t_room)
+        valve[k] = u
+        oat = weather.oat_profile[k]
+        state = step(
+            params, state, u, oat, heating_curve(comp, oat),
+            weather.solar_profile[k], weather.occupancy_profile[k], noise[k],
+        )
+    return setpoints, t_room, valve, state, gains.ki * ctrl.integrator
+
+
+class SwitchingAdapter:
+    """Swaps in other gains at one step and records what it was shown."""
+
+    def __init__(self, at, gains):
+        self.at, self.gains, self.seen = at, gains, []
+
+    def __call__(self, k, t_room, valve, gains):
+        self.seen.append(k)
+        assert t_room.shape == valve.shape == (k,)
+        if k == self.at:
+            self.shown = (t_room.tolist(), valve.tolist())
+        return self.gains if k >= self.at else gains
+
+
+def run_both(params, weather, gains, schedule, initial, noise_seed, carry, switch=None):
+    """Run simulate_day and the reference on the same inputs; each result
+    is the returned tuple, or the exception raised, plus the adapter."""
+    out = []
+    for fn in (simulate_day, reference_day):
+        rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+        adapter = None if switch is None else SwitchingAdapter(*switch)
+        try:
+            result = fn(params, DEFAULT_COMPENSATION, weather, gains, schedule, initial, rng,
+                        gain_adapter=adapter, initial_integral_action=carry)
+        except (ValueError, SimulationDivergedError) as exc:
+            result = exc
+        out.append((result, adapter))
+    return out
+
+
+def same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+_GAIN = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+_CARRY = st.one_of(
+    st.floats(-3.0, 4.0),
+    st.sampled_from([0.0, INTEGRAL_TERM_MIN, INTEGRAL_TERM_MAX, -1e3, 1e3]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    step_seconds=st.sampled_from([60, 300]),
+    steps=st.integers(1, 300),
+    gains=st.builds(PIGains, _GAIN, st.floats(0.0, 0.5)),
+    initial=st.builds(RoomState, st.floats(-10.0, 40.0), st.floats(-10.0, 40.0)),
+    carry=_CARRY,
+    oat_ends=st.tuples(st.floats(-25.0, -10.5), st.floats(20.5, 35.0)),
+    warming=st.booleans(),
+    noise_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    exo_seed=st.integers(0, 2**32 - 1),
+    morning=st.floats(0.0, 3.0),
+    switch=st.one_of(st.none(), st.tuples(st.integers(0, 299), st.builds(PIGains, _GAIN, _GAIN))),
+)
+def test_simulate_day_matches_reference_loop(
+    step_seconds, steps, gains, initial, carry, oat_ends, warming, noise_seed, exo_seed, morning, switch,
+):
+    # OAT sweeps past both end breakpoints and through the -3 degC slope
+    # break, which it also hits exactly
+    oat = np.linspace(*(oat_ends if warming else oat_ends[::-1]), steps)
+    oat[steps // 2] = -3.0
+    exo = np.random.default_rng(exo_seed)
+    weather = WeatherDay(oat, exo.uniform(0.0, 0.35, steps), exo.choice([0.0, 0.01], steps))
+    params = PlantParams(step_seconds=step_seconds)
+    schedule = DaySchedule(morning_hour=morning, evening_hour=morning + 2.0)
+    (lean, lean_adapter), (ref, ref_adapter) = run_both(
+        params, weather, gains, schedule, initial, noise_seed, carry, switch,
+    )
+    if isinstance(ref, Exception):
+        assert type(lean) is type(ref) and str(lean) == str(ref)
+    else:
+        trace, state, closing = lean
+        setpoints, t_room, valve, ref_state, ref_closing = ref
+        np.testing.assert_array_equal(trace.setpoint, setpoints)
+        assert trace.t_room.tobytes() == t_room.tobytes()
+        assert trace.valve.tobytes() == valve.tobytes()
+        assert same_float(state.t_room, ref_state.t_room)
+        assert same_float(state.t_wall, ref_state.t_wall)
+        assert same_float(closing, ref_closing)
+    if switch is not None:
+        assert lean_adapter.seen == ref_adapter.seen
+        if switch[0] < steps:
+            assert lean_adapter.shown == ref_adapter.shown
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    oat=st.floats(120.0, 1500.0),
+    gains=st.builds(PIGains, st.floats(0.0, 5.0), st.floats(0.0, 0.5)),
+    noise_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_diverging_day_raises_at_the_reference_step(oat, gains, noise_seed):
+    weather = quiet_day(oat=oat, steps=200)
+    never = (10**6, gains)  # records every step, never switches
+    (lean, lean_adapter), (ref, ref_adapter) = run_both(
+        PlantParams(), weather, gains, DaySchedule(), RoomState(20.0, 20.0), noise_seed, 0.0, never,
+    )
+    assert isinstance(ref, SimulationDivergedError)
+    assert isinstance(lean, SimulationDivergedError) and str(lean) == str(ref)
+    assert lean_adapter.seen == ref_adapter.seen
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_nan_valve_command_raises_like_the_reference():
+    # ki this small overflows the preloaded integrator to +inf, so with a
+    # room above the setpoint kp * error + ki * integrator is -inf + inf
+    gains = PIGains(1e308, 5e-324)
+    (lean, _), (ref, _) = run_both(
+        PlantParams(), quiet_day(steps=5), gains, DaySchedule(), RoomState(30.0, 30.0), None, 2.0,
+    )
+    assert type(ref) is ValueError and "valve" in str(ref)
+    assert type(lean) is ValueError and str(lean) == str(ref)
 
 
 def test_simulate_day_shapes_and_carry():
