@@ -32,7 +32,7 @@ from .optimizer import (
     state_to_json,
     update,
 )
-from .pid import ControllerState, PIGains, control_step, reset
+from .pid import ControllerState, PIGains, control_step
 from .plant import (
     DaySchedule,
     PlantParams,
@@ -72,7 +72,6 @@ __all__ = [
     "fit_hyperparameters",
     "gain_schedule",
     "propose",
-    "reset",
     "run_calibration",
     "run_season",
     "safe_set",

@@ -91,6 +91,9 @@ def _cmd_gain_schedule(args) -> int:
 
 def _cmd_safe_set(args) -> int:
     state = state_at_day(state_from_json(Path(args.state).read_text()), args.day)
+    if not state.constraint_models:
+        print(f"error: a {state.method} state has no safe set; only scbo certifies gains", file=sys.stderr)
+        return 2
     mask = safe_set(state, args.oat)
     points = state.domain.points
     print(f"# day {args.day} oat {args.oat} safe {int(mask.sum())} of {mask.size}")

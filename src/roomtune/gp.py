@@ -1,19 +1,19 @@
 """Exact Gaussian process regression on small datasets.
 
-Product kernels (Matern 5/2 over controller-gain inputs, squared
-exponential over the context input), optional constant explicit-basis
-mean, Cholesky-backed posteriors, and offline maximum-likelihood
-hyperparameter fitting with analytic gradients.
+One product kernel (Matern 5/2 over the two controller-gain inputs times
+a squared exponential over the context input), optional constant
+explicit-basis mean, Cholesky-backed posteriors, and offline
+maximum-likelihood hyperparameter fitting with analytic gradients.
 
 Models are values: ``add_observation`` returns a new model, queries are
 read-only. Observation counts stay small (one per heating day), so the
 Gram factor is rebuilt on every update instead of rank-1 patched.
 
 Posterior queries are factored through the distinct observed gain rows.
-Every kernel family is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'):
-a Matern 5/2 factor m over the leading gain dims and a squared-exponential
-factor c over the trailing context dims (``matern52`` has no context
-dims, so its c is 1).
+The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
+5/2 factor m over the gain dims and a squared-exponential factor c over
+the context dim. At one fixed context c is 1, so a model whose inputs all
+share one context is a gain-only Matern 5/2 GP.
 The tuner only ever observes gains on a grid and queries the whole grid
 at one context, so the n observations sit on few distinct gain rows and
 the query cross-covariance has rank at most that count; see
@@ -30,10 +30,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
-MATERN52 = "matern52"
+# The one kernel family; kept as a format tag in serialized kernels.
 PRODUCT = "product"
-
-_FAMILIES = (MATERN52, PRODUCT)
 
 # Relative diagonal jitter: duplicate daily contexts make the Gram matrix
 # near-singular, so every factorization gets signal_variance * JITTER added.
@@ -60,15 +58,15 @@ class KernelSpec:
     signal_variance: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family != PRODUCT:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "lengthscales", tuple(float(l) for l in self.lengthscales))
-        if not self.lengthscales or any(l <= 0 for l in self.lengthscales):
+        if len(self.lengthscales) != 3:
+            raise ValueError("product kernel takes 2 gain dims + 1 context dim")
+        if any(l <= 0 for l in self.lengthscales):
             raise ValueError("lengthscales must be positive")
         if self.signal_variance <= 0:
             raise ValueError("signal_variance must be positive")
-        if self.family == PRODUCT and len(self.lengthscales) != 3:
-            raise ValueError("product kernel takes 2 gain dims + 1 context dim")
 
     @property
     def input_dim(self) -> int:
@@ -93,7 +91,8 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def _matern52_profile(r: np.ndarray) -> np.ndarray:
+def _matern_profile(r: np.ndarray) -> np.ndarray:
+    """Matern 5/2 correlation at scaled distance r."""
     return (1.0 + _SQRT5 * r + 5.0 / 3.0 * r**2) * np.exp(-_SQRT5 * r)
 
 
@@ -110,17 +109,9 @@ def _scaled_sq_dists(lengthscales, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gain_dims(spec: KernelSpec) -> int:
-    """How many leading input dims the Matern factor covers; the rest
-    are context dims under the squared-exponential factor."""
-    return spec.input_dim if spec.family == MATERN52 else 2
-
-
-def _unit_kernel(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+def _unit_kernel(sq: np.ndarray) -> np.ndarray:
     """Unit-variance kernel value from per-dimension squared distances."""
-    if spec.family == MATERN52:
-        return _matern52_profile(np.sqrt(np.sum(sq, axis=0)))
-    return _matern52_profile(np.sqrt(sq[0] + sq[1])) * np.exp(-0.5 * sq[2])
+    return _matern_profile(np.sqrt(sq[0] + sq[1])) * np.exp(-0.5 * sq[2])
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +126,7 @@ def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
     """Cross-covariance matrix k(x_m, x2_n)."""
     xa = _as_points(x, spec.input_dim)
     xb = xa if x2 is None else _as_points(x2, spec.input_dim)
-    return spec.signal_variance * _unit_kernel(spec, _scaled_sq_dists(spec.lengthscales, xa, xb))
+    return spec.signal_variance * _unit_kernel(_scaled_sq_dists(spec.lengthscales, xa, xb))
 
 
 @dataclass(frozen=True)
@@ -233,17 +224,15 @@ class GPModel:
         n = self.num_observations
         if n == 0:
             return mean, var
-        k = _gain_dims(self.kernel)
         ell = self.kernel.lengthscales
-        nodes, node_of = _distinct_rows(self.inputs[:, :k])
-        contexts, context_of = _distinct_rows(pts[:, k:])
+        nodes, node_of = _distinct_rows(self.inputs[:, :2])
+        contexts, context_of = _distinct_rows(pts[:, 2:])
         u = nodes.shape[0]
-        gain_cov = self.kernel.signal_variance * _matern52_profile(
-            np.sqrt(np.sum(_scaled_sq_dists(ell[:k], pts[:, :k], nodes), axis=0))
+        gain_sq = _scaled_sq_dists(ell[:2], pts[:, :2], nodes)
+        gain_cov = self.kernel.signal_variance * _matern_profile(
+            np.sqrt(gain_sq[0] + gain_sq[1])
         )  # (m, u)
-        ctx_corr = np.exp(
-            -0.5 * np.sum(_scaled_sq_dists(ell[k:], contexts, self.inputs[:, k:]), axis=0)
-        )  # (c, n)
+        ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, self.inputs[:, 2:])[0])  # (c, n)
         node_indicator = np.zeros((n, u))
         node_indicator[np.arange(n), node_of] = 1.0
 
@@ -340,14 +329,13 @@ def log_marginal_likelihood(
     spec, noise = _unpack(theta, template)
     n = x.shape[0]
     s2 = spec.signal_variance
-    k = _gain_dims(spec)
     sq = _scaled_sq_dists(spec.lengthscales, x, x)
     # The value and the gradient share r and exp(-sqrt5 r). The Gram
     # matrix takes the operations of _unit_kernel in the same order, so
     # the value is bit-identical to one built on kernel_matrix. Products
     # are formed in place: at n = 145 the page faults of each fresh
     # (n, n) temporary are a large share of a call's time.
-    r = np.sqrt(np.sum(sq[:k], axis=0))
+    r = np.sqrt(sq[0] + sq[1])
     decay = np.exp(-_SQRT5 * r)
     lin = 1.0 + _SQRT5 * r
     gram = np.square(r, out=r)
@@ -359,10 +347,9 @@ def log_marginal_likelihood(
     dprof = lin
     dprof *= decay
     dprof *= s2 * (5.0 / 3.0)
-    if k < spec.input_dim:
-        se = np.exp(-0.5 * sq[2])
-        gram *= se
-        dprof *= se
+    se = np.exp(-0.5 * sq[2])
+    gram *= se
+    dprof *= se
     gram *= s2
     jitter = JITTER * s2
     cov = gram.copy()
@@ -393,8 +380,8 @@ def log_marginal_likelihood(
     w *= gram
     grad = 0.5 * np.concatenate(
         [
-            sq[:k].reshape(k, n * n) @ dprof.ravel(),
-            sq[k:].reshape(spec.input_dim - k, n * n) @ w.ravel(),
+            sq[:2].reshape(2, n * n) @ dprof.ravel(),
+            sq[2:].reshape(1, n * n) @ w.ravel(),
             # the signal-variance partial also scales the jitter term
             [float(np.sum(w)) + jitter * tr_w, noise * tr_w],
         ]

@@ -46,7 +46,6 @@ from .optimizer import (
     GainDomain,
     OptimizerState,
     contextual_kernel_template,
-    drop_context,
     propose,
     state_to_json,
     update,
@@ -112,6 +111,7 @@ class SeasonConfig:
             raise ValueError("weather_source must be 'synthetic' or 'csv'")
         if self.weather_source == "csv" and not self.weather_csv:
             raise ValueError("csv weather source needs a path")
+        self.schedule.morning_step_index(self.plant.step_seconds)  # rejects a schedule with no comfort sample
 
     @property
     def anchor_gains(self) -> PIGains:
@@ -339,19 +339,17 @@ def load_calibration(path) -> Calibration:
 
 
 def build_optimizer_state(config: SeasonConfig, calibration: Calibration, method: str) -> OptimizerState:
-    """Initial state of a GP method. ``bo`` ignores the context: it gets
-    no scaler and the gain-only slices of the contextual cost fits."""
+    """Initial state of a GP method, on the calibration's contextual fits.
+    ``bo`` gets no scaler, which holds its context input fixed."""
     if method not in GP_METHODS:
         raise ValueError(f"no optimizer state for method {method!r}")
-    contextual = method != METHOD_BO
-    cost_models = calibration.contextual_cost_models
     return OptimizerState(
         method=method,
         domain=config.build_domain(),
-        scaler=calibration.scaler if contextual else None,
+        scaler=None if method == METHOD_BO else calibration.scaler,
         weights=calibration.normalization.weights,
         thresholds=calibration.normalization.thresholds,
-        cost_models=cost_models if contextual else tuple(drop_context(m) for m in cost_models),
+        cost_models=calibration.contextual_cost_models,
         constraint_models=calibration.contextual_constraint_models if method == METHOD_SCBO else (),
         beta=config.beta,
         epsilon=config.epsilon,

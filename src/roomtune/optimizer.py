@@ -7,7 +7,10 @@ Three GP-backed selectors share one state type:
   least 1 - epsilon, that rise time, overshoot and valve-movement costs
   stay below their calibrated thresholds.
 - ``cbo``: same acquisition with context but no safety restriction.
-- ``bo``: no context dimension and no safety restriction.
+- ``bo``: the same contextual surrogates with the context input held at
+  0.0 for every observation and query, and no safety restriction. At one
+  fixed context the product kernel is its gain factor, so ``bo`` is a
+  gain-only search on the fitted gain hyperparameters.
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .costs import NormalizedCosts
-from .gp import GPModel, KernelSpec, MATERN52, PRODUCT, combine_gps_batch, model_from_dict, model_to_dict
+from .gp import GPModel, KernelSpec, PRODUCT, combine_gps_batch, model_from_dict, model_to_dict
 from .pid import PIGains
 
 METHOD_FIXED = "fixed"
@@ -175,32 +178,9 @@ class ContextScaler:
         return cls(d["oat_min"], d["oat_max"])
 
 
-def gain_kernel_template(lengthscale: float = 0.3, signal_variance: float = 1.0) -> KernelSpec:
-    """Starting kernel for context-free surrogates (2 gain dims)."""
-    return KernelSpec(MATERN52, (lengthscale, lengthscale), signal_variance)
-
-
 def contextual_kernel_template(lengthscale: float = 0.3, signal_variance: float = 1.0) -> KernelSpec:
     """Starting kernel for contextual surrogates (2 gain dims + context)."""
     return KernelSpec(PRODUCT, (lengthscale, lengthscale, lengthscale), signal_variance)
-
-
-def drop_context(model: GPModel) -> GPModel:
-    """Context-free slice of a fitted contextual surrogate.
-
-    The product kernel factorizes into a gain part and a context part,
-    so at any fixed context the covariance is the gain part with the
-    fitted lengthscales and signal variance unchanged. The context-free
-    search reuses that slice instead of refitting without the weather
-    input: hyperparameters stay fixed after calibration, and a fit that
-    cannot see the context would misread weather variation as noise and
-    stop exploring.
-    """
-    spec = model.kernel
-    if spec.family != PRODUCT:
-        raise ValueError("only contextual product kernels have a context axis to drop")
-    sliced = KernelSpec(MATERN52, spec.lengthscales[:2], spec.signal_variance)
-    return GPModel.empty(sliced, model.noise_variance, model.basis_coefficient)
 
 
 @dataclass(frozen=True)
@@ -239,7 +219,7 @@ class OptimizerState:
             raise ValueError(f"method must be one of {GP_METHODS}")
         if self.method == METHOD_BO:
             if self.scaler is not None:
-                raise ValueError("context-free search takes no context scaler")
+                raise ValueError("bo holds its context fixed and takes no context scaler")
         elif self.scaler is None:
             raise ValueError(f"{self.method} requires a context scaler")
         if len(self.cost_models) != 4:
@@ -249,10 +229,6 @@ class OptimizerState:
             raise ValueError(f"{self.method} requires {n_constraints} constraint surrogates")
         if any(m.basis_coefficient is not None for m in self.constraint_models):
             raise ValueError("constraint surrogates must be zero-mean")
-        dim = self.input_dim
-        for m in self.cost_models + self.constraint_models:
-            if m.kernel.input_dim != dim:
-                raise ValueError(f"all surrogates must take {dim}-dim inputs")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         if not 0.0 < self.epsilon < 0.5:
@@ -265,38 +241,28 @@ class OptimizerState:
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
 
     @property
-    def uses_context(self) -> bool:
-        return self.scaler is not None
-
-    @property
     def uses_safety(self) -> bool:
         return self.method == METHOD_SCBO
-
-    @property
-    def input_dim(self) -> int:
-        return 3 if self.uses_context else 2
 
     @property
     def anchor_gains(self) -> PIGains:
         return self.domain.gains_at(self.domain.anchor_index)
 
 
+def _unit_context(state: OptimizerState, oat: float) -> float:
+    """Context input of the surrogates: the scaled outside temperature,
+    or 0.0 for ``bo``, which carries no scaler and so ignores the weather."""
+    return 0.0 if state.scaler is None else state.scaler.normalize(oat)
+
+
 def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
     pts = state.domain.unit_points
-    if not state.uses_context:
-        return pts
-    z = state.scaler.normalize(oat)
-    return np.column_stack([pts, np.full(pts.shape[0], z)])
+    return np.column_stack([pts, np.full(pts.shape[0], _unit_context(state, oat))])
 
 
 def _observation_inputs(state: OptimizerState, observations) -> np.ndarray:
-    if not observations:
-        return np.empty((0, state.input_dim))
     rows = state.domain.unit_points[[o.gain_index for o in observations]]
-    if state.uses_context:
-        z = np.array([state.scaler.normalize(o.context) for o in observations])
-        rows = np.column_stack([rows, z])
-    return rows
+    return np.column_stack([rows, [_unit_context(state, o.context) for o in observations]])
 
 
 def _with_observations(state: OptimizerState, observations: tuple[Observation, ...]) -> OptimizerState:

@@ -39,10 +39,6 @@ class ControllerState:
     last_output: float = 0.0
 
 
-def reset(state: ControllerState | None = None) -> ControllerState:
-    return ControllerState(0.0, 0.0)
-
-
 def control_step(
     gains: PIGains,
     state: ControllerState,

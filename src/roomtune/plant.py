@@ -181,7 +181,21 @@ class DaySchedule:
         return sp
 
     def morning_step_index(self, step_seconds: int) -> int:
-        return int(round(self.morning_hour * 3600 / step_seconds))
+        """The first comfort sample, where ``setpoints`` steps up; raises
+        ``ValueError`` when no sample at this step length falls in the
+        comfort period."""
+
+        def hour(k: int) -> float:
+            return k * step_seconds / 3600.0  # bit-equal to the setpoints hours
+
+        k = math.ceil(self.morning_hour * 3600.0 / step_seconds)
+        while k > 0 and hour(k - 1) >= self.morning_hour:  # the estimate may round one step off
+            k -= 1
+        while hour(k) < self.morning_hour:
+            k += 1
+        if k >= SECONDS_PER_DAY // step_seconds or hour(k) >= self.evening_hour:
+            raise ValueError(f"schedule has no comfort sample at {step_seconds} s steps")
+        return k
 
 
 @dataclass(frozen=True)

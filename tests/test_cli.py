@@ -27,7 +27,7 @@ def test_calibrate_then_run_then_report(workspace, capsys):
     assert main(["calibrate", "--config", str(config)]) == 0
     assert (out / "calibration_seed0.json").exists()
 
-    for method in ("fixed", "scbo"):
+    for method in ("fixed", "bo", "scbo"):
         assert main(["run", "--config", str(config), "--method", method, "--seed", "0"]) == 0
         rows = read_results_csv(out / f"{method}_seed0.csv")
         assert len(rows) == 3
@@ -65,6 +65,18 @@ def test_safe_set_output(workspace, capsys):
     flagged = [line for line in lines[2:] if line.endswith(",1")]
     anchor = state.anchor_gains
     assert flagged == [f"{anchor.kp},{anchor.ki},1"]
+
+
+def test_safe_set_of_a_state_without_constraints_exits_with_error(workspace, capsys):
+    _, out = workspace
+    state_file = out / "bo_seed0_state.json"
+    assert main(["safe-set", "--state", str(state_file), "--day", "3", "--oat", "0.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bo state has no safe set" in captured.err
+    # its gain schedule still works, and ignores the outside temperature
+    assert main(["gain-schedule", "--state", str(state_file), "--points", "3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 3 and len({(kp, ki) for _, kp, ki in rows}) == 1
 
 
 def test_run_without_calibration_exits_with_error(tmp_path, capsys):

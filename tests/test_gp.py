@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roomtune.gp import (
     JITTER,
     LENGTHSCALE_BOUNDS,
-    MATERN52,
     PRODUCT,
     VARIANCE_BOUNDS,
     DimensionMismatchError,
@@ -19,24 +18,27 @@ from roomtune.gp import (
     kernel_matrix,
     log_marginal_likelihood,
 )
-from roomtune.optimizer import GainDomain, drop_context
+from roomtune.optimizer import GainDomain
 
 
-def random_spec(rng, family=PRODUCT):
-    dims = 3 if family == PRODUCT else 2
-    return KernelSpec(
-        family,
-        tuple(rng.uniform(0.1, 2.0, dims)),
-        float(rng.uniform(0.2, 3.0)),
-    )
+def random_spec(rng):
+    return KernelSpec(PRODUCT, tuple(rng.uniform(0.1, 2.0, 3)), float(rng.uniform(0.2, 3.0)))
 
 
-def dense_posterior(spec, noise, basis, train_x, train_y, query):
+def gain_matern52(spec, a, b=None):
+    """s2 * Matern 5/2 over the two gain columns alone, written out."""
+    b = a if b is None else b
+    scaled = (a[:, None, :2] - b[None, :, :2]) / np.asarray(spec.lengthscales[:2])
+    r = np.sqrt(np.sum(scaled**2, axis=-1))
+    return spec.signal_variance * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r**2) * np.exp(-math.sqrt(5.0) * r)
+
+
+def dense_posterior(spec, noise, basis, train_x, train_y, query, kernel=kernel_matrix):
     """Naive full-matrix posterior, the oracle the incremental path must match."""
     mean_prior = 0.0 if basis is None else basis
-    k = kernel_matrix(spec, train_x)
+    k = kernel(spec, train_x)
     k[np.diag_indices_from(k)] += noise + JITTER * spec.signal_variance
-    k_star = kernel_matrix(spec, query, train_x)
+    k_star = kernel(spec, query, train_x)
     solve = np.linalg.solve(k, train_y - mean_prior)
     mean = mean_prior + k_star @ solve
     var = spec.signal_variance - np.einsum("ij,ji->i", k_star, np.linalg.solve(k, k_star.T))
@@ -65,8 +67,9 @@ def test_incremental_posterior_matches_dense_solve():
 def test_grid_node_posterior_matches_dense_solve():
     """Observations on few grid nodes (u << n) with exact duplicate rows
     and noise at its lower bound, queried over the full gain grid at one
-    shared context, for the product kernel and its drop_context slice,
-    and in batches that mix contexts."""
+    shared context and in batches that mix contexts. A model whose inputs
+    all hold the context at 0.0 (as ``bo`` does) must match a dense solve
+    under the gain-only Matern 5/2."""
     rng = np.random.default_rng(7)
     grid = GainDomain.build().unit_points
     worst = 0.0
@@ -81,7 +84,7 @@ def test_grid_node_posterior_matches_dense_solve():
         x = np.vstack([x, x[:3]])  # exact duplicate (gain, context) rows
         y = rng.normal(size=x.shape[0])
         contextual = GPModel.empty(spec, noise, basis).with_data(x, y)
-        gain_only = drop_context(contextual).with_data(x[:, :2], y)
+        pinned = GPModel.empty(spec, noise, basis).with_data(np.column_stack([x[:, :2], np.zeros(len(x))]), y)
         shared = np.column_stack([grid, np.full(grid.shape[0], rng.uniform())])
         mixed = np.vstack(
             [
@@ -91,81 +94,84 @@ def test_grid_node_posterior_matches_dense_solve():
             ]
         )
         cases = [
-            (contextual, x, shared),
-            (contextual, x, mixed),
-            (gain_only, x[:, :2], grid),
+            (contextual, shared, dense_posterior(spec, noise, basis, x, y, shared)),
+            (contextual, mixed, dense_posterior(spec, noise, basis, x, y, mixed)),
+            (
+                pinned,
+                np.column_stack([grid, np.zeros(grid.shape[0])]),
+                dense_posterior(spec, noise, basis, x[:, :2], y, grid, kernel=gain_matern52),
+            ),
         ]
-        for model, train_x, query in cases:
+        for model, query, (want_mean, want_var) in cases:
             mean, var = model.posterior_batch(query)
-            want_mean, want_var = dense_posterior(model.kernel, noise, basis, train_x, y, query)
             worst = max(worst, np.max(np.abs(mean - want_mean)), np.max(np.abs(var - want_var)))
     assert worst <= 1e-8
 
 
 def test_prior_before_any_data():
-    spec = KernelSpec(MATERN52, (0.5, 0.5), 2.0)
+    spec = KernelSpec(PRODUCT, (0.5, 0.5, 0.5), 2.0)
     zero_mean = GPModel.empty(spec, 1e-3)
     with_basis = GPModel.empty(spec, 1e-3, basis_coefficient=0.8)
-    mean, var = zero_mean.posterior_batch([[0.2, 0.7]])
+    mean, var = zero_mean.posterior_batch([[0.2, 0.7, 0.4]])
     assert mean[0] == 0.0
     assert var[0] == 2.0
-    mean, var = with_basis.posterior_batch([[0.2, 0.7]])
+    mean, var = with_basis.posterior_batch([[0.2, 0.7, 0.4]])
     assert mean[0] == 0.8
     assert var[0] == 2.0
 
 
 def test_conditioning_shrinks_variance_at_observed_point():
-    spec = KernelSpec(MATERN52, (0.3, 0.3), 1.0)
+    spec = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
     model = GPModel.empty(spec, 1e-4)
-    _, before = model.posterior_batch([[0.5, 0.5]])
-    model = model.add_observation([0.5, 0.5], 0.3)
-    mean, after = model.posterior_batch([[0.5, 0.5]])
+    _, before = model.posterior_batch([[0.5, 0.5, 0.5]])
+    model = model.add_observation([0.5, 0.5, 0.5], 0.3)
+    mean, after = model.posterior_batch([[0.5, 0.5, 0.5]])
     assert after[0] < before[0]
     assert mean[0] == pytest.approx(0.3, abs=1e-3)
 
 
 def test_duplicate_inputs_stay_factorizable():
-    spec = KernelSpec(MATERN52, (0.4, 0.4), 1.0)
+    spec = KernelSpec(PRODUCT, (0.4, 0.4, 0.4), 1.0)
     model = GPModel.empty(spec, 1e-6)
-    model = model.add_observation([0.5, 0.5], 1.0)
-    model = model.add_observation([0.5, 0.5], 1.0)
-    mean, _ = model.posterior_batch([[0.5, 0.5]])
+    model = model.add_observation([0.5, 0.5, 0.5], 1.0)
+    model = model.add_observation([0.5, 0.5, 0.5], 1.0)
+    mean, _ = model.posterior_batch([[0.5, 0.5, 0.5]])
     assert mean[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_add_observation_equals_batch_build():
     rng = np.random.default_rng(5)
-    spec = random_spec(rng, MATERN52)
-    x = rng.uniform(0.0, 1.0, (12, 2))
+    spec = random_spec(rng)
+    x = rng.uniform(0.0, 1.0, (12, 3))
     y = rng.normal(size=12)
     one_by_one = GPModel.empty(spec, 1e-3, 0.2)
     for xi, yi in zip(x, y):
         one_by_one = one_by_one.add_observation(xi, yi)
     batch = GPModel.empty(spec, 1e-3, 0.2).with_data(x, y)
-    q = rng.uniform(0.0, 1.0, (7, 2))
+    q = rng.uniform(0.0, 1.0, (7, 3))
     np.testing.assert_allclose(one_by_one.posterior_batch(q)[0], batch.posterior_batch(q)[0], atol=1e-12)
     np.testing.assert_allclose(one_by_one.posterior_batch(q)[1], batch.posterior_batch(q)[1], atol=1e-12)
 
 
 def test_dimension_mismatch_raises():
-    model = GPModel.empty(KernelSpec(MATERN52, (0.3, 0.3), 1.0), 1e-3)
+    model = GPModel.empty(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), 1e-3)
     with pytest.raises(DimensionMismatchError):
-        model.posterior_batch([[0.5, 0.5, 0.5]])
+        model.posterior_batch([[0.5, 0.5]])
     with pytest.raises(DimensionMismatchError):
         model.add_observation([0.5], 1.0)
 
 
 def test_non_finite_target_rejected():
-    model = GPModel.empty(KernelSpec(MATERN52, (0.3, 0.3), 1.0), 1e-3)
+    model = GPModel.empty(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), 1e-3)
     with pytest.raises(ValueError):
-        model.add_observation([0.5, 0.5], math.nan)
+        model.add_observation([0.5, 0.5, 0.5], math.nan)
 
 
 def test_kernel_symmetry_and_signal_variance_diagonal():
     rng = np.random.default_rng(8)
-    for family in (MATERN52, PRODUCT):
-        spec = random_spec(rng, family)
-        x = rng.uniform(0.0, 1.0, (6, spec.input_dim))
+    for _ in range(2):
+        spec = random_spec(rng)
+        x = rng.uniform(0.0, 1.0, (6, 3))
         k = kernel_matrix(spec, x)
         np.testing.assert_allclose(k, k.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(k), spec.signal_variance, atol=1e-14)
@@ -176,24 +182,29 @@ def test_kernel_symmetry_and_signal_variance_diagonal():
 def test_product_kernel_factorizes():
     # product family = Matern over the two gain dims times SE over context
     spec = KernelSpec(PRODUCT, (0.3, 0.5, 0.7), 1.7)
-    gains = KernelSpec(MATERN52, (0.3, 0.5), 1.0)
     a = np.array([[0.1, 0.2, 0.3]])
     b = np.array([[0.6, 0.1, 0.9]])
+    r = math.hypot((0.1 - 0.6) / 0.3, (0.2 - 0.1) / 0.5)
+    matern = (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r**2) * math.exp(-math.sqrt(5.0) * r)
     context_factor = math.exp(-0.5 * ((a[0, 2] - b[0, 2]) / 0.7) ** 2)
-    want = 1.7 * kernel_matrix(gains, a[:, :2], b[:, :2]) * context_factor
-    np.testing.assert_allclose(kernel_matrix(spec, a, b), want, rtol=1e-12)
+    want = 1.7 * matern * context_factor
+    np.testing.assert_allclose(kernel_matrix(spec, a, b), [[want]], rtol=1e-12)
+    # at a shared context the product is its gain factor alone
+    same = np.array([[0.6, 0.1, 0.3]])
+    np.testing.assert_allclose(kernel_matrix(spec, a, same), [[1.7 * matern]], rtol=1e-12)
+    np.testing.assert_allclose(kernel_matrix(spec, a, same), gain_matern52(spec, a, same), rtol=1e-12)
 
 
 def test_combine_gps_is_weighted_and_independent():
     rng = np.random.default_rng(11)
-    spec = KernelSpec(MATERN52, (0.4, 0.4), 1.0)
+    spec = KernelSpec(PRODUCT, (0.4, 0.4, 0.4), 1.0)
     models = []
     for i in range(4):
         m = GPModel.empty(spec, 1e-3, 0.5)
-        m = m.with_data(rng.uniform(0, 1, (6, 2)), rng.normal(size=6))
+        m = m.with_data(rng.uniform(0, 1, (6, 3)), rng.normal(size=6))
         models.append(m)
     weights = (0.4, 0.3, 0.2, 0.1)
-    x = [[0.3, 0.6], [0.9, 0.1]]
+    x = [[0.3, 0.6, 0.2], [0.9, 0.1, 0.7]]
     want_mean = sum(w * m.posterior_batch(x)[0] for w, m in zip(weights, models))
     want_var = sum(w * w * m.posterior_batch(x)[1] for w, m in zip(weights, models))
     means, variances = combine_gps_batch(models, weights, x)
@@ -209,13 +220,15 @@ def test_kernel_spec_roundtrip_and_validation():
     spec = KernelSpec(PRODUCT, (0.3, 0.5, 0.7), 1.7)
     assert KernelSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError):
-        KernelSpec("cubic", (0.3,), 1.0)
+        KernelSpec("cubic", (0.3, 0.3, 0.3), 1.0)
     with pytest.raises(ValueError):
-        KernelSpec(MATERN52, (0.3, -0.5), 1.0)
+        KernelSpec("matern52", (0.3, 0.3), 1.0)  # the retired gain-only family
+    with pytest.raises(ValueError):
+        KernelSpec(PRODUCT, (0.3, -0.5, 0.3), 1.0)
     with pytest.raises(ValueError):
         KernelSpec(PRODUCT, (0.3, 0.5), 1.0)  # needs the context dim
     with pytest.raises(ValueError):
-        KernelSpec(MATERN52, (0.3, 0.3), 0.0)
+        KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 0.0)
 
 
 def lml_value(theta, template, x, y, with_basis):
@@ -244,13 +257,11 @@ def test_lml_gradient_matches_finite_differences():
 def dense_lml(theta, template, x, y, with_basis):
     """Reference value and gradient: an explicit inverse and one dense
     dK/dtheta_j per parameter, contracted as in GPML eq. 5.9."""
-    d = template.input_dim
-    k = d if template.family == MATERN52 else 2
-    ells, s2, noise = np.exp(theta[:d]), math.exp(theta[d]), math.exp(theta[d + 1])
+    ells, s2, noise = np.exp(theta[:3]), math.exp(theta[3]), math.exp(theta[4])
     n = y.size
     sq = np.stack([np.subtract.outer(x[:, i], x[:, i]) ** 2 / ell**2 for i, ell in enumerate(ells)])
-    r = np.sqrt(np.sum(sq[:k], axis=0))
-    ctx = np.exp(-0.5 * np.sum(sq[k:], axis=0))
+    r = np.sqrt(sq[0] + sq[1])
+    ctx = np.exp(-0.5 * sq[2])
     gram = s2 * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r**2) * np.exp(-math.sqrt(5.0) * r) * ctx
     jitter = JITTER * s2
     cov = gram + (noise + jitter) * np.eye(n)
@@ -260,7 +271,7 @@ def dense_lml(theta, template, x, y, with_basis):
     value = -0.5 * resid @ a - 0.5 * np.linalg.slogdet(cov)[1] - 0.5 * n * math.log(2 * math.pi)
     # d m52(r) / d log(ell_i) = -(5/3) r (1 + sqrt5 r) exp(-sqrt5 r) * dr/dlog(ell_i)
     dprof = s2 * 5.0 / 3.0 * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r) * ctx
-    grads = [dprof * sq[i] for i in range(k)] + [gram * sq[i] for i in range(k, d)]
+    grads = [dprof * sq[0], dprof * sq[1], gram * sq[2]]
     grads += [gram + jitter * np.eye(n), noise * np.eye(n)]
     return value, np.array([0.5 * a @ g @ a - 0.5 * np.sum(cov_inv * g) for g in grads])
 
@@ -271,7 +282,6 @@ _LOG_VARIANCE = st.floats(math.log(VARIANCE_BOUNDS[0]), math.log(VARIANCE_BOUNDS
 
 @settings(max_examples=150, deadline=None)
 @given(
-    family=st.sampled_from([MATERN52, PRODUCT]),
     with_basis=st.booleans(),
     n=st.integers(10, 145),
     duplicates=st.integers(0, 5),
@@ -279,17 +289,16 @@ _LOG_VARIANCE = st.floats(math.log(VARIANCE_BOUNDS[0]), math.log(VARIANCE_BOUNDS
     log_ells=st.lists(_LOG_LENGTHSCALE, min_size=3, max_size=3),
     log_variances=st.lists(_LOG_VARIANCE, min_size=2, max_size=2),
 )
-def test_lml_matches_dense_reference(family, with_basis, n, duplicates, data_seed, log_ells, log_variances):
+def test_lml_matches_dense_reference(with_basis, n, duplicates, data_seed, log_ells, log_variances):
     """Value and gradient against the dense reference, anywhere in the fit
     box, with exact duplicate rows; the gradient bound is relative to its
     largest component."""
-    template = KernelSpec(family, (0.3,) * (3 if family == PRODUCT else 2), 1.0)
-    d = template.input_dim
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
     rng = np.random.default_rng(data_seed)
-    x = rng.uniform(0.0, 1.0, (n, d))
+    x = rng.uniform(0.0, 1.0, (n, 3))
     x[:duplicates] = x[n - duplicates :]
     y = 2.0 + rng.normal(size=n)
-    theta = np.array(log_ells[:d] + log_variances)
+    theta = np.array(log_ells + log_variances)
     value, grad = log_marginal_likelihood(theta, template, x, y, with_basis)
     want_value, want_grad = dense_lml(theta, template, x, y, with_basis)
     assert value == pytest.approx(want_value, rel=1e-9)
@@ -298,21 +307,21 @@ def test_lml_matches_dense_reference(family, with_basis, n, duplicates, data_see
 
 def test_fit_recovers_plausible_model_and_is_stationary():
     rng = np.random.default_rng(23)
-    true = KernelSpec(MATERN52, (0.4, 0.4), 1.5)
-    x = rng.uniform(0.0, 1.0, (60, 2))
+    true = KernelSpec(PRODUCT, (0.4, 0.4, 0.4), 1.5)
+    x = rng.uniform(0.0, 1.0, (60, 3))
     k = kernel_matrix(true, x)
     f = np.linalg.cholesky(k + 1e-10 * np.eye(60)) @ rng.normal(size=60)
     y = f + 0.1 * rng.normal(size=60)
-    result = fit_hyperparameters(KernelSpec(MATERN52, (0.3, 0.3), 1.0), x, y, seed=1)
+    result = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, seed=1)
     assert not result.degenerate
     assert math.isfinite(result.log_marginal_likelihood)
     model = result.build()
-    assert model.kernel.input_dim == 2
+    assert model.kernel.input_dim == 3
     # first-order optimality at the fitted point: near-zero gradient in
     # the interior, and at a box bound the gradient may only push outward
     theta = np.log(list(result.kernel.lengthscales) + [result.kernel.signal_variance, result.noise_variance])
-    lo = np.log([LENGTHSCALE_BOUNDS[0]] * 2 + [VARIANCE_BOUNDS[0]] * 2)
-    hi = np.log([LENGTHSCALE_BOUNDS[1]] * 2 + [VARIANCE_BOUNDS[1]] * 2)
+    lo = np.log([LENGTHSCALE_BOUNDS[0]] * 3 + [VARIANCE_BOUNDS[0]] * 2)
+    hi = np.log([LENGTHSCALE_BOUNDS[1]] * 3 + [VARIANCE_BOUNDS[1]] * 2)
     _, grad = log_marginal_likelihood(theta, true, x, y, False)
     tol = 1e-3 * max(1.0, float(np.linalg.norm(theta)))
     for i in range(theta.size):
@@ -325,13 +334,13 @@ def test_fit_recovers_plausible_model_and_is_stationary():
 
 
 def test_fit_constant_targets_short_circuits():
-    x = np.random.default_rng(0).uniform(0, 1, (15, 2))
-    result = fit_hyperparameters(KernelSpec(MATERN52, (0.3, 0.3), 1.0), x, np.full(15, 0.7), with_basis=True)
+    x = np.random.default_rng(0).uniform(0, 1, (15, 3))
+    result = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, np.full(15, 0.7), with_basis=True)
     assert result.degenerate
     assert result.basis_coefficient == pytest.approx(0.7)
 
 
 def test_fit_requires_enough_samples():
-    x = np.zeros((5, 2))
+    x = np.zeros((5, 3))
     with pytest.raises(ValueError):
-        fit_hyperparameters(KernelSpec(MATERN52, (0.3, 0.3), 1.0), x, np.arange(5.0))
+        fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, np.arange(5.0))

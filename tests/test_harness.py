@@ -26,8 +26,9 @@ from roomtune.harness import (
     state_path,
     write_results_csv,
 )
+from roomtune.gp import model_to_dict
 from roomtune.optimizer import state_to_json
-from roomtune.plant import DaySchedule
+from roomtune.plant import DaySchedule, PlantParams
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,17 @@ def test_config_field_validation():
         config_from_dict({"schedule": {"night_setpoint": math.nan}})
 
 
+def test_config_rejects_a_schedule_with_no_comfort_sample():
+    # 23.95 h lies past the last 300 s sample (23:55), so the setpoint never steps up
+    late = DaySchedule(morning_hour=23.95, evening_hour=24.0)
+    with pytest.raises(ValueError, match="no comfort sample"):
+        SeasonConfig(schedule=late)
+    with pytest.raises(ValueError, match="no comfort sample"):
+        config_from_dict({"schedule": {"morning_hour": 23.99, "evening_hour": 24.0}})
+    # at 60 s steps 23:57 is a sample, so the same schedule is valid there
+    SeasonConfig(schedule=late, plant=PlantParams(step_seconds=60))
+
+
 # ---------------------------------------------------------------------------
 # weather plumbing
 # ---------------------------------------------------------------------------
@@ -156,14 +168,6 @@ def test_calibration_artifact_shape(small_config, calibration):
     for m in calibration.contextual_constraint_models:
         assert m.kernel.input_dim == 3
         assert m.basis_coefficient is None
-    # the context-free surrogates are slices of the contextual fits
-    gain_only = build_optimizer_state(small_config, calibration, "bo").cost_models
-    assert len(gain_only) == 4
-    for ctx, sliced in zip(calibration.contextual_cost_models, gain_only):
-        assert sliced.kernel.input_dim == 2
-        assert sliced.kernel.lengthscales == ctx.kernel.lengthscales[:2]
-        assert sliced.kernel.signal_variance == ctx.kernel.signal_variance
-        assert sliced.noise_variance == ctx.noise_variance
 
 
 def test_calibration_json_round_trip(calibration):
@@ -181,11 +185,24 @@ def test_calibration_needs_enough_episodes(small_config):
         run_calibration(short, seed=0)
 
 
+def test_bo_carries_the_calibration_models_unchanged(small_config, calibration):
+    """bo, cbo and scbo start from the same contextual cost fits; bo differs
+    only in holding the context fixed (no scaler)."""
+    want = [model_to_dict(m) for m in calibration.contextual_cost_models]
+    for method in ("bo", "cbo", "scbo"):
+        state = build_optimizer_state(small_config, calibration, method)
+        assert [model_to_dict(m) for m in state.cost_models] == want
+        assert all(m.num_observations == 0 for m in state.cost_models)
+    bo = build_optimizer_state(small_config, calibration, "bo")
+    assert bo.scaler is None
+    assert all(m.kernel.input_dim == 3 for m in bo.cost_models)
+
+
 def test_build_optimizer_state_per_method(small_config, calibration):
     bo = build_optimizer_state(small_config, calibration, "bo")
-    assert bo.scaler is None and bo.input_dim == 2 and not bo.constraint_models
+    assert bo.scaler is None and not bo.constraint_models
     cbo = build_optimizer_state(small_config, calibration, "cbo")
-    assert cbo.scaler is not None and cbo.input_dim == 3 and not cbo.constraint_models
+    assert cbo.scaler == calibration.scaler and not cbo.constraint_models
     scbo = build_optimizer_state(small_config, calibration, "scbo")
     assert len(scbo.constraint_models) == 3
     assert scbo.beta == small_config.beta and scbo.epsilon == small_config.epsilon

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from roomtune.costs import NormalizedCosts
@@ -17,9 +20,7 @@ from roomtune.optimizer import (
     OptimizerState,
     acquire,
     contextual_kernel_template,
-    drop_context,
     fit_fopdt,
-    gain_kernel_template,
     gain_schedule,
     propose,
     safe_set,
@@ -41,12 +42,8 @@ def small_domain(size=5):
 
 def make_state(method, domain=None, noise=1e-6, epsilon=0.05):
     domain = domain or small_domain()
-    if method == METHOD_BO:
-        spec = gain_kernel_template()
-        scaler = None
-    else:
-        spec = contextual_kernel_template()
-        scaler = ContextScaler(-15.0, 15.0)
+    spec = contextual_kernel_template()
+    scaler = None if method == METHOD_BO else ContextScaler(-15.0, 15.0)
     costs = tuple(GPModel.empty(spec, noise, 0.5) for _ in range(4))
     constraints = tuple(GPModel.empty(spec, noise) for _ in range(3)) if method == METHOD_SCBO else ()
     return OptimizerState(
@@ -135,18 +132,6 @@ def test_context_scaler():
         ContextScaler(5.0, 5.0)
 
 
-def test_drop_context_keeps_gain_slice():
-    fitted = GPModel.empty(contextual_kernel_template(0.4, 1.7), 0.02, 0.6)
-    sliced = drop_context(fitted)
-    assert sliced.kernel.input_dim == 2
-    assert sliced.kernel.lengthscales == fitted.kernel.lengthscales[:2]
-    assert sliced.kernel.signal_variance == fitted.kernel.signal_variance
-    assert sliced.noise_variance == fitted.noise_variance
-    assert sliced.basis_coefficient == fitted.basis_coefficient
-    with pytest.raises(ValueError):
-        drop_context(sliced)
-
-
 # ---------------------------------------------------------------------------
 # state validation
 # ---------------------------------------------------------------------------
@@ -186,7 +171,7 @@ def test_state_validation():
     with pytest.raises(ValueError):
         build(constraint_models=tuple(GPModel.empty(ctx_spec, 1e-3, 0.1) for _ in range(3)))
     with pytest.raises(ValueError):
-        build(cost_models=tuple(GPModel.empty(gain_kernel_template(), 1e-3) for _ in range(4)))
+        build(cost_models=ctx_costs[:3])
     with pytest.raises(ValueError):
         build(beta=-1.0)
     with pytest.raises(ValueError):
@@ -328,6 +313,9 @@ def test_bo_choice_ignores_the_context():
     for index in rng.choice(state.domain.size, 6, replace=False):
         state = update(state, state.domain.gains_at(int(index)), float(rng.uniform(-10, 10)), costs_of(float(rng.uniform(0.2, 1.2))))
     assert propose(state, -12.0).gain_index == propose(state, 12.0).gain_index
+    # the contextual surrogates see every observation at context 0.0
+    for model in state.cost_models:
+        assert model.inputs.shape == (6, 3) and np.all(model.inputs[:, 2] == 0.0)
 
 
 def test_cbo_and_scbo_agree_when_constraints_are_slack():
@@ -389,20 +377,65 @@ def test_gain_schedule_is_pure_exploitation_over_the_safe_set():
         assert mask[state.domain.index_of(gains)]
 
 
-def test_state_json_round_trip_preserves_posteriors():
-    rng = np.random.default_rng(31)
-    for method in (METHOD_BO, METHOD_CBO, METHOD_SCBO):
-        state = make_state(method, noise=0.02)
-        for index in rng.choice(state.domain.size, 5, replace=False):
-            state = update(state, state.domain.gains_at(int(index)), float(rng.uniform(-10, 10)), costs_of(float(rng.uniform(0.2, 1.2))))
-        text = state_to_json(state)
-        restored = state_from_json(text)
-        assert state_to_json(restored) == text  # byte-stable reserialization
-        assert restored.observations == state.observations
-        assert restored.method == state.method
-        q = np.array([[0.3, 0.4, 0.6][: state.input_dim]])
-        for a, b in zip(state.cost_models + state.constraint_models, restored.cost_models + restored.constraint_models):
-            np.testing.assert_allclose(a.posterior_batch(q), b.posterior_batch(q), rtol=0, atol=0)
+def test_state_from_json_rejects_a_gain_only_bo_state():
+    """A bo state written before bo ran on the contextual surrogates holds
+    2-dim ``matern52`` cost kernels; loading it must fail, not misread it."""
+    state = update(make_state(METHOD_BO), PIGains(1.0, 0.01), 3.0, costs_of(0.4))
+    doc = json.loads(state_to_json(state))
+    for model in doc["cost_models"]:
+        model["kernel"]["family"] = "matern52"
+        model["kernel"]["lengthscales"] = model["kernel"]["lengthscales"][:2]
+    with pytest.raises(ValueError, match="matern52"):
+        state_from_json(json.dumps(doc))
+
+
+# Observation logs on the 5 x 5 test grid: (gain index, outside air
+# temperature, four normalized costs) per day. Costs straddle the unit
+# thresholds, so scbo safe sets range from empty to most of the grid.
+_LOGS = st.lists(
+    st.tuples(
+        st.integers(0, small_domain().size - 1),
+        st.floats(-20.0, 20.0, allow_nan=False),
+        st.tuples(*[st.floats(0.0, 2.0, allow_nan=False)] * 4),
+    ),
+    min_size=0,
+    max_size=12,
+)
+
+
+def logged_state(method, log, noise=0.02):
+    state = make_state(method, noise=noise)
+    for day, (index, oat, (j1, j2, j3, j4)) in enumerate(log, start=1):
+        state = update(state, state.domain.gains_at(index), oat, costs_of(j1, j2, j3, j4), day=day)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]), log=_LOGS, oat=st.floats(-20.0, 20.0))
+def test_state_json_round_trip_preserves_posteriors(method, log, oat):
+    state = logged_state(method, log)
+    text = state_to_json(state)
+    restored = state_from_json(text)
+    assert state_to_json(restored) == text  # byte-stable reserialization
+    assert restored.observations == state.observations
+    assert restored.method == state.method
+    x = np.column_stack([state.domain.unit_points, np.full(state.domain.size, 0.5)])
+    for a, b in zip(state.cost_models + state.constraint_models, restored.cost_models + restored.constraint_models):
+        np.testing.assert_array_equal(a.posterior_batch(x), b.posterior_batch(x))
+    assert propose(restored, oat) == propose(state, oat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log=_LOGS,
+    oat=st.floats(-20.0, 20.0),
+    epsilons=st.lists(st.floats(1e-4, 0.4999), min_size=2, max_size=5, unique=True),
+)
+def test_safe_set_is_monotone_in_epsilon_over_generated_states(log, oat, epsilons):
+    state = logged_state(METHOD_SCBO, log)
+    masks = [safe_set(state, oat, eps, fallback=False) for eps in sorted(epsilons)]
+    for tight, loose in zip(masks, masks[1:]):
+        assert not np.any(tight & ~loose)  # a smaller epsilon certifies a subset
 
 
 def test_state_at_day_truncates_the_log():

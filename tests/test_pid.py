@@ -10,19 +10,18 @@ from roomtune.pid import (
     ControllerState,
     PIGains,
     control_step,
-    reset,
 )
 
 
 def test_proportional_only():
-    u, state = control_step(PIGains(0.5, 0.0), reset(), setpoint=21.0, measurement=20.0)
+    u, state = control_step(PIGains(0.5, 0.0), ControllerState(), setpoint=21.0, measurement=20.0)
     assert u == pytest.approx(0.5)
     assert state.integrator == pytest.approx(1.0)  # error accumulates even with ki=0
 
 
 def test_integrator_accumulates():
     gains = PIGains(0.0, 0.1)
-    state = reset()
+    state = ControllerState()
     u1, state = control_step(gains, state, 1.0, 0.0)
     u2, state = control_step(gains, state, 1.0, 0.0)
     assert u1 == pytest.approx(0.1)
@@ -30,8 +29,8 @@ def test_integrator_accumulates():
 
 
 def test_output_saturates_to_valve_range():
-    u_hi, _ = control_step(PIGains(5.0, 0.0), reset(), 25.0, 15.0)
-    u_lo, _ = control_step(PIGains(5.0, 0.0), reset(), 15.0, 25.0)
+    u_hi, _ = control_step(PIGains(5.0, 0.0), ControllerState(), 25.0, 15.0)
+    u_lo, _ = control_step(PIGains(5.0, 0.0), ControllerState(), 15.0, 25.0)
     assert u_hi == 1.0
     assert u_lo == 0.0
 
@@ -40,7 +39,7 @@ def test_conditional_integration_freezes_when_saturated():
     # Large positive error saturates the valve; the integrator must not
     # keep charging while it does.
     gains = PIGains(1.0, 0.05)
-    state = reset()
+    state = ControllerState()
     _, state = control_step(gains, state, 25.0, 15.0)
     frozen = state.integrator
     for _ in range(50):
@@ -64,17 +63,11 @@ def test_antiwindup_recovers_faster_than_free_integrator():
     # no excess charge: the output must come off the stop as soon as the
     # error flips sign.
     gains = PIGains(0.2, 0.01)
-    state = reset()
+    state = ControllerState()
     for _ in range(200):
         _, state = control_step(gains, state, 25.0, 15.0)
     u, _ = control_step(gains, state, 15.0, 25.0)
     assert u < 1.0
-
-
-def test_reset_zeroes_state():
-    state = reset(ControllerState(integrator=4.2, last_output=0.7))
-    assert state.integrator == 0.0
-    assert state.last_output == 0.0
 
 
 def test_negative_gains_rejected():
@@ -92,9 +85,9 @@ def test_non_finite_gains_rejected(kp, ki):
 
 def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
-        control_step(PIGains(1.0, 0.0), reset(), math.nan, 20.0)
+        control_step(PIGains(1.0, 0.0), ControllerState(), math.nan, 20.0)
     with pytest.raises(ValueError):
-        control_step(PIGains(1.0, 0.0), reset(), 20.0, math.inf)
+        control_step(PIGains(1.0, 0.0), ControllerState(), 20.0, math.inf)
 
 
 _TEMPERATURE = st.floats(-30.0, 40.0)

@@ -11,7 +11,6 @@ from roomtune.pid import (
     ControllerState,
     PIGains,
     control_step,
-    reset,
 )
 from roomtune.plant import (
     DEFAULT_COMPENSATION,
@@ -119,6 +118,63 @@ def test_day_schedule_validated():
     DaySchedule(morning_hour=0.0, evening_hour=24.0)
 
 
+def test_morning_step_index_off_the_sample_grid():
+    # 06:01:12 falls between the 06:00 and 06:05 samples; the setpoint steps at 06:05
+    off_grid = DaySchedule(morning_hour=6.02)
+    assert off_grid.morning_step_index(300) == 73
+    sp = off_grid.setpoints(288, 300)
+    assert sp[72] == off_grid.night_setpoint and sp[73] == off_grid.comfort_setpoint
+    assert DaySchedule().morning_step_index(300) == 72
+    # 23.99 h is past the last 300 s sample: no comfort sample at all
+    with pytest.raises(ValueError, match="no comfort sample"):
+        DaySchedule(morning_hour=23.99, evening_hour=24.0).morning_step_index(300)
+    # 23.95 h (23:57) is past the last 300 s sample (23:55) but is a 60 s sample
+    late = DaySchedule(morning_hour=23.95, evening_hour=24.0)
+    with pytest.raises(ValueError, match="no comfort sample"):
+        late.morning_step_index(300)
+    assert late.morning_step_index(60) == 1437
+
+
+def first_comfort_sample(schedule, step_seconds):
+    """Index of the first comfort setpoint, or None: the oracle."""
+    sp = schedule.setpoints(86400 // step_seconds, step_seconds)
+    comfort = np.flatnonzero(sp == schedule.comfort_setpoint)
+    return int(comfort[0]) if comfort.size else None
+
+
+def test_morning_step_index_at_and_beside_every_sample_hour():
+    # an hour one ulp off a sample is where a rounded index would slip
+    for step_seconds in (60, 300):
+        for k in range(86400 // step_seconds):
+            h = k * step_seconds / 3600.0
+            for morning in (float(np.nextafter(h, -1.0)), h, float(np.nextafter(h, 25.0))):
+                if not 0.0 <= morning < 24.0:
+                    continue
+                schedule = DaySchedule(morning_hour=morning, evening_hour=24.0)
+                want = first_comfort_sample(schedule, step_seconds)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        schedule.morning_step_index(step_seconds)
+                else:
+                    assert schedule.morning_step_index(step_seconds) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    morning=st.floats(0.0, 23.99),
+    span=st.floats(0.001, 24.0),
+    step_seconds=st.sampled_from([60, 300]),
+)
+def test_morning_step_index_is_where_the_setpoint_steps_up(morning, span, step_seconds):
+    schedule = DaySchedule(morning_hour=morning, evening_hour=min(morning + span, 24.0))
+    want = first_comfort_sample(schedule, step_seconds)
+    if want is None:
+        with pytest.raises(ValueError):
+            schedule.morning_step_index(step_seconds)
+    else:
+        assert schedule.morning_step_index(step_seconds) == want
+
+
 def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
                   gain_adapter=None, initial_integral_action=0.0):
     """simulate_day spelled out as control_step and step per sample with a
@@ -131,7 +187,7 @@ def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
     else:
         noise = np.zeros(steps)
     t_room, valve = np.empty(steps), np.empty(steps)
-    ctrl = reset()
+    ctrl = ControllerState()
     if gains.ki > 0.0 and initial_integral_action != 0.0:
         action = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX)
         ctrl = ControllerState(action / gains.ki, 0.0)
