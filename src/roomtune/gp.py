@@ -14,10 +14,11 @@ The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
 the context dim. At one fixed context c is 1, so a model whose inputs all
 share one context is a gain-only Matern 5/2 GP.
-The tuner only ever observes gains on a grid and queries the whole grid
-at one context, so the n observations sit on few distinct gain rows and
-the query cross-covariance has rank at most that count; see
-:meth:`GPModel.posterior_batch`.
+The tuner only ever observes gains on a grid and queries grid gains at
+one context, so the n observations sit on few (u) distinct gain rows and
+the query cross-covariance has rank at most u. The variance of m queries
+then costs m·u² + n²·u operations instead of the n²·m of a dense solve;
+see :meth:`GPModel.posterior_batch`.
 """
 
 from __future__ import annotations
@@ -115,11 +116,32 @@ def _unit_kernel(sq: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array and the index of each row among them."""
-    if np.all(a == a[:1]):  # one shared context: skips np.unique's row sort, ~0.8 ms on 1600 rows
+    """Distinct rows of a 2-D array and the index of each row among them,
+    in the lexicographic order and with the index of
+    ``np.unique(a, axis=0, return_inverse=True)``, at about a third of its cost."""
+    if np.all(a == a[:1]):  # one shared context: skips the row sort
         return a[:1], np.zeros(a.shape[0], dtype=np.intp)
-    distinct, index = np.unique(a, axis=0, return_inverse=True)
-    return distinct, index.ravel()
+    order = np.lexsort(a.T[::-1])  # lexsort's last key is the primary one
+    ordered = a[order]
+    starts = np.empty(a.shape[0], dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    index = np.empty(a.shape[0], dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return ordered[starts], index
+
+
+def _quadratic_rows(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise quadratic forms g_i M g_i^T.
+
+    numpy sends a one-row product to gemv, which rounds differently from
+    gemm, so a single row is multiplied as two copies of itself. A row
+    then gets the same bits in a batch of any size, which lets the tuner
+    query only the gains it can still choose.
+    """
+    rows = g.shape[0]
+    gm = (g if rows > 1 else np.repeat(g, 2, axis=0)) @ m
+    return np.sum(gm[:rows] * g, axis=1)
 
 
 def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
@@ -206,16 +228,19 @@ class GPModel:
         So k*^T = D G^T, where D (n, u) holds s_j at [j, p(j)], and
 
             mean = mu0 + G a,  a = bincount(p, s * alpha)
-            var  = s2 - sum over j of v^2,  v = (L^-1 D) G^T
+            var  = s2 - rowsum((G M) o G),  M = W^T W,  W = L^-1 D
 
         with alpha = K^-1 (y - mu0) and L the Gram factor. These are the
         dense-solve formulas regrouped, not an approximation. A query
-        costs m u kernel entries, an n^2 u solve and an n u m product,
-        against m n entries and an n^2 m solve for k* itself. Queries
-        are grouped by context and each of the c groups takes its own
-        n^2 u solve. The tuner queries one context at a time (c = 1);
-        the worst case, u = n with every query at its own context,
-        costs an n^3 solve per query instead of n^2.
+        costs m u kernel entries, an n^2 u solve, an n u^2 product for M
+        and an m u^2 product for the variance, against m n entries and an
+        n^2 m solve for k* itself. Queries are grouped by context and each
+        of the c groups takes its own solve. The tuner queries one context
+        at a time (c = 1); the worst case, u = n with every query at its
+        own context, costs an n^3 solve per query instead of n^2.
+
+        Each row's mean and variance depend only on that row and the
+        model, bit for bit, whatever else the batch holds.
         """
         pts = _as_points(x, self.kernel.input_dim)
         prior_mean = self._prior_mean()
@@ -235,15 +260,15 @@ class GPModel:
         ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, self.inputs[:, 2:])[0])  # (c, n)
         node_indicator = np.zeros((n, u))
         node_indicator[np.arange(n), node_of] = 1.0
-
         alpha = cho_solve((self.gram_factor, True), self.targets - prior_mean)
-        node_weights = (ctx_corr * alpha) @ node_indicator  # (c, u)
-        mean += np.sum(gain_cov * node_weights[context_of], axis=1)
 
-        for c in range(contexts.shape[0]):
-            rows = np.flatnonzero(context_of == c)
-            w = solve_triangular(self.gram_factor, node_indicator * ctx_corr[c][:, None], lower=True)
-            var[rows] -= np.sum((w @ gain_cov[rows].T) ** 2, axis=0)
+        for c, corr in enumerate(ctx_corr):
+            rows = slice(None) if len(contexts) == 1 else np.flatnonzero(context_of == c)
+            g = gain_cov[rows]
+            node_weights = (corr * alpha) @ node_indicator  # (u,)
+            w = solve_triangular(self.gram_factor, node_indicator * corr[:, None], lower=True)
+            mean[rows] += np.sum(g * node_weights, axis=1)
+            var[rows] -= _quadratic_rows(g, w.T @ w)
         return mean, np.maximum(var, 0.0)
 
 

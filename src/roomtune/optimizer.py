@@ -14,9 +14,13 @@ Three GP-backed selectors share one state type:
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
+Only the gains that can still be chosen are queried: ``scbo`` checks each
+constraint surrogate on the gains the previous ones certified, and scores
+the acquisition on its safe candidates alone.
 
 The model-based baseline lives here too: an in-day retuner that fits a
-first-order-plus-dead-time response by least squares and applies the
+first-order-plus-dead-time response by least squares (LAPACK ``gelsd``,
+the routine behind ``np.linalg.lstsq``, called directly) and applies the
 open-loop Ziegler-Nichols PI rule.
 """
 
@@ -28,6 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from scipy.stats import norm
 
 from .costs import NormalizedCosts
@@ -300,12 +305,17 @@ def safe_set(
         raise ValueError("epsilon must lie in (0, 0.5)")
     q = norm.ppf(1.0 - eps)
     x = _grid_inputs(state, oat)
-    mask = np.ones(state.domain.size, dtype=bool)
+    # Each surrogate is queried only where the ones before it still
+    # certify; posterior rows do not depend on the rest of the batch.
+    certified = np.arange(state.domain.size)
     for model in state.constraint_models:
-        mean, var = model.posterior_batch(x)
-        mask &= mean + q * np.sqrt(var) <= 0.0
-    if fallback and not mask.any():
-        mask = np.zeros(state.domain.size, dtype=bool)
+        mean, var = model.posterior_batch(x[certified])
+        certified = certified[mean + q * np.sqrt(var) <= 0.0]
+        if not certified.size:
+            break
+    mask = np.zeros(state.domain.size, dtype=bool)
+    mask[certified] = True
+    if fallback and not certified.size:
         mask[state.domain.anchor_index] = True
     return mask
 
@@ -317,16 +327,19 @@ def acquire(
     beta: float | None = None,
 ) -> int:
     """Grid index minimizing combined-cost mean - beta * std over the
-    mask (full grid when no mask). Ties resolve to lower kp, then ki."""
-    x = _grid_inputs(state, oat)
+    mask (full grid when no mask). Ties resolve to lower kp, then ki.
+    Only the candidate gains are scored."""
+    if safe_mask is None:
+        candidates = np.arange(state.domain.size)
+    elif not safe_mask.any():
+        return state.domain.anchor_index
+    else:
+        candidates = np.flatnonzero(safe_mask)
+    x = _grid_inputs(state, oat)[candidates]
     mean, var = combine_gps_batch(state.cost_models, state.weights, x)
     b = state.beta if beta is None else beta
     score = mean - b * np.sqrt(var)
-    if safe_mask is not None:
-        if not safe_mask.any():
-            return state.domain.anchor_index
-        score = np.where(safe_mask, score, np.inf)
-    return int(np.argmin(score))
+    return int(candidates[np.argmin(score)])
 
 
 @dataclass(frozen=True)
@@ -459,25 +472,42 @@ def fit_fopdt(t_room, valve, max_delay: int = 12) -> FOPDTModel | None:
     so their residuals are comparable. Candidates with an unstable or
     non-heating fit (a outside (0,1), b <= 0) are discarded; returns
     None when nothing valid remains or the regression is degenerate.
+    Non-finite samples raise ``ValueError`` before any fit is tried.
     """
     t = np.asarray(t_room, dtype=float)
     u = np.asarray(valve, dtype=float)
+    for name, samples in (("t_room", t), ("valve", u)):
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"{name} holds non-finite samples")
     n = t.size
     rows = n - 1 - max_delay
     if rows < 8:
         return None
-    ks = np.arange(max_delay, n - 1)
-    target = t[ks + 1]
+    # The design [t[k], u[k - delay], 1] over k in [max_delay, n-2] is
+    # built once; each delay only rewrites its u column. dgelsd is the
+    # LAPACK routine behind np.linalg.lstsq, called here without its
+    # per-call wrapper work and with its default rcond.
+    target = t[max_delay + 1 :]
+    design = np.empty((rows, 3))
+    design[:, 0] = t[max_delay:-1]
+    design[:, 2] = 1.0
+    work, iwork, _ = dgelsd_lwork(rows, 3, 1)
+    lwork, liwork = int(work), int(iwork)
+    rcond = np.finfo(float).eps * rows
     best = None
     for delay in range(max_delay + 1):
-        design = np.column_stack([t[ks], u[ks - delay], np.ones(rows)])
-        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        design[:, 1] = u[max_delay - delay : n - 1 - delay]
+        solution, _, rank, info = dgelsd(design, target, lwork, liwork, rcond)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gelsd failed with info={info}")
         if rank < 3:
             continue
+        coef = solution[:3]
         a, b, _ = coef
         if not (0.0 < a < 1.0 and b > 0.0):
             continue
-        mse = float(np.mean((design @ coef - target) ** 2))
+        r = design @ coef - target
+        mse = float(np.add.reduce(r * r)) / rows  # np.mean(r ** 2), bit for bit
         if best is None or mse < best.residual:
             best = FOPDTModel(
                 gain=float(b / (1.0 - a)),

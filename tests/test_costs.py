@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomtune.costs import (
     CalibrationError,
@@ -43,6 +45,31 @@ def test_rise_time_matches_first_order_identity():
         trace = first_order_step_trace(tau)
         expected = tau * math.log(9.0) * STEP
         assert abs(rise_time_10_90(trace) - expected) <= 2 * STEP
+
+
+def first_order_response(tau_seconds, amplitude, step_index, n=288, target=21.0):
+    """T_k = target - A exp(-(k - s) dt / tau) from the setpoint step at s on."""
+    k = np.arange(n) - step_index
+    t = target - amplitude * np.exp(-np.maximum(k, 0) * STEP / tau_seconds)
+    sp = np.where(k < 0, target - amplitude, target)
+    return make_trace(sp, t, step_index=step_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    taus=st.lists(st.floats(30.0, 40000.0), min_size=2, max_size=6),
+    amplitude=st.floats(0.5, 10.0),
+    step_index=st.integers(0, 100),
+)
+def test_rise_time_is_monotone_in_the_time_constant(taus, amplitude, step_index):
+    """Slower rooms rise no faster, and while the 90% level is reached
+    within the day the rise time is tau ln 9 to within one sample."""
+    traces = [first_order_response(tau, amplitude, step_index) for tau in sorted(taus)]
+    times = [rise_time_10_90(trace) for trace in traces]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    for tau, trace, rise in zip(sorted(taus), traces, times):
+        if tau * math.log(10.0) < (trace.num_steps - 2 - step_index) * STEP:
+            assert abs(rise - tau * math.log(9.0)) <= STEP
 
 
 def test_rise_time_interpolates_between_samples():

@@ -17,6 +17,7 @@ from roomtune.gp import (
     fit_hyperparameters,
     kernel_matrix,
     log_marginal_likelihood,
+    _distinct_rows,
 )
 from roomtune.optimizer import GainDomain
 
@@ -106,6 +107,55 @@ def test_grid_node_posterior_matches_dense_solve():
             mean, var = model.posterior_batch(query)
             worst = max(worst, np.max(np.abs(mean - want_mean)), np.max(np.abs(var - want_var)))
     assert worst <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    pool=st.integers(1, 6),
+    n=st.integers(1, 40),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
+    """Same distinct rows, in the same order, and the same index as
+    np.unique(axis=0); rows drawn from a small pool repeat, and pools on
+    a coarse lattice share some of their columns."""
+    rng = np.random.default_rng(data_seed)
+    if rng.uniform() < 0.5:
+        values = rng.integers(0, 3, (pool, dim)) / 2.0
+    else:
+        values = rng.uniform(0.0, 1.0, (pool, dim))
+    a = values[rng.integers(0, pool, n)]
+    distinct, index = _distinct_rows(a)
+    want, want_index = np.unique(a, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(distinct, want)
+    np.testing.assert_array_equal(index, want_index.ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.integers(1, 13),
+    n=st.integers(1, 60),
+    with_basis=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
+    """A query row gets the same bits in batches of 1, 2, 3 and 1600 rows,
+    as the tuner relies on when it queries only the gains it can choose."""
+    rng = np.random.default_rng(data_seed)
+    grid = GainDomain.build().unit_points
+    spec = random_spec(rng)
+    nodes = grid[rng.choice(grid.shape[0], u, replace=False)]
+    x = np.column_stack([nodes[rng.integers(0, u, n)], rng.uniform(0.0, 1.0, n)])
+    basis = float(rng.normal()) if with_basis else None
+    model = GPModel.empty(spec, float(rng.uniform(1e-4, 0.1)), basis).with_data(x, rng.normal(size=n))
+    query = np.column_stack([grid, np.full(grid.shape[0], rng.uniform())])
+    mean, var = model.posterior_batch(query)
+    for size in (1, 2, 3):
+        rows = rng.choice(grid.shape[0], size, replace=False)
+        sub_mean, sub_var = model.posterior_batch(query[rows])
+        np.testing.assert_array_equal(sub_mean, mean[rows])
+        np.testing.assert_array_equal(sub_var, var[rows])
 
 
 def test_prior_before_any_data():

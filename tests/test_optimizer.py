@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from roomtune.costs import NormalizedCosts
-from roomtune.gp import GPModel
+from roomtune.gp import GPModel, combine_gps_batch
 from roomtune.optimizer import (
     METHOD_BO,
     METHOD_CBO,
@@ -254,8 +254,6 @@ def test_acquire_matches_brute_force_lcb():
     state = make_state(METHOD_CBO, noise=0.05)
     for index in rng.choice(state.domain.size, 8, replace=False):
         state = update(state, state.domain.gains_at(int(index)), float(rng.uniform(-10, 10)), costs_of(float(rng.uniform(0.2, 1.5))))
-    from roomtune.gp import combine_gps_batch
-
     x = np.column_stack(
         [state.domain.unit_points, np.full(state.domain.size, state.scaler.normalize(2.0))]
     )
@@ -438,6 +436,37 @@ def test_safe_set_is_monotone_in_epsilon_over_generated_states(log, oat, epsilon
         assert not np.any(tight & ~loose)  # a smaller epsilon certifies a subset
 
 
+@settings(max_examples=40, deadline=None)
+@given(log=_LOGS, oat=st.floats(-20.0, 20.0), subset=st.integers(1, 2 ** small_domain().size - 1))
+def test_pruned_queries_match_full_grid_queries(log, oat, subset):
+    """safe_set queries each constraint only where the previous ones
+    certify, and acquire scores only its candidates; both must decide as
+    if every surrogate were queried on the whole grid."""
+    state = logged_state(METHOD_SCBO, log)
+    size = state.domain.size
+    x = np.column_stack([state.domain.unit_points, np.full(size, state.scaler.normalize(oat))])
+    masks = []
+    for eps in (state.epsilon, 0.25, 0.45):  # larger epsilons certify more gains
+        q = norm.ppf(1.0 - eps)
+        want = np.ones(size, dtype=bool)
+        for model in state.constraint_models:
+            mean, var = model.posterior_batch(x)
+            want &= mean + q * np.sqrt(var) <= 0.0
+        assert np.array_equal(safe_set(state, oat, eps, fallback=False), want)
+        masks.append(want)
+
+    mean, var = combine_gps_batch(state.cost_models, state.weights, x)
+    drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
+    for mask in masks + [drawn, None]:
+        if mask is not None and not mask.any():
+            continue
+        for beta in (state.beta, 0.0):
+            score = mean - beta * np.sqrt(var)
+            if mask is not None:
+                score = np.where(mask, score, np.inf)
+            assert acquire(state, oat, mask, beta) == int(np.argmin(score))
+
+
 def test_state_at_day_truncates_the_log():
     state = make_state(METHOD_CBO)
     for day in (1, 2, 3):
@@ -483,6 +512,82 @@ def test_fit_fopdt_refuses_uninformative_data():
     assert fit_fopdt(np.linspace(20, 21, 60), np.full(60, 0.5)) is None
     # too short for the common scoring window
     assert fit_fopdt(np.zeros(15), np.zeros(15)) is None
+
+
+@pytest.mark.parametrize("bad", ["t_room", "valve"])
+def test_fit_fopdt_rejects_non_finite_samples_before_lapack(bad, capfd):
+    rng = np.random.default_rng(5)
+    u = np.repeat(rng.uniform(0.0, 1.0, 10), 6)
+    t = simulate_fopdt(0.95, 0.1, 2, 0.0, u, 60)
+    if bad == "t_room":
+        t[40] = np.nan
+    else:
+        u[40] = np.inf
+    with pytest.raises(ValueError, match=bad):
+        fit_fopdt(t, u)
+    assert capfd.readouterr().err == ""  # LAPACK never saw the sample
+
+
+def reference_fit_fopdt(t_room, valve, max_delay=12):
+    """fit_fopdt as first written, on np.linalg.lstsq: the reference that
+    the LAPACK-direct fit must equal bit for bit."""
+    t = np.asarray(t_room, dtype=float)
+    u = np.asarray(valve, dtype=float)
+    n = t.size
+    rows = n - 1 - max_delay
+    if rows < 8:
+        return None
+    ks = np.arange(max_delay, n - 1)
+    target = t[ks + 1]
+    best = None
+    for delay in range(max_delay + 1):
+        design = np.column_stack([t[ks], u[ks - delay], np.ones(rows)])
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < 3:
+            continue
+        a, b, _ = coef
+        if not (0.0 < a < 1.0 and b > 0.0):
+            continue
+        mse = float(np.mean((design @ coef - target) ** 2))
+        if best is None or mse < best.residual:
+            best = FOPDTModel(
+                gain=float(b / (1.0 - a)),
+                time_constant=float(-1.0 / math.log(a)),
+                delay=delay,
+                residual=mse,
+            )
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_delay=st.integers(0, 12),
+    rows=st.one_of(st.sampled_from([7, 8]), st.integers(9, 275)),
+    tau=st.floats(2.0, 80.0),
+    gain=st.floats(0.5, 20.0),
+    delay=st.integers(0, 12),
+    noise=st.sampled_from([0.0, 1e-4, 1e-2, 0.3]),
+    valve=st.sampled_from(["steps", "saturated", "near-saturated", "clipped"]),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_fopdt_equals_the_lstsq_reference(max_delay, rows, tau, gain, delay, noise, valve, data_seed):
+    """Noisy FOPDT traces under stepped, fully saturated (rank-deficient
+    design), all but saturated and partly clipped valve commands, at and
+    around the eight-row minimum: the same FOPDTModel, residual
+    included, or None."""
+    rng = np.random.default_rng(data_seed)
+    n = rows + 1 + max_delay
+    if valve == "saturated":
+        u = np.ones(n)
+    elif valve == "near-saturated":  # rank decided by lstsq's default rcond
+        u = 1.0 - 10.0 ** rng.uniform(-15.0, -11.0) * rng.uniform(0.0, 1.0, n)
+    else:
+        u = np.repeat(rng.uniform(0.0, 1.0, n // 4 + 1), 4)[:n]
+        if valve == "clipped":
+            u = np.clip(2.0 * u - 0.5, 0.0, 1.0)
+    a = math.exp(-1.0 / tau)
+    t = 18.0 + simulate_fopdt(a, gain * (1.0 - a), delay, 0.01, u, n) + noise * rng.normal(size=n)
+    assert fit_fopdt(t, u, max_delay) == reference_fit_fopdt(t, u, max_delay)
 
 
 def test_zn_rule_formula():
