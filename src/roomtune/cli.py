@@ -21,6 +21,7 @@ from .harness import (
     run_calibration,
     run_season,
     save_calibration,
+    write_atomically,
 )
 from .optimizer import (
     ALL_METHODS,
@@ -67,7 +68,8 @@ def _cmd_report(args) -> int:
     grouped = collect_results(args.dir)
     report = compare_report(grouped)
     out = Path(args.dir) / "summary.json"
-    out.write_text(report.to_json())
+    text = report.to_json()
+    write_atomically(out, lambda fh: fh.write(text))
     print(f"{'method':<8} {'final median cum. avg':>22} {'vs fixed':>10}")
     for method in sorted(report.final_median, key=report.final_median.get):
         final = report.final_median[method]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 # The one kernel family; kept as a format tag in serialized kernels.
@@ -328,6 +328,15 @@ class FitResult:
     def build(self) -> GPModel:
         return GPModel.empty(self.kernel, self.noise_variance, self.basis_coefficient)
 
+    @property
+    def on_bound(self) -> int:
+        """How many hyperparameters lie within 1e-6 (in log) of
+        ``LENGTHSCALE_BOUNDS`` or ``VARIANCE_BOUNDS``; many on a bound hint
+        at a misspecified model."""
+        values = [(v, LENGTHSCALE_BOUNDS) for v in self.kernel.lengthscales]
+        values += [(self.kernel.signal_variance, VARIANCE_BOUNDS), (self.noise_variance, VARIANCE_BOUNDS)]
+        return sum(any(abs(math.log(v) - math.log(b)) <= 1e-6 for b in bounds) for v, bounds in values)
+
 
 def _unpack(theta: np.ndarray, template: KernelSpec):
     d = template.input_dim
@@ -337,12 +346,43 @@ def _unpack(theta: np.ndarray, template: KernelSpec):
     return replace(template, lengthscales=ells, signal_variance=sig), noise
 
 
+class LikelihoodWorkspace:
+    """Buffers for repeated likelihood calls on one fixed input set.
+
+    Holds the unscaled differences x_i - x_j of each input dimension,
+    computed once, and every (n, n) array that the value and the gradient
+    need. :func:`log_marginal_likelihood` fills them in place, so the
+    calls of one fit allocate no (n, n) temporaries.
+    """
+
+    def __init__(self, x: np.ndarray):
+        n, d = x.shape
+        self.x = x
+        self.diffs = np.empty((d, n, n))
+        for i in range(d):
+            np.subtract(x[:, i, None], x[None, :, i], out=self.diffs[i])
+        self.sq = np.empty((d, n, n))
+        self.gram, self.decay, self.dprof, self.cov, self.w = np.empty((5, n, n))
+        self.cov_diagonal = self.cov.reshape(-1)[:: n + 1]  # writable view
+        self.finite = np.empty((n, n), dtype=bool)
+
+
+def _solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor of K (``cho_solve`` without
+    its wrapper checks; the callers check finiteness themselves)."""
+    solution, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"potrs reported an illegal argument, info={info}")
+    return solution
+
+
 def log_marginal_likelihood(
     theta: np.ndarray,
     template: KernelSpec,
     x: np.ndarray,
     y: np.ndarray,
     with_basis: bool,
+    workspace: LikelihoodWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Concentrated log marginal likelihood and its gradient.
 
@@ -350,19 +390,36 @@ def log_marginal_likelihood(
     variance. The constant-basis coefficient, when enabled, is profiled
     out by generalized least squares; by the envelope theorem the
     gradient then only needs the kernel-parameter partials.
+
+    ``workspace`` must have been built on this same ``x``; a fit passes
+    one to all of its calls, and ``None`` builds a fresh one.
     """
     spec, noise = _unpack(theta, template)
+    ws = LikelihoodWorkspace(x) if workspace is None else workspace
+    if ws.x is not x:
+        raise ValueError("workspace was built on other inputs")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite target values rejected")
     n = x.shape[0]
     s2 = spec.signal_variance
-    sq = _scaled_sq_dists(spec.lengthscales, x, x)
-    # The value and the gradient share r and exp(-sqrt5 r). The Gram
-    # matrix takes the operations of _unit_kernel in the same order, so
-    # the value is bit-identical to one built on kernel_matrix. Products
-    # are formed in place: at n = 145 the page faults of each fresh
-    # (n, n) temporary are a large share of a call's time.
-    r = np.sqrt(sq[0] + sq[1])
-    decay = np.exp(-_SQRT5 * r)
-    lin = 1.0 + _SQRT5 * r
+    # Every (n, n) array lives in the workspace and is filled with out=:
+    # at n = 145 a call that allocated its temporaries (about 1.7 MB) had
+    # glibc hand them back to the OS and fault them in again on the next
+    # call, which took about as long as the arithmetic. Each step keeps the
+    # operation and operand order of the allocating form, and the Gram
+    # matrix takes the operations of _unit_kernel, so value and gradient
+    # are bit-identical to those of a kernel_matrix build.
+    sq = ws.sq
+    for i, ell in enumerate(spec.lengthscales):
+        np.divide(ws.diffs[i], ell, out=sq[i])
+        np.square(sq[i], out=sq[i])
+    # The value and the gradient share r and exp(-sqrt5 r).
+    r = np.add(sq[0], sq[1], out=ws.gram)
+    np.sqrt(r, out=r)
+    decay = np.multiply(r, -_SQRT5, out=ws.decay)
+    np.exp(decay, out=decay)
+    lin = np.multiply(r, _SQRT5, out=ws.dprof)
+    lin += 1.0
     gram = np.square(r, out=r)
     gram *= 5.0 / 3.0
     gram += lin
@@ -372,34 +429,44 @@ def log_marginal_likelihood(
     dprof = lin
     dprof *= decay
     dprof *= s2 * (5.0 / 3.0)
-    se = np.exp(-0.5 * sq[2])
+    se = np.multiply(sq[2], -0.5, out=ws.decay)  # decay is spent
+    np.exp(se, out=se)
     gram *= se
     dprof *= se
     gram *= s2
     jitter = JITTER * s2
-    cov = gram.copy()
-    cov[np.diag_indices(n)] += noise + jitter
-    factor = cholesky(cov, lower=True)
-    del cov
+    cov = ws.cov
+    np.copyto(cov, gram)
+    ws.cov_diagonal += noise + jitter
+    if not np.isfinite(cov, out=ws.finite).all():
+        raise ValueError("non-finite covariance; check theta and the inputs")
+    # cov is symmetric, so its transpose is the same matrix in Fortran
+    # order and LAPACK factors it in place. The lower factor lands in the
+    # transpose's lower triangle; potrf's clean zeroes the one above it.
+    factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf failed with info={info}: covariance not positive definite")
     if with_basis:
         ones = np.ones(n)
-        ci_y = cho_solve((factor, True), y)
-        ci_1 = cho_solve((factor, True), ones)
+        ci_y = _solve_factored(factor, y)
+        ci_1 = _solve_factored(factor, ones)
         alpha_hat = float(ones @ ci_y) / float(ones @ ci_1)
         resid = y - alpha_hat
     else:
         resid = y
-    a = cho_solve((factor, True), resid)
+    a = _solve_factored(factor, resid)
     lml = -0.5 * float(resid @ a) - float(np.sum(np.log(np.diag(factor)))) - 0.5 * n * math.log(2 * math.pi)
 
     # GPML eq. 5.9: d lml / d theta_j = 1/2 tr(W dK/dtheta_j), W = a a^T - K^-1.
-    # potri overwrites the Cholesky factor with the lower triangle of K^-1.
+    # potri overwrites the factor with the lower triangle of K^-1 and
+    # leaves the zeros above it.
     cov_inv, info = dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"potri failed with info={info}")
-    w = np.outer(a, a)
-    w -= np.tril(cov_inv)
-    w -= np.tril(cov_inv, -1).T
+    w = np.multiply(a[:, None], a[None, :], out=ws.w)
+    w -= cov_inv  # lower triangle and diagonal
+    ws.cov_diagonal[:] = 0.0  # the diagonal of cov_inv, taken once already
+    w -= cov_inv.T  # strict upper triangle
     tr_w = float(np.trace(w))
     dprof *= w
     w *= gram
@@ -446,8 +513,10 @@ def fit_hyperparameters(
     hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [VARIANCE_BOUNDS[1]] * 2))
     bounds = list(zip(lo, hi))
 
+    workspace = LikelihoodWorkspace(x)
+
     def objective(theta):
-        lml, grad = log_marginal_likelihood(theta, template, x, y, with_basis)
+        lml, grad = log_marginal_likelihood(theta, template, x, y, with_basis, workspace=workspace)
         return -lml, -grad
 
     rng = np.random.default_rng(seed)

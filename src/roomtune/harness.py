@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
+import os
 import re
+import secrets
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -63,6 +67,8 @@ from .plant import (
     simulate_day,
     synth_weather,
 )
+
+logger = logging.getLogger(__name__)
 
 # Independent random streams, combined as SeedSequence([master, seed, stream, ...]).
 STREAM_WEATHER = 0
@@ -303,34 +309,65 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     y = np.array([normalization.normalize(r).as_array() for r in raws])
 
     cost_ctx = tuple(
-        fit_hyperparameters(
-            contextual_kernel_template(), x_ctx, y[:, i], with_basis=True, seed=_fit_seed(config, seed, i)
-        ).build()
-        for i in range(4)
+        _fit_surrogate(f"cost_j{i + 1}", x_ctx, y[:, i], True, _fit_seed(config, seed, i)) for i in range(4)
     )
     # Constraint surrogates regress safety headroom (cost - threshold);
     # zero prior mean then leaves unexplored gains uncertified.
     constraint_ctx = tuple(
-        fit_hyperparameters(
-            contextual_kernel_template(),
+        _fit_surrogate(
+            f"constraint_j{i + 1}",
             x_ctx,
             y[:, i] - normalization.thresholds[i],
-            with_basis=False,
-            seed=_fit_seed(config, seed, 4 + i),
-        ).build()
+            False,
+            _fit_seed(config, seed, 4 + i),
+        )
         for i in range(3)
     )
     return Calibration(normalization, scaler, cost_ctx, constraint_ctx)
+
+
+def _fit_surrogate(name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seed: int) -> GPModel:
+    """One hyperparameter fit of the calibration, logged at DEBUG with its
+    fitted likelihood, how many hyperparameters sit on a bound, and its
+    wall time."""
+    start = time.perf_counter()
+    fit = fit_hyperparameters(contextual_kernel_template(), x, y, with_basis=with_basis, seed=seed)
+    logger.debug(
+        "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, %.3f s",
+        name,
+        fit.log_marginal_likelihood,
+        fit.degenerate,
+        fit.on_bound,
+        time.perf_counter() - start,
+    )
+    return fit.build()
 
 
 def calibration_path(config: SeasonConfig, seed: int) -> Path:
     return Path(config.output_dir) / f"calibration_seed{seed}.json"
 
 
+def write_atomically(path, write, newline: str | None = None) -> None:
+    """Write a file through ``write(fh)`` into a temporary file in the
+    same directory, then rename that over ``path``: a reader sees the old
+    file or the new one, never part of one. If ``write`` fails, the old
+    file stays and the temporary file is removed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_calibration(config: SeasonConfig, seed: int, calibration: Calibration) -> Path:
     path = calibration_path(config, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(calibration.to_json())
+    text = calibration.to_json()
+    write_atomically(path, lambda fh: fh.write(text))
     return path
 
 
@@ -499,14 +536,14 @@ def state_path(config: SeasonConfig, method: str, seed: int) -> Path:
 
 
 def write_results_csv(path, results) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(RESULTS_FIELDS)
         for r in results:
             values = (getattr(r, name) for name in RESULTS_FIELDS)
             writer.writerow(int(v) if isinstance(v, bool) else v for v in values)
+
+    write_atomically(path, write, newline="")
 
 
 def read_results_csv(path) -> list[DailyResult]:
@@ -530,7 +567,8 @@ def persist_run(config: SeasonConfig, run: SeasonRun) -> Path:
     path = results_path(config, run.method, run.seed)
     write_results_csv(path, run.results)
     if run.final_state is not None:
-        state_path(config, run.method, run.seed).write_text(state_to_json(run.final_state))
+        text = state_to_json(run.final_state)
+        write_atomically(state_path(config, run.method, run.seed), lambda fh: fh.write(text))
     return path
 
 

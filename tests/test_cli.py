@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +94,18 @@ def test_unknown_method_rejected_by_parser(workspace):
     config, _ = workspace
     with pytest.raises(SystemExit):
         main(["run", "--config", str(config), "--method", "greedy", "--seed", "0"])
+
+
+def test_calibrate_prints_no_log_records(tmp_path):
+    """The calibration logs each fit at DEBUG; a plain CLI run shows none
+    of it, only its one result line."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"costs": {"calibration_days": 40}, "season": {"output_dir": str(tmp_path)}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "roomtune.cli", "calibrate", "--config", str(config), "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [f"seed 0: calibration written to {tmp_path / 'calibration_seed0.json'}"]

@@ -1,18 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 
+from roomtune import gp
 from roomtune.gp import (
     JITTER,
     LENGTHSCALE_BOUNDS,
     PRODUCT,
     VARIANCE_BOUNDS,
     DimensionMismatchError,
+    FitResult,
     GPModel,
     KernelSpec,
+    LikelihoodWorkspace,
     combine_gps_batch,
     fit_hyperparameters,
     kernel_matrix,
@@ -394,3 +400,182 @@ def test_fit_requires_enough_samples():
     x = np.zeros((5, 3))
     with pytest.raises(ValueError):
         fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, np.arange(5.0))
+
+
+def allocating_lml(theta, template, x, y, with_basis):
+    """The likelihood body as it was before the reusable workspace: fresh
+    (n, n) temporaries, scipy's checked Cholesky and solves. Kept as the
+    bit-for-bit reference of the in-place form."""
+    ells = tuple(float(v) for v in np.exp(theta[:3]))
+    s2, noise = float(np.exp(theta[3])), float(np.exp(theta[4]))
+    n = x.shape[0]
+    sq = np.empty((3, n, n))
+    for i, ell in enumerate(ells):
+        sq[i] = ((x[:, i, None] - x[None, :, i]) / ell) ** 2
+    r = np.sqrt(sq[0] + sq[1])
+    decay = np.exp(-math.sqrt(5.0) * r)
+    lin = 1.0 + math.sqrt(5.0) * r
+    gram = np.square(r, out=r)
+    gram *= 5.0 / 3.0
+    gram += lin
+    gram *= decay
+    dprof = lin
+    dprof *= decay
+    dprof *= s2 * (5.0 / 3.0)
+    se = np.exp(-0.5 * sq[2])
+    gram *= se
+    dprof *= se
+    gram *= s2
+    jitter = JITTER * s2
+    cov = gram.copy()
+    cov[np.diag_indices(n)] += noise + jitter
+    factor = cholesky(cov, lower=True)
+    if with_basis:
+        ones = np.ones(n)
+        ci_y = cho_solve((factor, True), y)
+        ci_1 = cho_solve((factor, True), ones)
+        resid = y - float(ones @ ci_y) / float(ones @ ci_1)
+    else:
+        resid = y
+    a = cho_solve((factor, True), resid)
+    lml = -0.5 * float(resid @ a) - float(np.sum(np.log(np.diag(factor)))) - 0.5 * n * math.log(2 * math.pi)
+    cov_inv, info = dpotri(factor, lower=1, overwrite_c=1)
+    assert info == 0
+    w = np.outer(a, a)
+    w -= np.tril(cov_inv)
+    w -= np.tril(cov_inv, -1).T
+    tr_w = float(np.trace(w))
+    dprof *= w
+    w *= gram
+    grad = 0.5 * np.concatenate(
+        [
+            sq[:2].reshape(2, n * n) @ dprof.ravel(),
+            sq[2:].reshape(1, n * n) @ w.ravel(),
+            [float(np.sum(w)) + jitter * tr_w, noise * tr_w],
+        ]
+    )
+    return lml, grad
+
+
+def lml_bits(value, grad) -> bytes:
+    return np.float64(value).tobytes() + np.asarray(grad, dtype=np.float64).tobytes()
+
+
+_THETA = st.tuples(*[_LOG_LENGTHSCALE] * 3, *[_LOG_VARIANCE] * 2).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    with_basis=st.booleans(),
+    n=st.integers(10, 160),
+    duplicates=st.integers(0, 5),
+    data_seed=st.integers(0, 2**32 - 1),
+    thetas=st.lists(_THETA, min_size=1, max_size=4),
+)
+def test_reused_workspace_is_bit_identical(with_basis, n, duplicates, data_seed, thetas):
+    """One workspace reused over a sequence of theta in the fit box gives
+    the bits of a fresh-workspace call and of the allocating reference."""
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    x[:duplicates] = x[n - duplicates :]
+    y = 2.0 + rng.normal(size=n)
+    workspace = LikelihoodWorkspace(x)
+    for theta in thetas:
+        reused = lml_bits(*log_marginal_likelihood(theta, template, x, y, with_basis, workspace=workspace))
+        assert reused == lml_bits(*log_marginal_likelihood(theta, template, x, y, with_basis))
+        assert reused == lml_bits(*allocating_lml(theta, template, x, y, with_basis))
+
+
+@pytest.mark.parametrize("with_basis", [False, True])
+def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_basis):
+    """The fit calls the module-level likelihood; driven by the reference
+    body instead it reaches the same FitResult."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 1.0, (40, 3))
+    x[:3] = x[-3:]
+    y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=40)
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+    fit = fit_hyperparameters(template, x, y, with_basis=with_basis, n_starts=2, seed=3)
+    calls = []
+
+    def reference(theta, template, x, y, with_basis, workspace=None):
+        calls.append(workspace)
+        return allocating_lml(theta, template, x, y, with_basis)
+
+    monkeypatch.setattr(gp, "log_marginal_likelihood", reference)
+    want = fit_hyperparameters(template, x, y, with_basis=with_basis, n_starts=2, seed=3)
+    assert isinstance(want, FitResult) and fit == want
+    assert len(calls) > 10 and all(ws is calls[0] for ws in calls)  # one workspace per fit
+
+
+def test_reused_workspace_allocates_less_than_one_square_array():
+    """After a warm-up call, a call on a reused workspace at n = 145 traces
+    a peak below one (n, n) float64 array: no per-call (n, n) temporaries."""
+    n = 145
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    y = rng.normal(size=n)
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+    theta = np.log([0.3, 0.4, 0.5, 1.0, 0.01])
+    workspace = LikelihoodWorkspace(x)
+    log_marginal_likelihood(theta, template, x, y, True, workspace=workspace)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        log_marginal_likelihood(theta, template, x, y, True, workspace=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def lml_case(n=20, seed=4):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    return KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, rng.normal(size=n), np.log([0.3, 0.4, 0.5, 1.0, 0.01])
+
+
+@pytest.mark.parametrize("position", [0, 3, 4])
+def test_lml_rejects_a_nan_theta(position):
+    template, x, y, theta = lml_case()
+    theta[position] = math.nan
+    with pytest.raises(ValueError) as raised:
+        log_marginal_likelihood(theta, template, x, y, False)
+    assert not isinstance(raised.value, np.linalg.LinAlgError)  # caught before LAPACK sees it
+
+
+@pytest.mark.parametrize("with_basis", [False, True])
+def test_lml_rejects_a_nan_target(with_basis):
+    template, x, y, theta = lml_case()
+    y[5] = math.nan
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(theta, template, x, y, with_basis)
+
+
+def test_lml_rejects_a_workspace_of_other_inputs():
+    template, x, y, theta = lml_case()
+    with pytest.raises(ValueError):
+        log_marginal_likelihood(theta, template, x, y, False, workspace=LikelihoodWorkspace(x.copy()))
+
+
+@pytest.mark.parametrize("routine", ["dpotrf", "dpotri"])
+def test_lml_raises_when_lapack_reports_failure(monkeypatch, routine):
+    """A non-positive-definite minor (potrf) or a singular factor (potri)
+    raises LinAlgError, as scipy's checked wrappers did."""
+    original = getattr(gp, routine)
+
+    def failing(*args, **kwargs):
+        result, _ = original(*args, **kwargs)
+        return result, 3
+
+    monkeypatch.setattr(gp, routine, failing)
+    template, x, y, theta = lml_case()
+    with pytest.raises(np.linalg.LinAlgError):
+        log_marginal_likelihood(theta, template, x, y, False)
+
+
+def test_fit_result_counts_hyperparameters_on_a_bound():
+    spec = KernelSpec(PRODUCT, (LENGTHSCALE_BOUNDS[0], 0.3, LENGTHSCALE_BOUNDS[1]), VARIANCE_BOUNDS[1])
+    assert FitResult(spec, VARIANCE_BOUNDS[0], None, -1.0).on_bound == 4
+    assert FitResult(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), 0.01, None, -1.0).on_bound == 0

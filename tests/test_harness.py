@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from roomtune.harness import (
     run_season,
     season_weather,
     state_path,
+    write_atomically,
     write_results_csv,
 )
 from roomtune.gp import model_to_dict
@@ -262,6 +264,46 @@ def test_persist_run_writes_csv_and_state(small_config, calibration, tmp_path):
     assert path == results_path(cfg, "cbo", 0)
     assert read_results_csv(path) == list(run.results)
     assert state_path(cfg, "cbo", 0).read_text() == state_to_json(run.final_state)
+
+
+def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
+    """One DEBUG record per fit: surrogate name, fitted likelihood,
+    degenerate flag, hyperparameters on a bound and wall time. The
+    artifact is the one built without logging."""
+    with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
+        logged = run_calibration(small_config, seed=0)
+    assert logged.to_json() == calibration.to_json()
+    records = [r for r in caplog.records if r.name == "roomtune.harness"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 7
+    names = [r.args[0] for r in records]
+    assert names == [f"cost_j{i}" for i in range(1, 5)] + [f"constraint_j{i}" for i in range(1, 4)]
+    for record in records:
+        _, lml, degenerate, on_bound, seconds = record.args
+        assert degenerate or math.isfinite(lml)
+        assert 0 <= on_bound <= 5 and seconds >= 0.0
+        assert record.args[0] in record.getMessage()
+
+
+def test_a_failed_write_keeps_the_previous_file(tmp_path):
+    """A writer that fails partway leaves the previous artifact as it was
+    and no temporary file behind."""
+    path = tmp_path / "fixed_seed0.csv"
+    write_results_csv(path, [result_row(0, 1, 0.5)])
+    before = path.read_bytes()
+    rows = [result_row(0, day, 0.5) for day in range(1, 501)]  # more than one buffer's worth
+    with pytest.raises(AttributeError):
+        write_results_csv(path, rows + [object()])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def fail_partway(fh):
+        fh.write("{" * 100_000)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        write_atomically(path, fail_partway)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # ---------------------------------------------------------------------------
