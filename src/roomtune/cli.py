@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .harness import (
     SeasonConfig,
     build_optimizer_state,
@@ -147,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except BrokenPipeError:
         # downstream pipe (head, less) closed early; not an error
         sys.stderr.close()

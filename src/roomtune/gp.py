@@ -6,19 +6,23 @@ explicit-basis mean, Cholesky-backed posteriors, and offline
 maximum-likelihood hyperparameter fitting with analytic gradients.
 
 Models are values: ``add_observation`` returns a new model, queries are
-read-only. Observation counts stay small (one per heating day), so the
-Gram factor is rebuilt on every update instead of rank-1 patched.
+read-only. Observation counts stay small (one per heating day), so a
+model is rebuilt on every update instead of rank-1 patched.
 
-Posterior queries are factored through the distinct observed gain rows.
 The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
 the context dim. At one fixed context c is 1, so a model whose inputs all
 share one context is a gain-only Matern 5/2 GP.
-The tuner only ever observes gains on a grid and queries grid gains at
-one context, so the n observations sit on few (u) distinct gain rows and
-the query cross-covariance has rank at most u. The variance of m queries
-then costs m·u² + n²·u operations instead of the n²·m of a dense solve;
-see :meth:`GPModel.posterior_batch`.
+The tuner only ever observes gains on a grid, so the n observations sit
+on few (u) distinct gain rows, the nodes. A model is built through them:
+the Matern factor of the Gram matrix is evaluated on the u x u node pairs
+and gathered to n x n, bit-identical to the dense kernel matrix. The
+build factors the Gram matrix once and solves alpha = K^-1 (y - mu0)
+once, and the model carries both with the node index. Queries reuse
+them: the tuner queries grid gains at one context, so the query
+cross-covariance has rank at most u, and the variance of m queries costs
+m·u² + n²·u operations instead of the n²·m of a dense solve; see
+:meth:`GPModel.posterior_batch`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 # The one kernel family; kept as a format tag in serialized kernels.
@@ -144,6 +148,15 @@ def _quadratic_rows(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.sum(gm[:rows] * g, axis=1)
 
 
+def _solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor of K (``cho_solve`` without
+    its wrapper checks; the callers check finiteness themselves)."""
+    solution, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"potrs reported an illegal argument, info={info}")
+    return solution
+
+
 def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
     """Cross-covariance matrix k(x_m, x2_n)."""
     xa = _as_points(x, spec.input_dim)
@@ -157,7 +170,11 @@ class GPModel:
 
     ``basis_coefficient`` is the constant explicit-basis mean; ``None``
     means a plain zero-mean GP. ``gram_factor`` is the lower Cholesky
-    factor of K + (noise_variance + jitter) I over ``inputs``.
+    factor of K + (noise_variance + jitter) I over ``inputs``, and
+    ``alpha`` = (K + (noise_variance + jitter) I)^-1 (targets - mean).
+    ``nodes`` are the u distinct gain rows of ``inputs`` and ``node_of``
+    the index of each input's gain row among them. All of these are
+    derived by :meth:`with_data`.
     """
 
     kernel: KernelSpec
@@ -166,6 +183,9 @@ class GPModel:
     inputs: np.ndarray | None = None
     targets: np.ndarray | None = None
     gram_factor: np.ndarray | None = None
+    alpha: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    node_of: np.ndarray | None = None
 
     @classmethod
     def empty(
@@ -176,14 +196,7 @@ class GPModel:
     ) -> "GPModel":
         if noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
-        return cls(
-            kernel=kernel,
-            noise_variance=noise_variance,
-            basis_coefficient=basis_coefficient,
-            inputs=np.empty((0, kernel.input_dim)),
-            targets=np.empty(0),
-            gram_factor=np.empty((0, 0)),
-        )
+        return cls(kernel, noise_variance, basis_coefficient).with_data([], [])
 
     @property
     def num_observations(self) -> int:
@@ -193,7 +206,18 @@ class GPModel:
         return 0.0 if self.basis_coefficient is None else float(self.basis_coefficient)
 
     def with_data(self, inputs, targets) -> "GPModel":
-        """Batch-build a model on the full observation set."""
+        """Batch-build a model on the full observation set.
+
+        The Gram matrix is built through the u distinct gain rows: the
+        Matern factor is evaluated on the u x u node pairs and gathered
+        to n x n, then multiplied by the n x n context factor and by s2
+        in the operation order of :func:`kernel_matrix`, so it equals
+        ``kernel_matrix(kernel, inputs)`` bit for bit. It is factored
+        once by LAPACK ``potrf`` and ``alpha`` is solved once by
+        ``potrs``; :meth:`posterior_batch` reuses both with the node
+        index. Non-finite inputs or targets raise ``ValueError``, and a
+        Gram matrix that is not positive definite raises ``LinAlgError``.
+        """
         x = _as_points(inputs, self.kernel.input_dim) if len(inputs) else np.empty((0, self.kernel.input_dim))
         y = np.asarray(targets, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
@@ -203,11 +227,34 @@ class GPModel:
         if x.size and not np.all(np.isfinite(x)):
             raise ValueError("non-finite input values rejected")
         if x.shape[0] == 0:
-            return replace(self, inputs=x, targets=y, gram_factor=np.empty((0, 0)))
-        gram = kernel_matrix(self.kernel, x)
-        gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * self.kernel.signal_variance
-        factor = cholesky(gram, lower=True)
-        return replace(self, inputs=x, targets=y, gram_factor=factor)
+            return replace(
+                self,
+                inputs=x,
+                targets=y,
+                gram_factor=np.empty((0, 0)),
+                alpha=np.empty(0),
+                nodes=np.empty((0, 2)),
+                node_of=np.empty(0, dtype=np.intp),
+            )
+        ell = self.kernel.lengthscales
+        s2 = self.kernel.signal_variance
+        nodes, node_of = _distinct_rows(x[:, :2])
+        node_sq = _scaled_sq_dists(ell[:2], nodes, nodes)
+        node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))  # (u, u)
+        ctx_sq = _scaled_sq_dists(ell[2:], x[:, 2:], x[:, 2:])[0]
+        gram = node_corr[node_of][:, node_of] * np.exp(-0.5 * ctx_sq)
+        gram *= s2
+        gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * s2
+        # gram is symmetric, so its transpose is the same matrix in Fortran
+        # order and potrf factors it in place, as scipy's cholesky does on
+        # its Fortran copy; clean zeroes the triangle above the factor.
+        factor, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potrf failed with info={info}: Gram matrix not positive definite")
+        alpha = _solve_factored(factor, y - self._prior_mean())
+        return replace(
+            self, inputs=x, targets=y, gram_factor=factor, alpha=alpha, nodes=nodes, node_of=node_of
+        )
 
     def add_observation(self, x, y: float) -> "GPModel":
         """Condition on one more (input, target) pair; returns a new model."""
@@ -222,51 +269,53 @@ class GPModel:
         """Posterior means and variances at a batch of query points.
 
         Exact, factored through the u distinct observed gain rows U
-        (p(j) is the U-row of observation j). For queries sharing one
-        context z, the cross-covariance is k*[i, j] = G[i, p(j)] * s_j
-        with G = s2 * m(g_query, U) of shape (m, u) and s_j = c(z, z_j).
-        So k*^T = D G^T, where D (n, u) holds s_j at [j, p(j)], and
+        (``nodes``; p(j) = ``node_of[j]`` is the U-row of observation j).
+        For queries sharing one context z, the cross-covariance is
+        k*[i, j] = G[i, p(j)] * s_j with G = s2 * m(g_query, U) of shape
+        (m, u) and s_j = c(z, z_j). So k*^T = D G^T, where D (n, u) holds
+        s_j at [j, p(j)], and
 
             mean = mu0 + G a,  a = bincount(p, s * alpha)
             var  = s2 - rowsum((G M) o G),  M = W^T W,  W = L^-1 D
 
-        with alpha = K^-1 (y - mu0) and L the Gram factor. These are the
-        dense-solve formulas regrouped, not an approximation. A query
-        costs m u kernel entries, an n^2 u solve, an n u^2 product for M
-        and an m u^2 product for the variance, against m n entries and an
-        n^2 m solve for k* itself. Queries are grouped by context and each
-        of the c groups takes its own solve. The tuner queries one context
-        at a time (c = 1); the worst case, u = n with every query at its
-        own context, costs an n^3 solve per query instead of n^2.
+        with L the Gram factor and alpha = K^-1 (y - mu0), both carried
+        from :meth:`with_data`. These are the dense-solve formulas
+        regrouped, not an approximation. A query costs m u kernel
+        entries, an n^2 u triangular solve (LAPACK ``trtrs``), an n u^2
+        product for M and an m u^2 product for the variance, against m n
+        entries and an n^2 m solve for k* itself. Queries are grouped by
+        context and each of the c groups takes its own solve. The tuner
+        queries one context at a time (c = 1); the worst case, u = n with
+        every query at its own context, costs an n^3 solve per query
+        instead of n^2.
 
         Each row's mean and variance depend only on that row and the
         model, bit for bit, whatever else the batch holds.
         """
         pts = _as_points(x, self.kernel.input_dim)
-        prior_mean = self._prior_mean()
-        mean = np.full(pts.shape[0], prior_mean)
+        mean = np.full(pts.shape[0], self._prior_mean())
         var = np.full(pts.shape[0], self.kernel.signal_variance)
         n = self.num_observations
         if n == 0:
             return mean, var
         ell = self.kernel.lengthscales
-        nodes, node_of = _distinct_rows(self.inputs[:, :2])
+        u = self.nodes.shape[0]
         contexts, context_of = _distinct_rows(pts[:, 2:])
-        u = nodes.shape[0]
-        gain_sq = _scaled_sq_dists(ell[:2], pts[:, :2], nodes)
+        gain_sq = _scaled_sq_dists(ell[:2], pts[:, :2], self.nodes)
         gain_cov = self.kernel.signal_variance * _matern_profile(
             np.sqrt(gain_sq[0] + gain_sq[1])
         )  # (m, u)
         ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, self.inputs[:, 2:])[0])  # (c, n)
         node_indicator = np.zeros((n, u))
-        node_indicator[np.arange(n), node_of] = 1.0
-        alpha = cho_solve((self.gram_factor, True), self.targets - prior_mean)
+        node_indicator[np.arange(n), self.node_of] = 1.0
 
         for c, corr in enumerate(ctx_corr):
             rows = slice(None) if len(contexts) == 1 else np.flatnonzero(context_of == c)
             g = gain_cov[rows]
-            node_weights = (corr * alpha) @ node_indicator  # (u,)
-            w = solve_triangular(self.gram_factor, node_indicator * corr[:, None], lower=True)
+            node_weights = (corr * self.alpha) @ node_indicator  # (u,)
+            w, info = dtrtrs(self.gram_factor, node_indicator * corr[:, None], lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
             mean[rows] += np.sum(g * node_weights, axis=1)
             var[rows] -= _quadratic_rows(g, w.T @ w)
         return mean, np.maximum(var, 0.0)
@@ -365,15 +414,6 @@ class LikelihoodWorkspace:
         self.gram, self.decay, self.dprof, self.cov, self.w = np.empty((5, n, n))
         self.cov_diagonal = self.cov.reshape(-1)[:: n + 1]  # writable view
         self.finite = np.empty((n, n), dtype=bool)
-
-
-def _solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K^-1 b from the lower Cholesky factor of K (``cho_solve`` without
-    its wrapper checks; the callers check finiteness themselves)."""
-    solution, info = dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"potrs reported an illegal argument, info={info}")
-    return solution
 
 
 def log_marginal_likelihood(

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .costs import (
     DEFAULT_WEIGHTS,
     CostNormalization,
@@ -267,10 +268,12 @@ def _fit_seed(config: SeasonConfig, seed: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+@single_blas_thread()
 def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     """Perturbed-anchor season: simulate, derive normalization, fit all
     kernel hyperparameters once. The perturbed gains double as the
-    random safe inputs for maximum-likelihood fitting."""
+    random safe inputs for maximum-likelihood fitting. BLAS runs on one
+    thread, so the fits do not depend on the host's core count."""
     weather = season_weather(config, seed)[: config.calibration_days]
     rng_gains = np.random.default_rng(
         np.random.SeedSequence([config.master_seed, seed, STREAM_CAL_GAINS])
@@ -447,6 +450,7 @@ class SeasonRun:
     final_state: OptimizerState | None
 
 
+@single_blas_thread()
 def run_season(
     config: SeasonConfig,
     method: str,
@@ -458,6 +462,8 @@ def run_season(
     Gains recorded per row are the ones the day started with; the
     model-based retuner may change them intraday. Simulator divergence
     propagates: a bad day aborts the run rather than being skipped.
+    Each GP day's proposal (gain index, safe-set size, whether it fell
+    back to the anchor) is logged at DEBUG. BLAS runs on one thread.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -475,6 +481,14 @@ def run_season(
         adapter = None
         if method in GP_METHODS:
             proposal = propose(opt_state, oat)
+            logger.debug(
+                "%s day %d: gain index %d, safe set %d, fallback %s",
+                method,
+                day,
+                proposal.gain_index,
+                proposal.safe_set_size,
+                proposal.used_fallback,
+            )
             gains = proposal.gains
             safe_size = proposal.safe_set_size
         elif method == METHOD_ADA:

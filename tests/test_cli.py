@@ -109,3 +109,21 @@ def test_calibrate_prints_no_log_records(tmp_path):
     )
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [f"seed 0: calibration written to {tmp_path / 'calibration_seed0.json'}"]
+
+
+def test_run_prints_no_log_records(tmp_path, capsys):
+    """A season logs each proposal at DEBUG; a plain CLI run shows none of
+    it, only its one result line."""
+    config = tmp_path / "config.json"
+    doc = {"costs": {"calibration_days": 40}, "season": {"days": 3, "output_dir": str(tmp_path)}}
+    config.write_text(json.dumps(doc))
+    assert main(["calibrate", "--config", str(config), "--seed", "0"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "roomtune.cli", "run", "--config", str(config), "--method", "scbo", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1
+    assert proc.stdout.startswith("scbo seed 0: 3 days")

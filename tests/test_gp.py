@@ -164,6 +164,72 @@ def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
         np.testing.assert_array_equal(sub_var, var[rows])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    data=st.data(),
+    shared_context=st.booleans(),
+    with_basis=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_basis, data_seed):
+    """The Gram factor and alpha that with_data builds through the u
+    distinct gain rows equal, bit for bit, scipy's Cholesky of the dense
+    kernel_matrix and cho_solve, for u from 1 to n, at one shared context
+    and at distinct contexts, with and without a basis mean."""
+    u = data.draw(st.integers(1, n), label="u")
+    rng = np.random.default_rng(data_seed)
+    grid = GainDomain.build().unit_points
+    spec = random_spec(rng)
+    noise = float(rng.uniform(1e-4, 0.1))
+    nodes = grid[rng.choice(grid.shape[0], u, replace=False)]
+    gains = nodes[rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, n - u)]))]
+    contexts = np.full(n, rng.uniform()) if shared_context else rng.uniform(0.0, 1.0, n)
+    x = np.column_stack([gains, contexts])
+    y = rng.normal(size=n)
+    basis = float(rng.normal()) if with_basis else None
+    model = GPModel.empty(spec, noise, basis).with_data(x, y)
+
+    factor = cholesky(kernel_matrix(spec, x) + (noise + JITTER * spec.signal_variance) * np.eye(n), lower=True)
+    assert np.array_equal(model.gram_factor, factor)
+    assert np.array_equal(model.alpha, cho_solve((factor, True), y - (0.0 if basis is None else basis)))
+    want_nodes, want_node_of = np.unique(gains, axis=0, return_inverse=True)
+    assert np.array_equal(model.nodes, want_nodes)
+    assert np.array_equal(model.node_of, want_node_of.ravel())
+
+
+@pytest.mark.parametrize("routine", ["dpotrf", "dtrtrs"])
+def test_model_raises_when_lapack_reports_failure(monkeypatch, routine):
+    """A Gram matrix that potrf cannot factor fails the build, and a
+    triangular solve that trtrs reports singular fails the query, with
+    LinAlgError as scipy's checked wrappers did."""
+    original = getattr(gp, routine)
+
+    def failing(*args, **kwargs):
+        result, _ = original(*args, **kwargs)
+        return result, 3
+
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(0.0, 1.0, (6, 3)), rng.normal(size=6)
+    model = GPModel.empty(random_spec(rng), 1e-3)
+    monkeypatch.setattr(gp, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        model.with_data(x, y).posterior_batch(x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["gain", "context", "target"])
+def test_with_data_rejects_non_finite_values(where, bad):
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(0.0, 1.0, (6, 3)), rng.normal(size=6)
+    if where == "target":
+        y[2] = bad
+    else:
+        x[2, 0 if where == "gain" else 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        GPModel.empty(random_spec(rng), 1e-3).with_data(x, y)
+
+
 def test_prior_before_any_data():
     spec = KernelSpec(PRODUCT, (0.5, 0.5, 0.5), 2.0)
     zero_mean = GPModel.empty(spec, 1e-3)

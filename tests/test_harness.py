@@ -30,6 +30,7 @@ from roomtune.harness import (
 )
 from roomtune.gp import model_to_dict
 from roomtune.optimizer import state_to_json
+from roomtune.pid import PIGains
 from roomtune.plant import DaySchedule, PlantParams
 
 
@@ -241,6 +242,28 @@ def test_gp_season_starts_at_anchor_and_logs_days(small_config, calibration):
     assert first.safe_set_size == 1  # nothing certified before data
     assert len(run.final_state.observations) == 3
     assert [o.day for o in run.final_state.observations] == [1, 2, 3]
+
+
+def test_gp_season_logs_each_proposal_at_debug(small_config, calibration, caplog):
+    """One DEBUG record per GP day: method, day, gain index, safe-set size
+    and whether the proposal fell back to the anchor. The run is the one
+    made without logging; a fixed season logs nothing."""
+    with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
+        logged = run_season(small_config, "scbo", seed=0, calibration=calibration)
+        run_season(small_config, "fixed", seed=0)
+    assert logged.results == run_season(small_config, "scbo", seed=0, calibration=calibration).results
+    records = [r for r in caplog.records if r.name == "roomtune.harness"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(logged.results)
+    domain = small_config.build_domain()
+    anchor = domain.anchor_index
+    for record, row in zip(records, logged.results):
+        method, day, index, size, fallback = record.args
+        assert (method, day, size) == ("scbo", row.day, row.safe_set_size)
+        assert index == domain.index_of(PIGains(row.kp, row.ki))
+        assert isinstance(fallback, bool)
+        if fallback:
+            assert (index, size) == (anchor, 1)
+    assert records[0].args[2:] == (anchor, 1, False)  # day one plays the anchor, not as a fallback
 
 
 def test_season_is_deterministic(small_config, calibration):
