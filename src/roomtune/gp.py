@@ -23,6 +23,10 @@ them: the tuner queries grid gains at one context, so the query
 cross-covariance has rank at most u, and the variance of m queries costs
 m·u² + n²·u operations instead of the n²·m of a dense solve; see
 :meth:`GPModel.posterior_batch`.
+
+:meth:`GPModel.with_data` is the one routine that conditions a GP, the
+fit's basis coefficient included, and one helper factors every Gram
+matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in place.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
@@ -148,6 +151,18 @@ def _quadratic_rows(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.sum(gm[:rows] * g, axis=1)
 
 
+def _factor_in_place(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix, by LAPACK ``potrf`` over
+    the matrix's memory; ``LinAlgError`` if it is not positive definite."""
+    # The transpose of a symmetric matrix is the same matrix in Fortran
+    # order, so potrf factors it in place, as scipy's cholesky does on its
+    # Fortran copy; clean zeroes the triangle above the factor.
+    factor, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf failed with info={info}: Gram matrix not positive definite")
+    return factor
+
+
 def _solve_factored(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K^-1 b from the lower Cholesky factor of K (``cho_solve`` without
     its wrapper checks; the callers check finiteness themselves)."""
@@ -245,12 +260,7 @@ class GPModel:
         gram = node_corr[node_of][:, node_of] * np.exp(-0.5 * ctx_sq)
         gram *= s2
         gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * s2
-        # gram is symmetric, so its transpose is the same matrix in Fortran
-        # order and potrf factors it in place, as scipy's cholesky does on
-        # its Fortran copy; clean zeroes the triangle above the factor.
-        factor, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"potrf failed with info={info}: Gram matrix not positive definite")
+        factor = _factor_in_place(gram)
         alpha = _solve_factored(factor, y - self._prior_mean())
         return replace(
             self, inputs=x, targets=y, gram_factor=factor, alpha=alpha, nodes=nodes, node_of=node_of
@@ -480,12 +490,7 @@ def log_marginal_likelihood(
     ws.cov_diagonal += noise + jitter
     if not np.isfinite(cov, out=ws.finite).all():
         raise ValueError("non-finite covariance; check theta and the inputs")
-    # cov is symmetric, so its transpose is the same matrix in Fortran
-    # order and LAPACK factors it in place. The lower factor lands in the
-    # transpose's lower triangle; potrf's clean zeroes the one above it.
-    factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potrf failed with info={info}: covariance not positive definite")
+    factor = _factor_in_place(cov)
     if with_basis:
         ones = np.ones(n)
         ci_y = _solve_factored(factor, y)
@@ -585,9 +590,8 @@ def fit_hyperparameters(
     spec, noise = _unpack(best.x, template)
     alpha = None
     if with_basis:
-        cov = kernel_matrix(spec, x)
-        cov[np.diag_indices_from(cov)] += noise + JITTER * spec.signal_variance
-        factor = cholesky(cov, lower=True)
+        # 1^T K^-1 y / 1^T K^-1 1; a zero-mean model's alpha is K^-1 y
+        model = GPModel(spec, noise).with_data(x, y)
         ones = np.ones(x.shape[0])
-        alpha = float(ones @ cho_solve((factor, True), y)) / float(ones @ cho_solve((factor, True), ones))
+        alpha = float(ones @ model.alpha) / float(ones @ _solve_factored(model.gram_factor, ones))
     return FitResult(spec, noise, alpha, -float(best.fun))

@@ -14,6 +14,8 @@ Three GP-backed selectors share one state type:
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
+A state conditions its surrogates on its own log at construction, so
+``update``, checkpoint restore and day truncation only build a state.
 Only the gains that can still be chosen are queried: ``scbo`` checks each
 constraint surrogate on the gains the previous ones certified, and scores
 the acquisition on its safe candidates alone.
@@ -128,9 +130,7 @@ class GainDomain:
 
     @cached_property
     def anchor_index(self) -> int:
-        i_kp = int(np.searchsorted(self.kp_values, self.anchor_kp))
-        i_ki = int(np.searchsorted(self.ki_values, self.anchor_ki))
-        return i_kp * self.ki_values.size + i_ki
+        return self.index_of(PIGains(self.anchor_kp, self.anchor_ki))
 
     def gains_at(self, index: int) -> PIGains:
         kp, ki = self.points[index]
@@ -206,6 +206,10 @@ class OptimizerState:
     certificate is 0 + q*sigma_prior > 0, so unexplored gains stay out
     of the safe set and exploration can only creep outward from
     observed safe territory.
+
+    Construction conditions every surrogate on ``observations``, whatever
+    data the given models held, so ``replace`` on a state rebuilds its
+    surrogates too. An observation off the grid is rejected.
     """
 
     method: str
@@ -242,8 +246,19 @@ class OptimizerState:
             raise ValueError("four positive weights required")
         if len(self.thresholds) != 3 or any(c <= 0 for c in self.thresholds):
             raise ValueError("three positive thresholds required")
+        for o in self.observations:
+            if type(o.gain_index) is not int or not 0 <= o.gain_index < self.domain.size:
+                raise ValueError(f"{o} has a gain_index off the {self.domain.size}-point grid")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
+        rows = self.domain.unit_points[[o.gain_index for o in self.observations]]
+        x = np.column_stack([rows, [_unit_context(self, o.context) for o in self.observations]])
+        y = np.array([o.costs for o in self.observations]).reshape(-1, 4)
+        headroom = y[:, :3] - self.thresholds
+        costs = tuple(m.with_data(x, y[:, i]) for i, m in enumerate(self.cost_models))
+        constraints = tuple(m.with_data(x, headroom[:, i]) for i, m in enumerate(self.constraint_models))
+        object.__setattr__(self, "cost_models", costs)
+        object.__setattr__(self, "constraint_models", constraints)
 
     @property
     def uses_safety(self) -> bool:
@@ -263,24 +278,6 @@ def _unit_context(state: OptimizerState, oat: float) -> float:
 def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
     pts = state.domain.unit_points
     return np.column_stack([pts, np.full(pts.shape[0], _unit_context(state, oat))])
-
-
-def _observation_inputs(state: OptimizerState, observations) -> np.ndarray:
-    rows = state.domain.unit_points[[o.gain_index for o in observations]]
-    return np.column_stack([rows, [_unit_context(state, o.context) for o in observations]])
-
-
-def _with_observations(state: OptimizerState, observations: tuple[Observation, ...]) -> OptimizerState:
-    """Rebuild every surrogate on the given log; single code path shared
-    by update, checkpoint restore, and day truncation."""
-    x = _observation_inputs(state, observations)
-    targets = np.array([o.costs for o in observations]).reshape(len(observations), 4)
-    cost_models = tuple(m.with_data(x, targets[:, i]) for i, m in enumerate(state.cost_models))
-    constraint_models = tuple(
-        m.with_data(x, targets[:, i] - state.thresholds[i])
-        for i, m in enumerate(state.constraint_models)
-    )
-    return replace(state, observations=observations, cost_models=cost_models, constraint_models=constraint_models)
 
 
 def safe_set(
@@ -387,7 +384,7 @@ def update(
     if day is None:
         day = len(state.observations) + 1
     obs = Observation(int(day), float(oat), index, tuple(float(v) for v in values))
-    return _with_observations(state, state.observations + (obs,))
+    return replace(state, observations=state.observations + (obs,))
 
 
 def gain_schedule(state: OptimizerState, oats) -> list[tuple[float, PIGains]]:
@@ -427,7 +424,7 @@ def state_to_json(state: OptimizerState) -> str:
 
 def state_from_json(text: str) -> OptimizerState:
     doc = json.loads(text)
-    base = OptimizerState(
+    return OptimizerState(
         method=doc["method"],
         domain=GainDomain.from_dict(doc["domain"]),
         scaler=None if doc["context"] is None else ContextScaler.from_dict(doc["context"]),
@@ -437,17 +434,15 @@ def state_from_json(text: str) -> OptimizerState:
         constraint_models=tuple(model_from_dict(d) for d in doc["constraint_models"]),
         beta=doc["beta"],
         epsilon=doc["epsilon"],
+        observations=tuple(
+            Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
+        ),
     )
-    observations = tuple(
-        Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
-    )
-    return _with_observations(base, observations)
 
 
 def state_at_day(state: OptimizerState, day: int) -> OptimizerState:
     """State as of the end of the given day (0 = before any data)."""
-    kept = tuple(o for o in state.observations if o.day <= day)
-    return _with_observations(state, kept)
+    return replace(state, observations=tuple(o for o in state.observations if o.day <= day))
 
 
 # ---------------------------------------------------------------------------

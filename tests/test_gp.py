@@ -575,6 +575,32 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
     assert len(calls) > 10 and all(ws is calls[0] for ws in calls)  # one workspace per fit
 
 
+def reference_basis_coefficient(spec, noise, x, y):
+    """The fit's basis coefficient as it was computed before it came from a
+    with_data model: a second Gram build by kernel_matrix, scipy's checked
+    Cholesky and cho_solve. Kept as the bit-for-bit reference."""
+    cov = kernel_matrix(spec, x)
+    cov[np.diag_indices_from(cov)] += noise + JITTER * spec.signal_variance
+    factor = cholesky(cov, lower=True)
+    ones = np.ones(x.shape[0])
+    return float(ones @ cho_solve((factor, True), y)) / float(ones @ cho_solve((factor, True), ones))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(10, 60), data=st.data(), data_seed=st.integers(0, 2**32 - 1))
+def test_fit_basis_coefficient_equals_the_dense_reference(n, data, data_seed):
+    """FitResult.basis_coefficient, taken from a with_data model, equals
+    the kernel_matrix + cholesky + cho_solve reference bit for bit, over
+    inputs with repeated rows."""
+    distinct = data.draw(st.integers(1, n), label="distinct rows")
+    rng = np.random.default_rng(data_seed)
+    rows = rng.uniform(0.0, 1.0, (distinct, 3))
+    x = rows[rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))]
+    y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
+    fit = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, with_basis=True, n_starts=1)
+    assert fit.basis_coefficient == reference_basis_coefficient(fit.kernel, fit.noise_variance, x, y)
+
+
 def test_reused_workspace_allocates_less_than_one_square_array():
     """After a warm-up call, a call on a reused workspace at n = 145 traces
     a peak below one (n, n) float64 array: no per-call (n, n) temporaries."""

@@ -145,12 +145,10 @@ def test_season_weather_covers_both_phases_and_is_seeded(small_config):
 
 
 def test_morning_context_reads_the_six_oclock_sample(small_config):
-    from roomtune.harness import _morning_oat
-
-    day = season_weather(small_config, seed=0)[0]
-    idx = DaySchedule().morning_step_index(small_config.plant.step_seconds)
-    assert idx == 72  # 06:00 at 300 s sampling
-    assert _morning_oat(small_config, day) == day.oat_profile[idx]
+    weather = season_weather(small_config, seed=0)
+    assert DaySchedule().morning_step_index(small_config.plant.step_seconds) == 72  # 06:00 at 300 s
+    run = run_season(small_config, "fixed", 0)
+    assert [r.oat_c for r in run.results] == [day.oat_profile[72] for day in weather[: small_config.days]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -408,19 +409,55 @@ def logged_state(method, log, noise=0.02):
     return state
 
 
+def assert_same_posteriors(a, b):
+    x = np.column_stack([a.domain.unit_points, np.full(a.domain.size, 0.5)])
+    for ma, mb in zip(a.cost_models + a.constraint_models, b.cost_models + b.constraint_models, strict=True):
+        np.testing.assert_array_equal(ma.posterior_batch(x), mb.posterior_batch(x))
+
+
 @settings(max_examples=40, deadline=None)
-@given(method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]), log=_LOGS, oat=st.floats(-20.0, 20.0))
-def test_state_json_round_trip_preserves_posteriors(method, log, oat):
+@given(
+    method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]),
+    log=_LOGS,
+    oat=st.floats(-20.0, 20.0),
+    day=st.integers(0, 13),
+)
+def test_state_json_round_trip_preserves_posteriors(method, log, oat, day):
+    """A state's surrogates follow its log, however the state was made:
+    by update, by JSON restore, by the constructor from the priors, or by
+    truncation to a day."""
     state = logged_state(method, log)
     text = state_to_json(state)
     restored = state_from_json(text)
     assert state_to_json(restored) == text  # byte-stable reserialization
     assert restored.observations == state.observations
     assert restored.method == state.method
-    x = np.column_stack([state.domain.unit_points, np.full(state.domain.size, 0.5)])
-    for a, b in zip(state.cost_models + state.constraint_models, restored.cost_models + restored.constraint_models):
-        np.testing.assert_array_equal(a.posterior_batch(x), b.posterior_batch(x))
+    assert_same_posteriors(state, restored)
     assert propose(restored, oat) == propose(state, oat)
+
+    constructed = dataclasses.replace(make_state(method, noise=0.02), observations=state.observations)
+    assert_same_posteriors(state, constructed)
+    assert propose(constructed, oat) == propose(state, oat)
+
+    truncated = state_at_day(state, day)
+    assert_same_posteriors(truncated, state_from_json(state_to_json(truncated)))
+
+
+def test_a_state_replaced_onto_an_empty_log_queries_the_priors():
+    """replace rebuilds the surrogates on the new log, so a trained state
+    replaced onto no observations forgets its data."""
+    priors = make_state(METHOD_SCBO, noise=0.05)
+    trained = observe_grid(priors, np.random.default_rng(5).uniform(-0.6, -0.2, 5))
+    assert_same_posteriors(dataclasses.replace(trained, observations=()), priors)
+
+
+@pytest.mark.parametrize("gain_index", [-1, 25, 1600, True])
+def test_state_from_json_rejects_an_off_grid_observation(gain_index):
+    state = update(make_state(METHOD_SCBO), PIGains(1.0, 0.01), 3.0, costs_of(0.4))
+    doc = json.loads(state_to_json(state))
+    doc["observations"][0]["gain_index"] = gain_index
+    with pytest.raises(ValueError, match=r"Observation\(day=1.*gain_index off the 25-point grid"):
+        state_from_json(json.dumps(doc))
 
 
 @settings(max_examples=40, deadline=None)
