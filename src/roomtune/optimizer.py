@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .costs import NormalizedCosts
 from .gp import GPModel, KernelSpec, PRODUCT, combine_gps_batch, model_from_dict, model_to_dict
@@ -209,7 +209,8 @@ class OptimizerState:
 
     Construction conditions every surrogate on ``observations``, whatever
     data the given models held, so ``replace`` on a state rebuilds its
-    surrogates too. An observation off the grid is rejected.
+    surrogates too. A log no season could have written is rejected (see
+    ``_check_observations``).
     """
 
     method: str
@@ -246,9 +247,7 @@ class OptimizerState:
             raise ValueError("four positive weights required")
         if len(self.thresholds) != 3 or any(c <= 0 for c in self.thresholds):
             raise ValueError("three positive thresholds required")
-        for o in self.observations:
-            if type(o.gain_index) is not int or not 0 <= o.gain_index < self.domain.size:
-                raise ValueError(f"{o} has a gain_index off the {self.domain.size}-point grid")
+        _check_observations(self.domain, self.observations)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
         rows = self.domain.unit_points[[o.gain_index for o in self.observations]]
@@ -267,6 +266,27 @@ class OptimizerState:
     @property
     def anchor_gains(self) -> PIGains:
         return self.domain.gains_at(self.domain.anchor_index)
+
+
+def _check_observations(domain: GainDomain, observations) -> None:
+    """Reject a log no season could have written: a gain off the grid, a
+    non-finite context (``bo`` never reads it, but writes it back) or
+    cost, or days that do not strictly increase (``state_at_day``
+    truncates by day, so the days must order the log)."""
+    size = domain.size
+    previous = -math.inf
+    for o in observations:
+        if type(o.gain_index) is not int or not 0 <= o.gain_index < size:
+            raise ValueError(f"{o} has a gain_index off the {size}-point grid")
+        if not all(map(math.isfinite, (o.context, *o.costs))):
+            raise ValueError(f"{o} has a non-finite context or cost")
+        if not o.day > previous:
+            raise ValueError(f"{o} does not come after day {previous}")
+        previous = o.day
+
+
+def _through_day(observations: tuple[Observation, ...], day: int) -> tuple[Observation, ...]:
+    return tuple(o for o in observations if o.day <= day)
 
 
 def _unit_context(state: OptimizerState, oat: float) -> float:
@@ -300,7 +320,7 @@ def safe_set(
     eps = state.epsilon if epsilon is None else epsilon
     if not 0.0 < eps < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
-    q = norm.ppf(1.0 - eps)
+    q = ndtri(1.0 - eps)  # what scipy.stats.norm.ppf computes, without loading scipy.stats
     x = _grid_inputs(state, oat)
     # Each surrogate is queried only where the ones before it still
     # certify; posterior rows do not depend on the rest of the batch.
@@ -422,11 +442,21 @@ def state_to_json(state: OptimizerState) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def state_from_json(text: str) -> OptimizerState:
+def state_from_json(text: str, day: int | None = None) -> OptimizerState:
+    """Restore a saved state. With ``day``, build it as of the end of that
+    day, as ``state_at_day`` would, but condition the surrogates once: the
+    whole saved log is checked, and only its kept days are built on."""
     doc = json.loads(text)
+    domain = GainDomain.from_dict(doc["domain"])
+    observations = tuple(
+        Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
+    )
+    if day is not None:
+        _check_observations(domain, observations)
+        observations = _through_day(observations, day)
     return OptimizerState(
         method=doc["method"],
-        domain=GainDomain.from_dict(doc["domain"]),
+        domain=domain,
         scaler=None if doc["context"] is None else ContextScaler.from_dict(doc["context"]),
         weights=tuple(doc["weights"]),
         thresholds=tuple(doc["thresholds"]),
@@ -434,15 +464,13 @@ def state_from_json(text: str) -> OptimizerState:
         constraint_models=tuple(model_from_dict(d) for d in doc["constraint_models"]),
         beta=doc["beta"],
         epsilon=doc["epsilon"],
-        observations=tuple(
-            Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
-        ),
+        observations=observations,
     )
 
 
 def state_at_day(state: OptimizerState, day: int) -> OptimizerState:
     """State as of the end of the given day (0 = before any data)."""
-    return replace(state, observations=tuple(o for o in state.observations if o.day <= day))
+    return replace(state, observations=_through_day(state.observations, day))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,27 @@ from pathlib import Path
 import pytest
 
 from roomtune.cli import main
+from roomtune.costs import NormalizedCosts
+from roomtune.gp import GPModel
 from roomtune.harness import read_results_csv
-from roomtune.optimizer import state_from_json
+from roomtune.optimizer import (
+    METHOD_SCBO,
+    ContextScaler,
+    GainDomain,
+    OptimizerState,
+    contextual_kernel_template,
+    safe_set,
+    state_at_day,
+    state_from_json,
+    state_to_json,
+    update,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _subprocess_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +92,88 @@ def test_safe_set_output(workspace, capsys):
     assert flagged == [f"{anchor.kp},{anchor.ki},1"]
 
 
+def reference_safe_set_output(state_file, day, oat) -> str:
+    """What safe-set printed with one print per grid point, on the state
+    restored whole and then truncated to the day."""
+    state = state_at_day(state_from_json(Path(state_file).read_text()), day)
+    mask = safe_set(state, oat)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"# day {day} oat {oat} safe {int(mask.sum())} of {mask.size}")
+        print("kp,ki,safe")
+        for (kp, ki), flag in zip(state.domain.points, mask):
+            print(f"{kp},{ki},{int(flag)}")
+    return out.getvalue()
+
+
+def exponent_grid_state_file(tmp_path) -> Path:
+    """An scbo state on a grid whose smallest ki and largest kp values
+    print in exponent form (1e-06, 1e+17), with a few safe observations
+    so that its safe sets hold more than the anchor."""
+    domain = GainDomain.build((0.02, 1e17), (1e-6, 0.2), 40, (0.6, 0.004))
+    spec = contextual_kernel_template()
+    state = OptimizerState(
+        method=METHOD_SCBO,
+        domain=domain,
+        scaler=ContextScaler(-15.0, 15.0),
+        weights=(0.25, 0.25, 0.25, 0.25),
+        thresholds=(1.0, 1.0, 1.0),
+        cost_models=tuple(GPModel.empty(spec, 0.01, 0.5) for _ in range(4)),
+        constraint_models=tuple(GPModel.empty(spec, 0.01) for _ in range(3)),
+    )
+    for day, index in enumerate((0, 41, 82, domain.anchor_index, domain.size - 1), start=1):
+        state = update(state, domain.gains_at(index), 2.0 * day, NormalizedCosts(0.2, 0.3, 0.1, 0.4, 0.25), day=day)
+    path = tmp_path / "exponent_state.json"
+    path.write_text(state_to_json(state))
+    return path
+
+
+@pytest.mark.parametrize("grid", ["default", "exponent"])
+def test_safe_set_output_matches_one_print_per_point(grid, workspace, tmp_path, capsys):
+    """safe-set formats each axis value once and writes its rows at once;
+    the bytes must be those of the per-point print loop, on a grid that
+    prints its values in exponent form too."""
+    state_file = workspace[1] / "scbo_seed0_state.json" if grid == "default" else exponent_grid_state_file(tmp_path)
+    saw_safe_points = False
+    for day in (-1, 0, 2, 3, 99):
+        for oat in ("-7.5", "0.0", "12"):
+            assert main(["safe-set", "--state", str(state_file), "--day", str(day), "--oat", oat]) == 0
+            out = capsys.readouterr().out
+            assert out == reference_safe_set_output(state_file, day, float(oat))
+            saw_safe_points |= out.count(",1\n") > 1
+    assert saw_safe_points
+    if grid == "exponent":
+        assert "\n1e+17,1e-06," in out
+
+
+def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys):
+    """safe-set --day d builds its state at day d directly: 7 empty priors
+    from the file and 7 surrogates on the first d observations, none on
+    the whole log."""
+    state_file = workspace[1] / "scbo_seed0_state.json"
+    rows = []
+    with_data = GPModel.with_data
+
+    def counting_with_data(self, inputs, targets):
+        rows.append(len(inputs))
+        return with_data(self, inputs, targets)
+
+    monkeypatch.setattr(GPModel, "with_data", counting_with_data)
+    assert main(["safe-set", "--state", str(state_file), "--day", "2", "--oat", "0.0"]) == 0
+    capsys.readouterr()
+    assert sorted(rows) == [0] * 7 + [2] * 7
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    """The safe-set quantile comes from scipy.special; scipy.stats would
+    add about 20 MB and half a second to every roomtune command."""
+    probe = "import sys, roomtune.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=120, check=True
+    )
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_safe_set_of_a_state_without_constraints_exits_with_error(workspace, capsys):
     _, out = workspace
     state_file = out / "bo_seed0_state.json"
@@ -101,11 +204,9 @@ def test_calibrate_prints_no_log_records(tmp_path):
     of it, only its one result line."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"costs": {"calibration_days": 40}, "season": {"output_dir": str(tmp_path)}}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "roomtune.cli", "calibrate", "--config", str(config), "--seed", "0"],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=300, check=True,
     )
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [f"seed 0: calibration written to {tmp_path / 'calibration_seed0.json'}"]
@@ -118,11 +219,9 @@ def test_run_prints_no_log_records(tmp_path, capsys):
     doc = {"costs": {"calibration_days": 40}, "season": {"days": 3, "output_dir": str(tmp_path)}}
     config.write_text(json.dumps(doc))
     assert main(["calibrate", "--config", str(config), "--seed", "0"]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "roomtune.cli", "run", "--config", str(config), "--method", "scbo", "--seed", "0"],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=300, check=True,
     )
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 1

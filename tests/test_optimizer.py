@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from roomtune import optimizer
 from roomtune.costs import NormalizedCosts
 from roomtune.gp import GPModel, combine_gps_batch
 from roomtune.optimizer import (
@@ -18,6 +19,7 @@ from roomtune.optimizer import (
     ContextScaler,
     FOPDTModel,
     GainDomain,
+    Observation,
     OptimizerState,
     acquire,
     contextual_kernel_template,
@@ -458,6 +460,116 @@ def test_state_from_json_rejects_an_off_grid_observation(gain_index):
     doc["observations"][0]["gain_index"] = gain_index
     with pytest.raises(ValueError, match=r"Observation\(day=1.*gain_index off the 25-point grid"):
         state_from_json(json.dumps(doc))
+
+
+def _logged_json(method=METHOD_SCBO):
+    """A six-day log, days 1-6, as the JSON document of its state."""
+    state = make_state(method)
+    for day in range(1, 7):
+        state = update(state, state.domain.gains_at(day), float(day), costs_of(0.2 * day), day=day)
+    return json.loads(state_to_json(state))
+
+
+@pytest.mark.parametrize("days", [(1, 2, 3, 200, 5, 6), (1, 2, 3, 3, 5, 6), (1, 2, 3, 2, 5, 6)])
+def test_a_state_rejects_days_that_do_not_strictly_increase(days):
+    """state_at_day truncates by day, so a log out of day order would lose
+    an observation from its middle: day 200 at position 4 of 6 would leave
+    day 100 with 5 observations that were never a log."""
+    doc = _logged_json()
+    for o, day in zip(doc["observations"], days):
+        o["day"] = day
+    text = json.dumps(doc)
+    for day in (None, 2, 100):
+        with pytest.raises(ValueError, match=r"Observation\(day=\d+.* does not come after day"):
+            state_from_json(text, day=day)
+    logged = state_from_json(json.dumps(_logged_json())).observations
+    with pytest.raises(ValueError, match="does not come after day"):
+        dataclasses.replace(make_state(METHOD_SCBO), observations=logged[:3] + logged[4:] + logged[3:4])
+
+
+@pytest.mark.parametrize("method", [METHOD_BO, METHOD_CBO, METHOD_SCBO])
+@pytest.mark.parametrize("context", [math.nan, math.inf, -math.inf])
+def test_a_state_rejects_a_non_finite_context(method, context):
+    """bo holds its context input at 0.0, so its surrogates never see the
+    value; it must still be finite, or the state writes back a NaN token
+    that is not JSON."""
+    doc = _logged_json(method)
+    doc["observations"][3]["context"] = context
+    text = json.dumps(doc)
+    with pytest.raises(ValueError, match=r"Observation\(day=4.*non-finite context"):
+        state_from_json(text)
+    with pytest.raises(ValueError, match="non-finite context"):
+        dataclasses.replace(make_state(method), observations=(Observation(1, context, 0, (0.1, 0.2, 0.3, 0.4)),))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gain_index", 25, "gain_index off the 25-point grid"),
+        ("context", math.nan, "non-finite context"),
+        ("costs", [0.1, math.inf, 0.3, 0.4], "non-finite context or cost"),
+        ("day", 1, "does not come after day 5"),
+    ],
+)
+def test_state_from_json_at_a_day_checks_the_entries_after_it(field, value, message):
+    """safe-set --day d builds on the first d days only, but a file whose
+    later entries no season could have written is still refused."""
+    doc = _logged_json()
+    doc["observations"][-1][field] = value
+    text = json.dumps(doc)
+    for day in (-1, 0, 2, 5, 99):
+        with pytest.raises(ValueError, match=message):
+            state_from_json(text, day=day)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]),
+    log=_LOGS,
+    gaps=st.lists(st.integers(1, 3), min_size=12, max_size=12),
+    oat=st.floats(-20.0, 20.0),
+)
+def test_state_from_json_at_a_day_equals_truncating_the_restored_state(method, log, gaps, oat):
+    """One build at the requested day gives the state that restoring the
+    whole log and then truncating it gives, on every day: before the
+    first, between and on logged days, and past the last."""
+    state = make_state(method, noise=0.02)
+    for day, (index, context, (j1, j2, j3, j4)) in zip(np.cumsum(gaps).tolist(), log):
+        state = update(state, state.domain.gains_at(index), context, costs_of(j1, j2, j3, j4), day=day)
+    text = state_to_json(state)
+    restored = state_from_json(text)
+    last = state.observations[-1].day if state.observations else 0
+    for day in range(-1, last + 3):
+        built = state_from_json(text, day=day)
+        truncated = state_at_day(restored, day)
+        assert built.observations == truncated.observations
+        assert_same_posteriors(built, truncated)
+        if method == METHOD_SCBO:
+            for fallback in (True, False):
+                want = safe_set(truncated, oat, fallback=fallback)
+                assert np.array_equal(safe_set(built, oat, fallback=fallback), want)
+
+
+def test_safe_set_quantile_is_the_normal_ppf_bit_for_bit(monkeypatch):
+    """safe_set takes its quantile from scipy.special.ndtri instead of
+    scipy.stats.norm.ppf, so that importing roomtune loads no scipy.stats;
+    the two must agree to the bit on every epsilon."""
+    state = observe_grid(make_state(METHOD_SCBO, noise=0.05), np.linspace(-0.6, 0.2, 25))
+    seen, ndtri = [], optimizer.ndtri
+
+    def recording_ndtri(p):
+        q = ndtri(p)
+        seen.append(q)
+        return q
+
+    monkeypatch.setattr(optimizer, "ndtri", recording_ndtri)
+    epsilons = np.concatenate([np.geomspace(1e-12, 1e-3, 200), np.linspace(1e-3, 0.4999, 800)])
+    for eps in epsilons:
+        safe_set(state, 0.0, float(eps))
+    assert len(seen) == len(epsilons)
+    np.testing.assert_array_equal(np.array(seen), norm.ppf(1.0 - epsilons))
+    dense = np.linspace(1e-6, 0.5, 200_001)
+    np.testing.assert_array_equal(ndtri(1.0 - dense), norm.ppf(1.0 - dense))
 
 
 @settings(max_examples=40, deadline=None)
