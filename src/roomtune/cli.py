@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -11,8 +10,6 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .harness import (
-    SeasonConfig,
-    build_optimizer_state,
     calibration_path,
     collect_results,
     compare_report,
@@ -26,7 +23,6 @@ from .harness import (
 )
 from .optimizer import (
     ALL_METHODS,
-    METHOD_FIXED,
     gain_schedule,
     safe_set,
     state_at_day,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by this name
@@ -47,14 +43,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     cal_path = Path(args.calibration) if args.calibration else calibration_path(config, args.seed)
-    if cal_path.exists():
-        calibration = load_calibration(cal_path)
-    elif args.method == METHOD_FIXED:
-        calibration = None  # fixed gains need no calibration; costs stay raw
-    else:
+    if not cal_path.exists():
+        # every method needs one: without it a fixed run's costs stay raw
+        # and a report would compare them with normalized ones
         print(f"error: calibration file {cal_path} not found; run `calibrate` first", file=sys.stderr)
         return 2
-    run = run_season(config, args.method, args.seed, calibration)
+    run = run_season(config, args.method, args.seed, load_calibration(cal_path))
     path = persist_run(config, run)
     mean_cost = float(np.mean([r.j_total for r in run.results]))
     violations = sum(r.violation for r in run.results)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
-from scipy.optimize import minimize
 
 # The one kernel family; kept as a format tag in serialized kernels.
 PRODUCT = "product"
@@ -374,6 +373,7 @@ def combine_gps_batch(models, weights, x) -> tuple[np.ndarray, np.ndarray]:
 # before fitting, so these bounds bracket plausible smoothness.
 LENGTHSCALE_BOUNDS = (0.05, 10.0)
 VARIANCE_BOUNDS = (1e-4, 10.0)
+_NOISE_VARIANCE_START = 1e-2  # the first start's noise variance; a degenerate fit's too
 
 
 @dataclass(frozen=True)
@@ -531,7 +531,6 @@ def fit_hyperparameters(
     inputs,
     targets,
     *,
-    noise_variance: float = 1e-2,
     with_basis: bool = False,
     n_starts: int = 5,
     seed: int = 0,
@@ -542,7 +541,11 @@ def fit_hyperparameters(
     a bounded region. Hyperparameters are treated as fixed afterwards;
     the optimizer never re-fits them during a season. Constant targets
     short-circuit to the template defaults with ``degenerate=True``.
+    scipy.optimize is imported here, not with the module: it adds about
+    17 MB to every process, and only the calibration fits.
     """
+    from scipy.optimize import minimize
+
     x = _as_points(inputs, template.input_dim)
     y = np.asarray(targets, dtype=float).ravel()
     if x.shape[0] != y.shape[0]:
@@ -551,7 +554,7 @@ def fit_hyperparameters(
         raise ValueError("need at least 10 calibration samples")
     if float(np.ptp(y)) < 1e-12:
         alpha = float(y[0]) if with_basis else None
-        return FitResult(template, noise_variance, alpha, math.nan, degenerate=True)
+        return FitResult(template, _NOISE_VARIANCE_START, alpha, math.nan, degenerate=True)
 
     d = template.input_dim
     lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [VARIANCE_BOUNDS[0]] * 2))
@@ -567,7 +570,7 @@ def fit_hyperparameters(
     rng = np.random.default_rng(seed)
     theta0 = np.log(
         np.clip(
-            np.array(list(template.lengthscales) + [template.signal_variance, noise_variance]),
+            np.array(list(template.lengthscales) + [template.signal_variance, _NOISE_VARIANCE_START]),
             np.exp(lo),
             np.exp(hi),
         )

@@ -28,6 +28,7 @@ from .blas import single_blas_thread
 from .costs import (
     DEFAULT_WEIGHTS,
     CostNormalization,
+    EpisodeTrace,
     RawCosts,
     calibrate_normalization,
     compute_raw_costs,
@@ -103,9 +104,8 @@ class SeasonConfig:
     seeds: int = 5
     master_seed: int = 20161021
     output_dir: str = "results"
-    weather_source: str = "synthetic"
     weather_params: dict = field(default_factory=dict)
-    weather_csv: str | None = None
+    weather_csv: str | None = None  # measured weather; synthetic when None
 
     def __post_init__(self):
         if self.days < 1 or self.calibration_days < 1:
@@ -114,10 +114,6 @@ class SeasonConfig:
             raise ValueError("seeds must be >= 1")
         if not 0.0 < self.perturbation < 1.0:
             raise ValueError("perturbation must lie in (0, 1)")
-        if self.weather_source not in ("synthetic", "csv"):
-            raise ValueError("weather_source must be 'synthetic' or 'csv'")
-        if self.weather_source == "csv" and not self.weather_csv:
-            raise ValueError("csv weather source needs a path")
         self.schedule.morning_step_index(self.plant.step_seconds)  # rejects a schedule with no comfort sample
 
     @property
@@ -167,11 +163,14 @@ def config_from_dict(doc: dict) -> SeasonConfig:
             (k, tuple(v) if isinstance(v, list) else v) for k, v in section_doc.items() if k in names
         )
     weather_doc = dict(doc.get("season", {}).get("weather", {}))
-    if "source" in weather_doc:
-        overrides["weather_source"] = weather_doc.pop("source")
-    if overrides.get("weather_source") == "csv":
+    source = weather_doc.pop("source", "synthetic")
+    if source not in ("synthetic", "csv"):
+        raise ValueError("weather source must be 'synthetic' or 'csv'")
+    if source == "csv":
         _check_keys(weather_doc, ("path",), "weather")
-        overrides["weather_csv"] = weather_doc.get("path")
+        if not weather_doc.get("path"):
+            raise ValueError("csv weather source needs a path")
+        overrides["weather_csv"] = weather_doc["path"]
     else:
         synth_keys = tuple(n for n in _field_names(WeatherConfig) if n not in ("days", "step_seconds"))
         _check_keys(weather_doc, synth_keys, "weather")
@@ -188,41 +187,62 @@ def season_weather(config: SeasonConfig, seed: int) -> list[WeatherDay]:
     """Weather for the full horizon (max of calibration and evaluation
     lengths) so both phases of one seed see identical days."""
     horizon = max(config.days, config.calibration_days)
-    if config.weather_source == "csv":
+    if config.weather_csv is not None:
         days = load_weather_csv(config.weather_csv, config.plant.step_seconds)
         if len(days) < horizon:
             raise ValueError(f"weather CSV covers {len(days)} days, need {horizon}")
         return days[:horizon]
     wc = WeatherConfig(days=horizon, step_seconds=config.plant.step_seconds, **config.weather_params)
-    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, seed, STREAM_WEATHER]))
-    return synth_weather(wc, rng)
+    return synth_weather(wc, np.random.default_rng(_seed_sequence(config, seed, STREAM_WEATHER)))
 
 
-def _morning_oat(config: SeasonConfig, day_weather: WeatherDay) -> float:
-    idx = config.schedule.morning_step_index(config.plant.step_seconds)
-    return float(day_weather.oat_profile[idx])
+def _seed_sequence(config: SeasonConfig, seed: int, *keys: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([config.master_seed, seed, *keys])
 
 
-def _initial_room(config: SeasonConfig) -> RoomState:
-    sp = config.schedule.night_setpoint
-    return RoomState(sp, sp)
+class _ClosedLoop:
+    """One seed's room under PI control over the first ``days`` weather
+    days, played a day at a time; the calibration and every season method
+    play their days through it.
 
+    The room starts at the night setpoint and settles on a discarded
+    burn-in day, so that day 1 is not distorted by a cold controller: the
+    first weather day at the anchor gains, on noise key 0, from a
+    discharged integrator. Each day then starts from the room and the
+    integral action the day before closed with. Day d's plant noise is
+    keyed by (seed, stream, d) only, never by method, so every method of
+    one stream faces identical disturbance realizations.
+    """
 
-def _burn_in(config: SeasonConfig, seed: int, stream: int, day_weather) -> tuple[RoomState, float]:
-    """Settle room and controller on the first weather day before the
-    season starts, so day 1 is not distorted by a cold controller. The
-    burn-in day is discarded; only its final state is kept."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, seed, stream, 0]))
-    _, room, carry = simulate_day(
-        config.plant,
-        config.compensation,
-        day_weather,
-        config.anchor_gains,
-        config.schedule,
-        _initial_room(config),
-        rng,
-    )
-    return room, carry
+    def __init__(self, config: SeasonConfig, seed: int, stream: int, days: int):
+        self._config = config
+        self._seed = seed
+        self._stream = stream
+        weather = season_weather(config, seed)[:days]
+        self._days = (weather[0], *weather)  # day 0, the burn-in, replays the first weather day
+        morning = config.schedule.morning_step_index(config.plant.step_seconds)
+        self.morning_oats = [float(day.oat_profile[morning]) for day in weather]  # each day's context
+        night = config.schedule.night_setpoint
+        self._room = RoomState(night, night)
+        self._carry = 0.0
+        self.play(0, config.anchor_gains)
+
+    def play(self, day: int, gains: PIGains, gain_adapter=None) -> EpisodeTrace:
+        """Simulate day ``day`` (1-based) from where the day before left
+        the room and the integrator; returns its trace."""
+        config = self._config
+        trace, self._room, self._carry = simulate_day(
+            config.plant,
+            config.compensation,
+            self._days[day],
+            gains,
+            config.schedule,
+            self._room,
+            np.random.default_rng(_seed_sequence(config, self._seed, self._stream, day)),
+            gain_adapter=gain_adapter,
+            initial_integral_action=self._carry,
+        )
+        return trace
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +283,24 @@ class Calibration:
         )
 
 
-def _fit_seed(config: SeasonConfig, seed: int, index: int) -> int:
-    ss = np.random.SeedSequence([config.master_seed, seed, STREAM_FIT, index])
-    return int(ss.generate_state(1)[0])
-
-
 @single_blas_thread()
 def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     """Perturbed-anchor season: simulate, derive normalization, fit all
     kernel hyperparameters once. The perturbed gains double as the
     random safe inputs for maximum-likelihood fitting. BLAS runs on one
     thread, so the fits do not depend on the host's core count."""
-    weather = season_weather(config, seed)[: config.calibration_days]
-    rng_gains = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, seed, STREAM_CAL_GAINS])
-    )
+    loop = _ClosedLoop(config, seed, STREAM_CAL_NOISE, config.calibration_days)
+    rng_gains = np.random.default_rng(_seed_sequence(config, seed, STREAM_CAL_GAINS))
     anchor = config.anchor_gains
-    room, carry = _burn_in(config, seed, STREAM_CAL_NOISE, weather[0])
     raws: list[RawCosts] = []
     gain_rows = []
-    oats = []
-    for day, day_weather in enumerate(weather, start=1):
+    for day in range(1, config.calibration_days + 1):
         factors = 1.0 + rng_gains.uniform(-config.perturbation, config.perturbation, 2)
         gains = PIGains(anchor.kp * factors[0], anchor.ki * factors[1])
-        rng_noise = np.random.default_rng(
-            np.random.SeedSequence([config.master_seed, seed, STREAM_CAL_NOISE, day])
-        )
-        trace, room, carry = simulate_day(
-            config.plant,
-            config.compensation,
-            day_weather,
-            gains,
-            config.schedule,
-            room,
-            rng_noise,
-            initial_integral_action=carry,
-        )
-        raws.append(compute_raw_costs(trace))
+        raws.append(compute_raw_costs(loop.play(day, gains)))
         gain_rows.append([gains.kp, gains.ki])
-        oats.append(_morning_oat(config, day_weather))
 
+    oats = loop.morning_oats
     normalization = calibrate_normalization(raws, config.weights)
     scaler = ContextScaler(min(oats), max(oats))
     domain = config.build_domain()
@@ -312,7 +310,8 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     y = np.array([normalization.normalize(r).as_array() for r in raws])
 
     cost_ctx = tuple(
-        _fit_surrogate(f"cost_j{i + 1}", x_ctx, y[:, i], True, _fit_seed(config, seed, i)) for i in range(4)
+        _fit_surrogate(f"cost_j{i + 1}", x_ctx, y[:, i], True, _seed_sequence(config, seed, STREAM_FIT, i))
+        for i in range(4)
     )
     # Constraint surrogates regress safety headroom (cost - threshold);
     # zero prior mean then leaves unexplored gains uncertified.
@@ -322,18 +321,21 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
             x_ctx,
             y[:, i] - normalization.thresholds[i],
             False,
-            _fit_seed(config, seed, 4 + i),
+            _seed_sequence(config, seed, STREAM_FIT, 4 + i),
         )
         for i in range(3)
     )
     return Calibration(normalization, scaler, cost_ctx, constraint_ctx)
 
 
-def _fit_surrogate(name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seed: int) -> GPModel:
-    """One hyperparameter fit of the calibration, logged at DEBUG with its
-    fitted likelihood, how many hyperparameters sit on a bound, and its
-    wall time."""
+def _fit_surrogate(
+    name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seeds: np.random.SeedSequence
+) -> GPModel:
+    """One hyperparameter fit of the calibration, its random starts drawn
+    from ``seeds``, logged at DEBUG with its fitted likelihood, how many
+    hyperparameters sit on a bound, and its wall time."""
     start = time.perf_counter()
+    seed = int(seeds.generate_state(1)[0])
     fit = fit_hyperparameters(contextual_kernel_template(), x, y, with_basis=with_basis, seed=seed)
     logger.debug(
         "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, %.3f s",
@@ -470,16 +472,12 @@ def run_season(
     if calibration is None and method != METHOD_FIXED:
         raise ValueError(f"{method} requires a calibration artifact")
     normalization = calibration.normalization if calibration else IDENTITY_NORMALIZATION
-    weather = season_weather(config, seed)[: config.days]
-    room, carry = _burn_in(config, seed, STREAM_PLANT, weather[0])
-    anchor = config.anchor_gains
+    loop = _ClosedLoop(config, seed, STREAM_PLANT, config.days)
     opt_state = build_optimizer_state(config, calibration, method) if method in GP_METHODS else None
-    ada_gains = anchor
+    gains, safe_size = config.anchor_gains, 1
     rows = []
-    for day, day_weather in enumerate(weather, start=1):
-        oat = _morning_oat(config, day_weather)
-        adapter = None
-        if method in GP_METHODS:
+    for day, oat in enumerate(loop.morning_oats, start=1):
+        if opt_state is not None:
             proposal = propose(opt_state, oat)
             logger.debug(
                 "%s day %d: gain index %d, safe set %d, fallback %s",
@@ -489,35 +487,10 @@ def run_season(
                 proposal.safe_set_size,
                 proposal.used_fallback,
             )
-            gains = proposal.gains
-            safe_size = proposal.safe_set_size
-        elif method == METHOD_ADA:
-            gains = ada_gains
-            adapter = AdaptiveZnTuner(step_seconds=config.plant.step_seconds)
-            safe_size = 1
-        else:
-            gains = anchor
-            safe_size = 1
-        rng_noise = np.random.default_rng(
-            np.random.SeedSequence([config.master_seed, seed, STREAM_PLANT, day])
-        )
-        trace, room, carry = simulate_day(
-            config.plant,
-            config.compensation,
-            day_weather,
-            gains,
-            config.schedule,
-            room,
-            rng_noise,
-            gain_adapter=adapter,
-            initial_integral_action=carry,
-        )
-        raw = compute_raw_costs(trace)
+            gains, safe_size = proposal.gains, proposal.safe_set_size
+        adapter = AdaptiveZnTuner(step_seconds=config.plant.step_seconds) if method == METHOD_ADA else None
+        raw = compute_raw_costs(loop.play(day, gains, adapter))
         normed = normalization.normalize(raw)
-        if method in GP_METHODS:
-            opt_state = update(opt_state, gains, oat, normed, day=day)
-        if adapter is not None and adapter.gains is not None:
-            ada_gains = adapter.gains
         rows.append(
             DailyResult(
                 seed=seed,
@@ -538,6 +511,10 @@ def run_season(
                 violation=normalization.is_violation(normed),
             )
         )
+        if opt_state is not None:
+            opt_state = update(opt_state, gains, oat, normed, day=day)
+        elif adapter is not None:
+            gains = adapter.gains  # the next day starts on the gains this day's tuner ended with
     return SeasonRun(method, seed, tuple(rows), opt_state)
 
 

@@ -183,9 +183,9 @@ class ContextScaler:
         return cls(d["oat_min"], d["oat_max"])
 
 
-def contextual_kernel_template(lengthscale: float = 0.3, signal_variance: float = 1.0) -> KernelSpec:
+def contextual_kernel_template() -> KernelSpec:
     """Starting kernel for contextual surrogates (2 gain dims + context)."""
-    return KernelSpec(PRODUCT, (lengthscale, lengthscale, lengthscale), signal_variance)
+    return KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
 
 
 @dataclass(frozen=True)
@@ -555,10 +555,9 @@ class AdaptiveZnTuner:
     the FOPDT model hourly on the day so far and retunes. Invalid fits
     keep the previous gains. One instance serves one day."""
 
-    def __init__(self, step_seconds: int = 300, max_delay: int = 12):
+    def __init__(self, step_seconds: int = 300):
         self.warmup_samples = int(round(7200 / step_seconds))
         self.refit_samples = int(round(3600 / step_seconds))
-        self.max_delay = max_delay
         self._next_refit = self.warmup_samples
         self.gains: PIGains | None = None
 
@@ -567,7 +566,7 @@ class AdaptiveZnTuner:
             self.gains = gains
         if k >= self._next_refit:
             self._next_refit = k + self.refit_samples
-            model = fit_fopdt(t_room, valve, self.max_delay)
+            model = fit_fopdt(t_room, valve)
             if model is not None:
                 self.gains = zn_pi_gains(model)
         return self.gains

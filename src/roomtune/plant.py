@@ -16,16 +16,16 @@ One step:
               + b_d * (oat - t_room) + solar + occupancy + noise
     t_wall' = p_w * t_wall + (1 - p_w) * t_room
 
-All parameters are desk-tuned simulator constants, frozen in
-DEFAULT_PLANT / DEFAULT_COMPENSATION; none are claims about a real
-building.
+All parameters are desk-tuned simulator constants, frozen in the
+PlantParams defaults and DEFAULT_COMPENSATION; none are claims about a
+real building.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -173,29 +173,21 @@ class DaySchedule:
         if not 0.0 <= self.morning_hour < self.evening_hour <= 24.0:
             raise ValueError("need 0 <= morning_hour < evening_hour <= 24")
 
-    def setpoints(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
+    def _comfort(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
         hours = np.arange(steps_per_day) * step_seconds / 3600.0
-        sp = np.full(steps_per_day, self.night_setpoint)
-        comfort = (hours >= self.morning_hour) & (hours < self.evening_hour)
-        sp[comfort] = self.comfort_setpoint
-        return sp
+        return (hours >= self.morning_hour) & (hours < self.evening_hour)
+
+    def setpoints(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
+        return np.where(self._comfort(steps_per_day, step_seconds), self.comfort_setpoint, self.night_setpoint)
 
     def morning_step_index(self, step_seconds: int) -> int:
         """The first comfort sample, where ``setpoints`` steps up; raises
         ``ValueError`` when no sample at this step length falls in the
         comfort period."""
-
-        def hour(k: int) -> float:
-            return k * step_seconds / 3600.0  # bit-equal to the setpoints hours
-
-        k = math.ceil(self.morning_hour * 3600.0 / step_seconds)
-        while k > 0 and hour(k - 1) >= self.morning_hour:  # the estimate may round one step off
-            k -= 1
-        while hour(k) < self.morning_hour:
-            k += 1
-        if k >= SECONDS_PER_DAY // step_seconds or hour(k) >= self.evening_hour:
+        comfort = self._comfort(SECONDS_PER_DAY // step_seconds, step_seconds)
+        if not comfort.any():
             raise ValueError(f"schedule has no comfort sample at {step_seconds} s steps")
-        return k
+        return int(comfort.argmax())
 
 
 @dataclass(frozen=True)
@@ -399,17 +391,14 @@ def synth_weather(config: WeatherConfig, rng: np.random.Generator) -> list[Weath
 SOLAR_WM2_TO_GAIN = 6.8e-4
 
 
-def load_weather_csv(
-    path,
-    step_seconds: int = 300,
-    occupancy_gain: float = 0.01,
-) -> list[WeatherDay]:
+def load_weather_csv(path, step_seconds: int = 300) -> list[WeatherDay]:
     """Read measured weather and resample it onto the simulation grid.
 
     Expects the header ``timestamp,oat_celsius,solar_wm2`` with ISO-8601
     timestamps at a fixed interval. Values are linearly interpolated to
     ``step_seconds`` and split into whole days; a trailing partial day is
-    dropped.
+    dropped. Occupancy follows the synthetic generator's default
+    office-hours profile.
     """
     times: list[float] = []
     oats: list[float] = []
@@ -436,7 +425,7 @@ def load_weather_csv(
 
     steps_per_day = SECONDS_PER_DAY // step_seconds
     hours = np.arange(steps_per_day) * step_seconds / 3600.0
-    occupancy = np.where((hours >= 8.0) & (hours < 18.0), occupancy_gain, 0.0)
+    occupancy = np.where((hours >= 8.0) & (hours < 18.0), WeatherConfig.occupancy_gain, 0.0)
     n_days = grid.size // steps_per_day
     if n_days < 1:
         raise ValueError("weather CSV covers less than one day")
@@ -446,6 +435,3 @@ def load_weather_csv(
         days.append(WeatherDay(oat_grid[sl], solar_grid[sl], occupancy.copy()))
     return days
 
-
-DEFAULT_PLANT = PlantParams()
-DEFAULT_SCHEDULE = DaySchedule()

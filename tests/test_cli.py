@@ -164,14 +164,18 @@ def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys)
     assert sorted(rows) == [0] * 7 + [2] * 7
 
 
-def test_importing_the_cli_loads_no_scipy_stats():
-    """The safe-set quantile comes from scipy.special; scipy.stats would
-    add about 20 MB and half a second to every roomtune command."""
-    probe = "import sys, roomtune.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+def test_importing_the_cli_loads_no_scipy_stats_or_optimize():
+    """The safe-set quantile comes from scipy.special, and only the
+    calibration's fits import scipy.optimize; scipy.stats would add about
+    20 MB and scipy.optimize about 17 MB to every roomtune command."""
+    probe = (
+        "import sys, roomtune.cli; "
+        "print(*(m in sys.modules for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=120, check=True
     )
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_safe_set_of_a_state_without_constraints_exits_with_error(workspace, capsys):
@@ -186,11 +190,15 @@ def test_safe_set_of_a_state_without_constraints_exits_with_error(workspace, cap
     assert len(rows) == 3 and len({(kp, ki) for _, kp, ki in rows}) == 1
 
 
-def test_run_without_calibration_exits_with_error(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["fixed", "scbo"])
+def test_run_without_calibration_exits_with_error(method, tmp_path, capsys):
+    """fixed too: its costs would stay raw, and a report would set them
+    against other methods' normalized costs."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"season": {"days": 2, "output_dir": str(tmp_path / "empty")}}))
-    assert main(["run", "--config", str(config), "--method", "scbo", "--seed", "0"]) == 2
+    assert main(["run", "--config", str(config), "--method", method, "--seed", "0"]) == 2
     assert "calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_unknown_method_rejected_by_parser(workspace):

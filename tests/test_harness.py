@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roomtune import harness
 from roomtune.costs import CalibrationError
 from roomtune.harness import (
     RESULTS_FIELDS,
@@ -95,9 +96,17 @@ def test_config_rejects_unknown_keys():
 
 def test_config_csv_weather():
     cfg = config_from_dict({"season": {"weather": {"source": "csv", "path": "w.csv"}}})
-    assert cfg.weather_source == "csv" and cfg.weather_csv == "w.csv"
-    with pytest.raises(ValueError):
+    assert cfg.weather_csv == "w.csv" and cfg.weather_params == {}
+    assert config_from_dict({"season": {"weather": {"source": "synthetic"}}}).weather_csv is None
+    with pytest.raises(ValueError, match="needs a path"):
         config_from_dict({"season": {"weather": {"source": "csv"}}})
+    with pytest.raises(ValueError, match="'synthetic' or 'csv'"):
+        config_from_dict({"season": {"weather": {"source": "forecast"}}})
+
+
+def test_a_weather_csv_path_is_read_not_replaced_by_synthetic_weather(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        season_weather(SeasonConfig(weather_csv=str(tmp_path / "missing.csv")), seed=0)
 
 
 def test_config_field_validation():
@@ -107,8 +116,6 @@ def test_config_field_validation():
         SeasonConfig(seeds=0)
     with pytest.raises(ValueError):
         SeasonConfig(perturbation=1.0)
-    with pytest.raises(ValueError):
-        SeasonConfig(weather_source="forecast")
     # a bad schedule fails when the config is read, not mid-season
     with pytest.raises(ValueError):
         config_from_dict({"schedule": {"morning_hour": 30.0}})
@@ -269,6 +276,51 @@ def test_season_is_deterministic(small_config, calibration):
     b = run_season(small_config, "scbo", seed=0, calibration=calibration)
     assert a.results == b.results
     assert state_to_json(a.final_state) == state_to_json(b.final_state)
+
+
+def test_ada_starts_each_day_on_the_gains_its_last_tuner_ended_with(small_config, calibration, monkeypatch):
+    """Day 1 plays the anchor; each later day starts where the day
+    before's in-day tuner left the gains, and its row records those."""
+    tuners = []
+
+    class RecordingTuner(harness.AdaptiveZnTuner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tuners.append(self)
+
+    monkeypatch.setattr(harness, "AdaptiveZnTuner", RecordingTuner)
+    run = run_season(small_config, "ada", seed=0, calibration=calibration)
+    anchor = small_config.anchor_gains
+    assert len(tuners) == len(run.results) == small_config.days
+    assert PIGains(run.results[0].kp, run.results[0].ki) == anchor
+    assert [PIGains(r.kp, r.ki) for r in run.results[1:]] == [t.gains for t in tuners[:-1]]
+    assert any(t.gains != anchor for t in tuners)  # the tuner did retune
+
+
+@pytest.mark.parametrize("phase", ["calibration", "season"])
+def test_one_burn_in_day_at_the_anchor_then_every_day_carries_on(small_config, monkeypatch, phase):
+    """Each phase simulates days + 1 days: first a burn-in at the anchor
+    gains from a discharged integrator, then one per day, each taking
+    over the integral action the day before closed with."""
+    calls = []
+    simulate = harness.simulate_day
+
+    def recording_simulate_day(*args, **kwargs):
+        out = simulate(*args, **kwargs)
+        calls.append((args[3], kwargs.get("initial_integral_action", 0.0), out[2]))
+        return out
+
+    monkeypatch.setattr(harness, "simulate_day", recording_simulate_day)
+    if phase == "calibration":
+        run_calibration(small_config, seed=0)
+        days = small_config.calibration_days
+    else:
+        run_season(small_config, "fixed", seed=0)
+        days = small_config.days
+    assert len(calls) == days + 1
+    assert calls[0][:2] == (small_config.anchor_gains, 0.0)
+    assert all(carry == before[2] for before, (_, carry, _) in zip(calls, calls[1:]))
+    assert calls[1][1] != 0.0
 
 
 def test_gp_methods_require_calibration(small_config):

@@ -135,6 +135,12 @@ def test_morning_step_index_off_the_sample_grid():
     assert late.morning_step_index(60) == 1437
 
 
+def test_setpoints_keep_a_fractional_comfort_setpoint_over_an_integer_night_one():
+    # a JSON config gives 17 as an int; the comfort setpoint must not be cast to its type
+    sp = DaySchedule(night_setpoint=17, comfort_setpoint=21.5).setpoints(288, 300)
+    assert sp[0] == 17.0 and sp[72] == 21.5
+
+
 def first_comfort_sample(schedule, step_seconds):
     """Index of the first comfort setpoint, or None: the oracle."""
     sp = schedule.setpoints(86400 // step_seconds, step_seconds)
