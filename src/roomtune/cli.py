@@ -63,8 +63,7 @@ def _cmd_report(args) -> int:
     grouped = collect_results(args.dir)
     report = compare_report(grouped)
     out = Path(args.dir) / "summary.json"
-    text = report.to_json()
-    write_atomically(out, lambda fh: fh.write(text))
+    write_atomically(out, report.to_json())
     print(f"{'method':<8} {'final median cum. avg':>22} {'vs fixed':>10}")
     for method in sorted(report.final_median, key=report.final_median.get):
         final = report.final_median[method]

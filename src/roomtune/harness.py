@@ -12,6 +12,7 @@ disturbance realizations.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -352,17 +353,17 @@ def calibration_path(config: SeasonConfig, seed: int) -> Path:
     return Path(config.output_dir) / f"calibration_seed{seed}.json"
 
 
-def write_atomically(path, write, newline: str | None = None) -> None:
-    """Write a file through ``write(fh)`` into a temporary file in the
-    same directory, then rename that over ``path``: a reader sees the old
-    file or the new one, never part of one. If ``write`` fails, the old
-    file stays and the temporary file is removed."""
+def write_atomically(path, text: str) -> None:
+    """Write ``text`` as it is (no newline translation) into a temporary
+    file in the same directory, then rename that over ``path``: a reader
+    sees the old file or the new one, never part of one. If the write
+    fails, the old file stays and the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with open(tmp, "x", newline=newline) as fh:
-            write(fh)
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -371,8 +372,7 @@ def write_atomically(path, write, newline: str | None = None) -> None:
 
 def save_calibration(config: SeasonConfig, seed: int, calibration: Calibration) -> Path:
     path = calibration_path(config, seed)
-    text = calibration.to_json()
-    write_atomically(path, lambda fh: fh.write(text))
+    write_atomically(path, calibration.to_json())
     return path
 
 
@@ -527,14 +527,13 @@ def state_path(config: SeasonConfig, method: str, seed: int) -> Path:
 
 
 def write_results_csv(path, results) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_FIELDS)
-        for r in results:
-            values = (getattr(r, name) for name in RESULTS_FIELDS)
-            writer.writerow(int(v) if isinstance(v, bool) else v for v in values)
-
-    write_atomically(path, write, newline="")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(RESULTS_FIELDS)
+    for r in results:
+        values = (getattr(r, name) for name in RESULTS_FIELDS)
+        writer.writerow(int(v) if isinstance(v, bool) else v for v in values)
+    write_atomically(path, buffer.getvalue())
 
 
 def read_results_csv(path) -> list[DailyResult]:
@@ -558,8 +557,7 @@ def persist_run(config: SeasonConfig, run: SeasonRun) -> Path:
     path = results_path(config, run.method, run.seed)
     write_results_csv(path, run.results)
     if run.final_state is not None:
-        text = state_to_json(run.final_state)
-        write_atomically(state_path(config, run.method, run.seed), lambda fh: fh.write(text))
+        write_atomically(state_path(config, run.method, run.seed), state_to_json(run.final_state))
     return path
 
 

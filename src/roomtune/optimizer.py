@@ -260,10 +260,6 @@ class OptimizerState:
         object.__setattr__(self, "constraint_models", constraints)
 
     @property
-    def uses_safety(self) -> bool:
-        return self.method == METHOD_SCBO
-
-    @property
     def anchor_gains(self) -> PIGains:
         return self.domain.gains_at(self.domain.anchor_index)
 
@@ -345,13 +341,8 @@ def acquire(
 ) -> int:
     """Grid index minimizing combined-cost mean - beta * std over the
     mask (full grid when no mask). Ties resolve to lower kp, then ki.
-    Only the candidate gains are scored."""
-    if safe_mask is None:
-        candidates = np.arange(state.domain.size)
-    elif not safe_mask.any():
-        return state.domain.anchor_index
-    else:
-        candidates = np.flatnonzero(safe_mask)
+    Only the candidate gains are scored, so the mask must hold one."""
+    candidates = np.arange(state.domain.size) if safe_mask is None else np.flatnonzero(safe_mask)
     x = _grid_inputs(state, oat)[candidates]
     mean, var = combine_gps_batch(state.cost_models, state.weights, x)
     b = state.beta if beta is None else beta
@@ -367,6 +358,20 @@ class Proposal:
     used_fallback: bool
 
 
+def _select(state: OptimizerState, oat: float, beta: float) -> Proposal:
+    """The selection rule: the best-scoring gains among those the
+    constraint surrogates certify (every gain when the state has none),
+    or the anchor with ``used_fallback`` when nothing is certified."""
+    mask = None
+    if state.constraint_models:
+        mask = safe_set(state, oat, fallback=False)
+        if not mask.any():
+            return Proposal(state.domain.anchor_index, state.anchor_gains, 1, True)
+    index = acquire(state, oat, mask, beta)
+    size = state.domain.size if mask is None else int(mask.sum())
+    return Proposal(index, state.domain.gains_at(index), size, False)
+
+
 def propose(state: OptimizerState, oat: float) -> Proposal:
     """One round of gain selection for the observed context.
 
@@ -374,19 +379,10 @@ def propose(state: OptimizerState, oat: float) -> Proposal:
     surrogates are initialized with the known-safe gains before the
     confidence-bound loop takes over.
     """
-    full = state.domain.size
     if not state.observations:
-        size = 1 if state.uses_safety else full
+        size = 1 if state.constraint_models else state.domain.size
         return Proposal(state.domain.anchor_index, state.anchor_gains, size, False)
-    if state.uses_safety:
-        raw = safe_set(state, oat, fallback=False)
-        fb = not bool(raw.any())
-        if fb:
-            return Proposal(state.domain.anchor_index, state.anchor_gains, 1, True)
-        index = acquire(state, oat, raw)
-        return Proposal(index, state.domain.gains_at(index), int(raw.sum()), False)
-    index = acquire(state, oat)
-    return Proposal(index, state.domain.gains_at(index), full, False)
+    return _select(state, oat, state.beta)
 
 
 def update(
@@ -396,10 +392,9 @@ def update(
     costs: NormalizedCosts,
     day: int | None = None,
 ) -> OptimizerState:
-    """Condition all surrogates on one evaluated day; returns new state."""
+    """Condition all surrogates on one evaluated day; returns new state.
+    The new state's log check rejects non-finite costs."""
     values = (costs.j1, costs.j2, costs.j3, costs.j4)
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("non-finite costs rejected")
     index = state.domain.index_of(gains)
     if day is None:
         day = len(state.observations) + 1
@@ -408,14 +403,10 @@ def update(
 
 
 def gain_schedule(state: OptimizerState, oats) -> list[tuple[float, PIGains]]:
-    """Pure-exploitation gain lookup per context: posterior-mean argmin
-    restricted to the safe set when the state carries constraints."""
-    table = []
-    for oat in np.asarray(oats, dtype=float):
-        mask = safe_set(state, oat) if state.uses_safety else None
-        index = acquire(state, float(oat), mask, beta=0.0)
-        table.append((float(oat), state.domain.gains_at(index)))
-    return table
+    """Pure-exploitation gain lookup per context: the selection rule of
+    ``propose`` at beta = 0, so the posterior-mean argmin over the safe
+    set, or the anchor when nothing is certified."""
+    return [(oat, _select(state, oat, 0.0).gains) for oat in np.asarray(oats, dtype=float).tolist()]
 
 
 # ---------------------------------------------------------------------------

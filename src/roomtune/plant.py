@@ -27,6 +27,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,6 +181,9 @@ class DaySchedule:
     def setpoints(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
         return np.where(self._comfort(steps_per_day, step_seconds), self.comfort_setpoint, self.night_setpoint)
 
+    # simulate_day asks every day; a frozen schedule hashes by its fields,
+    # and a season plays one, so a few entries suffice
+    @lru_cache(maxsize=8)
     def morning_step_index(self, step_seconds: int) -> int:
         """The first comfort sample, where ``setpoints`` steps up; raises
         ``ValueError`` when no sample at this step length falls in the

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,24 +358,26 @@ def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
         assert record.args[0] in record.getMessage()
 
 
-def test_a_failed_write_keeps_the_previous_file(tmp_path):
-    """A writer that fails partway leaves the previous artifact as it was
-    and no temporary file behind."""
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that fails, before the file is opened or after the whole
+    temporary file is written, leaves the previous artifact as it was and
+    no temporary file behind."""
     path = tmp_path / "fixed_seed0.csv"
     write_results_csv(path, [result_row(0, 1, 0.5)])
     before = path.read_bytes()
-    rows = [result_row(0, day, 0.5) for day in range(1, 501)]  # more than one buffer's worth
+    rows = [result_row(0, day, 0.5) for day in range(1, 501)]
     with pytest.raises(AttributeError):
         write_results_csv(path, rows + [object()])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def fail_partway(fh):
-        fh.write("{" * 100_000)
+    def fail_to_rename(src, dst):
+        assert len(Path(src).read_text()) == 100_000  # the temporary file holds all of the text
         raise OSError("disk full")
 
-    with pytest.raises(OSError):
-        write_atomically(path, fail_partway)
+    monkeypatch.setattr(harness.os, "replace", fail_to_rename)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomically(path, "{" * 100_000)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -21,6 +21,7 @@ from roomtune.optimizer import (
     GainDomain,
     Observation,
     OptimizerState,
+    Proposal,
     acquire,
     contextual_kernel_template,
     fit_fopdt,
@@ -275,8 +276,6 @@ def test_acquire_breaks_ties_toward_first_grid_index():
     mask = np.zeros(state.domain.size, dtype=bool)
     mask[[7, 12, 19]] = True
     assert acquire(state, 0.0, mask) == 7
-    empty = np.zeros(state.domain.size, dtype=bool)
-    assert acquire(state, 0.0, empty) == state.domain.anchor_index
 
 
 def test_first_proposal_is_the_anchor():
@@ -614,6 +613,51 @@ def test_pruned_queries_match_full_grid_queries(log, oat, subset):
             if mask is not None:
                 score = np.where(mask, score, np.inf)
             assert acquire(state, oat, mask, beta) == int(np.argmin(score))
+
+
+def separate_propose(state, oat):
+    """The season's rule, written out on its own."""
+    domain = state.domain
+    if not state.observations:
+        size = 1 if state.method == METHOD_SCBO else domain.size
+        return Proposal(domain.anchor_index, state.anchor_gains, size, False)
+    if state.method == METHOD_SCBO:
+        raw = safe_set(state, oat, fallback=False)
+        if not raw.any():
+            return Proposal(domain.anchor_index, state.anchor_gains, 1, True)
+        index = acquire(state, oat, raw)
+        return Proposal(index, domain.gains_at(index), int(raw.sum()), False)
+    index = acquire(state, oat)
+    return Proposal(index, domain.gains_at(index), domain.size, False)
+
+
+def separate_schedule_index(state, oat):
+    """The lookup table's rule, written out on its own: the posterior-mean
+    argmin over the safe set, whose fallback is the anchor singleton."""
+    mask = safe_set(state, oat) if state.method == METHOD_SCBO else None
+    return acquire(state, oat, mask, beta=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]),
+    log=_LOGS,
+    oats=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+)
+# one violating day at the anchor: scbo certifies nothing at any temperature
+@example(method=METHOD_SCBO, log=[(small_domain().anchor_index, 0.0, (1.5, 1.5, 1.5, 0.3))], oats=[-20.0, 0.0, 20.0])
+def test_propose_and_gain_schedule_choose_by_one_rule(method, log, oats):
+    """propose and gain_schedule share one selection rule; each must
+    choose what its own rule, written out separately, chooses, with or
+    without a certified gain."""
+    state = logged_state(method, log)
+    for oat in oats:
+        assert propose(state, oat) == separate_propose(state, oat)
+        with pytest.raises(ValueError):  # an empty mask has no gain to choose
+            acquire(state, oat, np.zeros(state.domain.size, dtype=bool))
+    table = gain_schedule(state, oats)
+    assert [oat for oat, _ in table] == oats
+    assert [state.domain.index_of(g) for _, g in table] == [separate_schedule_index(state, oat) for oat in oats]
 
 
 def test_state_at_day_truncates_the_log():

@@ -287,6 +287,7 @@ def test_simulate_day_matches_reference_loop(
         trace, state, closing = lean
         setpoints, t_room, valve, ref_state, ref_closing = ref
         np.testing.assert_array_equal(trace.setpoint, setpoints)
+        assert trace.step_index == schedule.morning_step_index(step_seconds)
         assert trace.t_room.tobytes() == t_room.tobytes()
         assert trace.valve.tobytes() == valve.tobytes()
         assert same_float(state.t_room, ref_state.t_room)
