@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -103,6 +104,17 @@ def _cmd_safe_set(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """An outside temperature: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roomtune",
@@ -128,15 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gain-schedule", help="print context-to-gains lookup table from a trained state")
     p.add_argument("--state", required=True, help="optimizer state JSON")
-    p.add_argument("--oat-min", type=float, default=-10.0)
-    p.add_argument("--oat-max", type=float, default=15.0)
+    p.add_argument("--oat-min", type=_finite_float, default=-10.0)
+    p.add_argument("--oat-max", type=_finite_float, default=15.0)
     p.add_argument("--points", type=int, default=26)
     p.set_defaults(func=_cmd_gain_schedule)
 
     p = sub.add_parser("safe-set", help="print safe-set membership over the gain grid")
     p.add_argument("--state", required=True)
     p.add_argument("--day", type=int, required=True, help="0 = before any data")
-    p.add_argument("--oat", type=float, required=True)
+    p.add_argument("--oat", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_safe_set)
 
     return parser

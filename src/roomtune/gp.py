@@ -345,26 +345,6 @@ def model_from_dict(d: dict) -> GPModel:
     return GPModel.empty(KernelSpec.from_dict(d["kernel"]), d["noise_variance"], d["basis_coefficient"])
 
 
-def combine_gps_batch(models, weights, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior of the weighted sum of independent GPs at query points ``x``.
-
-    Mean is the weighted sum of means; variance is sum w_i^2 var_i since
-    the per-index surrogates carry no cross-covariances.
-    """
-    w = np.asarray(weights, dtype=float)
-    if len(models) != w.size:
-        raise ValueError("one weight per model required")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    means = None
-    variances = None
-    for model, wi in zip(models, w):
-        m, v = model.posterior_batch(x)
-        means = wi * m if means is None else means + wi * m
-        variances = wi**2 * v if variances is None else variances + wi**2 * v
-    return means, variances
-
-
 # ---------------------------------------------------------------------------
 # Maximum-likelihood hyperparameter fitting (offline, once per experiment)
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import os
 import re
 import secrets
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,7 @@ from .optimizer import (
     contextual_kernel_template,
     propose,
     state_to_json,
+    surrogate_data,
     update,
 )
 from .pid import PIGains
@@ -105,7 +106,7 @@ class SeasonConfig:
     seeds: int = 5
     master_seed: int = 20161021
     output_dir: str = "results"
-    weather_params: dict = field(default_factory=dict)
+    weather: WeatherConfig = WeatherConfig()  # synthetic generator settings
     weather_csv: str | None = None  # measured weather; synthetic when None
 
     def __post_init__(self):
@@ -149,14 +150,11 @@ def config_from_dict(doc: dict) -> SeasonConfig:
     fall back to the SeasonConfig defaults, unknown keys are rejected."""
     _check_keys(doc, ("plant", "compensation", "schedule", *_CONFIG_SECTIONS), "top-level")
     overrides = {}
-    for section, cls in (("plant", PlantParams), ("schedule", DaySchedule)):
+    typed = (("plant", PlantParams), ("compensation", WeatherCompensation), ("schedule", DaySchedule))
+    for section, cls in typed:
         if section in doc:
             _check_keys(doc[section], _field_names(cls), section)
             overrides[section] = cls(**doc[section])
-    comp_doc = doc.get("compensation", {})
-    _check_keys(comp_doc, ("breakpoints",), "compensation")
-    if "breakpoints" in comp_doc:
-        overrides["compensation"] = WeatherCompensation(tuple(tuple(p) for p in comp_doc["breakpoints"]))
     for section, names in _CONFIG_SECTIONS.items():
         section_doc = doc.get(section, {})
         _check_keys(section_doc, names + (("weather",) if section == "season" else ()), section)
@@ -173,9 +171,8 @@ def config_from_dict(doc: dict) -> SeasonConfig:
             raise ValueError("csv weather source needs a path")
         overrides["weather_csv"] = weather_doc["path"]
     else:
-        synth_keys = tuple(n for n in _field_names(WeatherConfig) if n not in ("days", "step_seconds"))
-        _check_keys(weather_doc, synth_keys, "weather")
-        overrides["weather_params"] = weather_doc
+        _check_keys(weather_doc, _field_names(WeatherConfig), "weather")
+        overrides["weather"] = WeatherConfig(**weather_doc)
     return SeasonConfig(**overrides)
 
 
@@ -193,8 +190,8 @@ def season_weather(config: SeasonConfig, seed: int) -> list[WeatherDay]:
         if len(days) < horizon:
             raise ValueError(f"weather CSV covers {len(days)} days, need {horizon}")
         return days[:horizon]
-    wc = WeatherConfig(days=horizon, step_seconds=config.plant.step_seconds, **config.weather_params)
-    return synth_weather(wc, np.random.default_rng(_seed_sequence(config, seed, STREAM_WEATHER)))
+    rng = np.random.default_rng(_seed_sequence(config, seed, STREAM_WEATHER))
+    return synth_weather(config.weather, horizon, config.plant.step_seconds, rng)
 
 
 def _seed_sequence(config: SeasonConfig, seed: int, *keys: int) -> np.random.SeedSequence:
@@ -284,6 +281,10 @@ class Calibration:
         )
 
 
+# The calibration's seven fits, named in the column order of ``surrogate_data``'s targets.
+_FIT_NAMES = (*(f"cost_j{i}" for i in range(1, 5)), *(f"constraint_j{i}" for i in range(1, 4)))
+
+
 @single_blas_thread()
 def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     """Perturbed-anchor season: simulate, derive normalization, fit all
@@ -304,29 +305,18 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     oats = loop.morning_oats
     normalization = calibrate_normalization(raws, config.weights)
     scaler = ContextScaler(min(oats), max(oats))
-    domain = config.build_domain()
-    x_gain = domain.normalize(np.asarray(gain_rows))
-    z = np.array([scaler.normalize(v) for v in oats])
-    x_ctx = np.column_stack([x_gain, z])
-    y = np.array([normalization.normalize(r).as_array() for r in raws])
-
-    cost_ctx = tuple(
-        _fit_surrogate(f"cost_j{i + 1}", x_ctx, y[:, i], True, _seed_sequence(config, seed, STREAM_FIT, i))
-        for i in range(4)
+    x, y = surrogate_data(
+        config.build_domain().normalize(np.asarray(gain_rows)),
+        [scaler.normalize(v) for v in oats],
+        [normalization.normalize(r).as_array() for r in raws],
+        normalization.thresholds,
     )
-    # Constraint surrogates regress safety headroom (cost - threshold);
-    # zero prior mean then leaves unexplored gains uncertified.
-    constraint_ctx = tuple(
-        _fit_surrogate(
-            f"constraint_j{i + 1}",
-            x_ctx,
-            y[:, i] - normalization.thresholds[i],
-            False,
-            _seed_sequence(config, seed, STREAM_FIT, 4 + i),
-        )
-        for i in range(3)
+    # the four cost surrogates fit a basis mean, the three constraint ones do not
+    models = tuple(
+        _fit_surrogate(name, x, y[:, i], i < 4, _seed_sequence(config, seed, STREAM_FIT, i))
+        for i, name in enumerate(_FIT_NAMES)
     )
-    return Calibration(normalization, scaler, cost_ctx, constraint_ctx)
+    return Calibration(normalization, scaler, models[:4], models[4:])
 
 
 def _fit_surrogate(

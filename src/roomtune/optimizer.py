@@ -38,7 +38,7 @@ from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from scipy.special import ndtri
 
 from .costs import NormalizedCosts
-from .gp import GPModel, KernelSpec, PRODUCT, combine_gps_batch, model_from_dict, model_to_dict
+from .gp import GPModel, KernelSpec, PRODUCT, model_from_dict, model_to_dict
 from .pid import PIGains
 
 METHOD_FIXED = "fixed"
@@ -196,6 +196,14 @@ class Observation:
     costs: tuple[float, float, float, float]  # normalized j1..j4
 
 
+def surrogate_data(unit_gains, contexts, costs, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (unit gains, unit context) and targets of the seven
+    surrogates, for fitting and conditioning alike: the four normalized
+    costs, then the three headrooms cost minus threshold."""
+    y = np.asarray(costs, dtype=float).reshape(-1, 4)
+    return np.column_stack([unit_gains, contexts]), np.column_stack([y, y[:, :3] - thresholds])
+
+
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
     """Immutable bundle of surrogates plus the observation log.
@@ -207,10 +215,10 @@ class OptimizerState:
     of the safe set and exploration can only creep outward from
     observed safe territory.
 
-    Construction conditions every surrogate on ``observations``, whatever
-    data the given models held, so ``replace`` on a state rebuilds its
-    surrogates too. A log no season could have written is rejected (see
-    ``_check_observations``).
+    Construction conditions every surrogate on ``observations`` through
+    ``surrogate_data``, whatever data the given models held, so ``replace``
+    on a state rebuilds its surrogates too. A log no season could have
+    written is rejected (see ``_check_observations``).
     """
 
     method: str
@@ -250,14 +258,15 @@ class OptimizerState:
         _check_observations(self.domain, self.observations)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
-        rows = self.domain.unit_points[[o.gain_index for o in self.observations]]
-        x = np.column_stack([rows, [_unit_context(self, o.context) for o in self.observations]])
-        y = np.array([o.costs for o in self.observations]).reshape(-1, 4)
-        headroom = y[:, :3] - self.thresholds
-        costs = tuple(m.with_data(x, y[:, i]) for i, m in enumerate(self.cost_models))
-        constraints = tuple(m.with_data(x, headroom[:, i]) for i, m in enumerate(self.constraint_models))
-        object.__setattr__(self, "cost_models", costs)
-        object.__setattr__(self, "constraint_models", constraints)
+        x, y = surrogate_data(
+            self.domain.unit_points[[o.gain_index for o in self.observations]],
+            [_unit_context(self, o.context) for o in self.observations],
+            [o.costs for o in self.observations],
+            self.thresholds,
+        )
+        models = [m.with_data(x, y[:, i]) for i, m in enumerate(self.cost_models + self.constraint_models)]
+        object.__setattr__(self, "cost_models", tuple(models[:4]))
+        object.__setattr__(self, "constraint_models", tuple(models[4:]))
 
     @property
     def anchor_gains(self) -> PIGains:
@@ -292,6 +301,10 @@ def _unit_context(state: OptimizerState, oat: float) -> float:
 
 
 def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
+    """Every grid gain at one outside temperature, which must be finite
+    (for ``bo`` too): a NaN would certify nothing and score all gains NaN."""
+    if not math.isfinite(oat):
+        raise ValueError(f"outside temperature {oat} is not finite")
     pts = state.domain.unit_points
     return np.column_stack([pts, np.full(pts.shape[0], _unit_context(state, oat))])
 
@@ -341,10 +354,16 @@ def acquire(
 ) -> int:
     """Grid index minimizing combined-cost mean - beta * std over the
     mask (full grid when no mask). Ties resolve to lower kp, then ki.
-    Only the candidate gains are scored, so the mask must hold one."""
+    Only the candidate gains are scored, so the mask must hold one. The
+    cost surrogates are independent: the weighted sum has mean sum w_i m_i
+    and variance sum w_i^2 v_i."""
     candidates = np.arange(state.domain.size) if safe_mask is None else np.flatnonzero(safe_mask)
     x = _grid_inputs(state, oat)[candidates]
-    mean, var = combine_gps_batch(state.cost_models, state.weights, x)
+    mean = var = 0.0
+    for w, model in zip(np.asarray(state.weights, dtype=float), state.cost_models):
+        m, v = model.posterior_batch(x)
+        mean = mean + w * m
+        var = var + w**2 * v
     b = state.beta if beta is None else beta
     score = mean - b * np.sqrt(var)
     return int(candidates[np.argmin(score)])

@@ -75,7 +75,7 @@ class PlantParams:
 class WeatherCompensation:
     """Piecewise-linear heating curve: outside air temp -> water temp."""
 
-    breakpoints: tuple[tuple[float, float], ...]
+    breakpoints: tuple[tuple[float, float], ...] = ((-10.0, 70.0), (-3.0, 60.0), (20.0, 35.0))
 
     def __post_init__(self):
         pts = tuple((float(o), float(w)) for o, w in self.breakpoints)
@@ -111,7 +111,7 @@ def heating_curve(comp: WeatherCompensation, oat):
     return float(water) if np.ndim(water) == 0 else water
 
 
-DEFAULT_COMPENSATION = WeatherCompensation(((-10.0, 70.0), (-3.0, 60.0), (20.0, 35.0)))
+DEFAULT_COMPENSATION = WeatherCompensation()
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,6 @@ class WeatherConfig:
     is a fixed office-hours profile.
     """
 
-    days: int = 145
-    step_seconds: int = 300
     edge_oat: float = 7.0  # seasonal mean at season edges, degC
     mid_oat: float = -2.5  # seasonal mean at mid-season, degC
     daily_amplitude: float = 4.0
@@ -358,36 +356,34 @@ class WeatherConfig:
     solar_peak: float = 0.34  # degC-equivalent per step at clear midday
     occupancy_gain: float = 0.01  # degC-equivalent per step, 8-18 h
 
-    @property
-    def steps_per_day(self) -> int:
-        return SECONDS_PER_DAY // self.step_seconds
 
-
-def synth_weather(config: WeatherConfig, rng: np.random.Generator) -> list[WeatherDay]:
-    """Generate one season of daily weather; deterministic given the rng."""
-    if config.days < 1:
+def synth_weather(
+    config: WeatherConfig, days: int, step_seconds: int, rng: np.random.Generator
+) -> list[WeatherDay]:
+    """Generate ``days`` days of weather sampled every ``step_seconds``;
+    deterministic given the rng."""
+    if days < 1:
         raise ValueError("day count must be >= 1")
-    steps = config.steps_per_day
-    hours = np.arange(steps) * config.step_seconds / 3600.0
+    hours = np.arange(SECONDS_PER_DAY // step_seconds) * step_seconds / 3600.0
     daily = config.daily_amplitude * np.cos(2.0 * np.pi * (hours - config.warmest_hour) / 24.0)
     sun = np.clip(np.sin(np.pi * (hours - 7.0) / 11.0), 0.0, None)
     occupancy = np.where((hours >= 8.0) & (hours < 18.0), config.occupancy_gain, 0.0)
 
-    days = []
+    season = []
     ar = 0.0
-    for d in range(config.days):
-        phase = d / (config.days - 1) if config.days > 1 else 0.5
+    for d in range(days):
+        phase = d / (days - 1) if days > 1 else 0.5
         seasonal = config.edge_oat + (config.mid_oat - config.edge_oat) * math.sin(math.pi * phase)
         ar = config.ar1_phi * ar + rng.normal(0.0, config.ar1_sigma)
         cloud = rng.uniform(0.85, 1.0)
-        days.append(
+        season.append(
             WeatherDay(
                 oat_profile=seasonal + ar + daily,
                 solar_profile=config.solar_peak * cloud * sun,
                 occupancy_profile=occupancy.copy(),
             )
         )
-    return days
+    return season
 
 
 # degC-equivalent gain per step per W/m^2 of measured irradiance; sized so

@@ -146,6 +146,24 @@ def test_safe_set_output_matches_one_print_per_point(grid, workspace, tmp_path, 
         assert "\n1e+17,1e-06," in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "warm"])
+@pytest.mark.parametrize(
+    "command, flag", [("safe-set", "--oat"), ("gain-schedule", "--oat-min"), ("gain-schedule", "--oat-max")]
+)
+def test_a_non_finite_outside_temperature_fails_at_parse_time(command, flag, value, tmp_path, capsys):
+    """safe-set --oat nan certified the anchor, and gain-schedule at a NaN
+    temperature chose grid index 0; both must refuse the value with status
+    2 and print nothing."""
+    argv = [command, "--state", str(exponent_grid_state_file(tmp_path)), f"{flag}={value}"]
+    if command == "safe-set":
+        argv += ["--day", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"expected a finite number, got '{value}'" in captured.err
+
+
 def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys):
     """safe-set --day d builds its state at day d directly: 7 empty priors
     from the file and 7 surrogates on the first d observations, none on

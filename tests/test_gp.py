@@ -19,7 +19,6 @@ from roomtune.gp import (
     GPModel,
     KernelSpec,
     LikelihoodWorkspace,
-    combine_gps_batch,
     fit_hyperparameters,
     kernel_matrix,
     log_marginal_likelihood,
@@ -315,27 +314,6 @@ def test_product_kernel_factorizes():
     same = np.array([[0.6, 0.1, 0.3]])
     np.testing.assert_allclose(kernel_matrix(spec, a, same), [[1.7 * matern]], rtol=1e-12)
     np.testing.assert_allclose(kernel_matrix(spec, a, same), gain_matern52(spec, a, same), rtol=1e-12)
-
-
-def test_combine_gps_is_weighted_and_independent():
-    rng = np.random.default_rng(11)
-    spec = KernelSpec(PRODUCT, (0.4, 0.4, 0.4), 1.0)
-    models = []
-    for i in range(4):
-        m = GPModel.empty(spec, 1e-3, 0.5)
-        m = m.with_data(rng.uniform(0, 1, (6, 3)), rng.normal(size=6))
-        models.append(m)
-    weights = (0.4, 0.3, 0.2, 0.1)
-    x = [[0.3, 0.6, 0.2], [0.9, 0.1, 0.7]]
-    want_mean = sum(w * m.posterior_batch(x)[0] for w, m in zip(weights, models))
-    want_var = sum(w * w * m.posterior_batch(x)[1] for w, m in zip(weights, models))
-    means, variances = combine_gps_batch(models, weights, x)
-    np.testing.assert_allclose(means, want_mean, rtol=1e-12)
-    np.testing.assert_allclose(variances, want_var, rtol=1e-12)
-    with pytest.raises(ValueError):
-        combine_gps_batch(models, weights[:3], x)
-    with pytest.raises(ValueError):
-        combine_gps_batch(models, (0.4, 0.3, 0.2, 0.0), x)
 
 
 def test_kernel_spec_roundtrip_and_validation():

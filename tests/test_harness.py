@@ -33,7 +33,7 @@ from roomtune.harness import (
 from roomtune.gp import model_to_dict
 from roomtune.optimizer import state_to_json
 from roomtune.pid import PIGains
-from roomtune.plant import DaySchedule, PlantParams
+from roomtune.plant import DEFAULT_COMPENSATION, DaySchedule, PlantParams, WeatherConfig
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_sectioned_config_overrides():
     assert cfg.beta == 3.0 and cfg.epsilon == 0.1 and cfg.grid_size == 10
     assert cfg.initial_gains == (0.5, 0.005)
     assert cfg.days == 30 and cfg.seeds == 2 and cfg.output_dir == "out"
-    assert cfg.weather_params == {"mid_oat": -5.0}
+    assert cfg.weather == WeatherConfig(mid_oat=-5.0)
 
 
 def test_config_rejects_unknown_keys():
@@ -97,12 +97,33 @@ def test_config_rejects_unknown_keys():
 
 def test_config_csv_weather():
     cfg = config_from_dict({"season": {"weather": {"source": "csv", "path": "w.csv"}}})
-    assert cfg.weather_csv == "w.csv" and cfg.weather_params == {}
+    assert cfg.weather_csv == "w.csv" and cfg.weather == WeatherConfig()
     assert config_from_dict({"season": {"weather": {"source": "synthetic"}}}).weather_csv is None
     with pytest.raises(ValueError, match="needs a path"):
         config_from_dict({"season": {"weather": {"source": "csv"}}})
     with pytest.raises(ValueError, match="'synthetic' or 'csv'"):
         config_from_dict({"season": {"weather": {"source": "forecast"}}})
+
+
+def test_a_config_hashes_and_reads_its_sections_into_typed_fields():
+    """Every field of a config is a value, so configs hash; the weather
+    block reads into an equal WeatherConfig, and a key that is not one of
+    its fields (the day count and step are run parameters) fails on read,
+    not in the middle of a run."""
+    assert hash(SeasonConfig()) == hash(config_from_dict({}))
+    block = {"edge_oat": 6.0, "mid_oat": -4, "daily_amplitude": 3.5, "warmest_hour": 14.0, "ar1_phi": 0.8,
+             "ar1_sigma": 1.0, "solar_peak": 0.3, "occupancy_gain": 0.02}
+    assert set(block) == {f.name for f in dataclasses.fields(WeatherConfig)}
+    doc = {"compensation": {"breakpoints": [[-10, 70], [-3, 55], [20, 30]]},
+           "season": {"weather": {"source": "synthetic", **block}}}
+    cfg = config_from_dict(doc)
+    assert cfg.weather == WeatherConfig(**block)
+    assert cfg == config_from_dict(doc) and hash(cfg) == hash(config_from_dict(doc))
+    assert cfg.compensation.breakpoints == ((-10.0, 70.0), (-3.0, 55.0), (20.0, 30.0))
+    assert config_from_dict({"compensation": {}}).compensation == DEFAULT_COMPENSATION
+    for key in ("days", "step_seconds", "bogus"):
+        with pytest.raises(ValueError, match="weather"):
+            config_from_dict({"season": {"weather": {key: 3}}})
 
 
 def test_a_weather_csv_path_is_read_not_replaced_by_synthetic_weather(tmp_path):
@@ -186,6 +207,29 @@ def test_calibration_json_round_trip(calibration):
 
 def test_calibration_is_deterministic(small_config, calibration):
     assert run_calibration(small_config, seed=0).to_json() == calibration.to_json()
+
+
+def test_calibration_fits_the_costs_then_the_headrooms_on_one_input(small_config, calibration, monkeypatch):
+    """The seven fits share one input matrix; the four cost fits take a
+    basis mean, and constraint fit i regresses cost i minus threshold i,
+    bit for bit. Each draws its random starts from its own fit seed."""
+    fits = []
+    fit = harness.fit_hyperparameters
+
+    def recording_fit(template, x, y, with_basis, seed):
+        fits.append((x, y, with_basis, seed))
+        return fit(template, x, y, with_basis=with_basis, seed=seed)
+
+    monkeypatch.setattr(harness, "fit_hyperparameters", recording_fit)
+    assert run_calibration(small_config, seed=0).to_json() == calibration.to_json()
+    assert [with_basis for _, _, with_basis, _ in fits] == [True] * 4 + [False] * 3
+    for x, _, _, _ in fits:
+        np.testing.assert_array_equal(x, fits[0][0])
+    assert fits[0][0].shape == (small_config.calibration_days, 3)
+    for i, threshold in enumerate(calibration.normalization.thresholds):
+        np.testing.assert_array_equal(fits[4 + i][1], fits[i][1] - threshold)
+    streams = [np.random.SeedSequence([small_config.master_seed, 0, harness.STREAM_FIT, i]) for i in range(7)]
+    assert [seed for *_, seed in fits] == [int(ss.generate_state(1)[0]) for ss in streams]
 
 
 def test_calibration_needs_enough_episodes(small_config):

@@ -10,8 +10,9 @@ from scipy.stats import norm
 
 from roomtune import optimizer
 from roomtune.costs import NormalizedCosts
-from roomtune.gp import GPModel, combine_gps_batch
+from roomtune.gp import GPModel
 from roomtune.optimizer import (
+    DEFAULT_BETA,
     METHOD_BO,
     METHOD_CBO,
     METHOD_SCBO,
@@ -31,6 +32,7 @@ from roomtune.optimizer import (
     state_at_day,
     state_from_json,
     state_to_json,
+    surrogate_data,
     update,
     zn_pi_gains,
 )
@@ -38,6 +40,17 @@ from roomtune.pid import PIGains
 
 WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 THRESHOLDS = (1.0, 1.0, 1.0)
+
+
+def combined_posterior(state, x):
+    """Reference posterior of the weighted cost sum at ``x``: sum w_i m_i
+    and sum w_i**2 v_i over float64 weights, accumulated in model order."""
+    means = variances = None
+    for model, wi in zip(state.cost_models, np.asarray(state.weights, dtype=float)):
+        m, v = model.posterior_batch(x)
+        means = wi * m if means is None else means + wi * m
+        variances = wi**2 * v if variances is None else variances + wi**2 * v
+    return means, variances
 
 
 def small_domain(size=5):
@@ -261,7 +274,7 @@ def test_acquire_matches_brute_force_lcb():
     x = np.column_stack(
         [state.domain.unit_points, np.full(state.domain.size, state.scaler.normalize(2.0))]
     )
-    mean, var = combine_gps_batch(state.cost_models, state.weights, x)
+    mean, var = combined_posterior(state, x)
     assert acquire(state, 2.0) == int(np.argmin(mean - 2.0 * np.sqrt(var)))
     assert acquire(state, 2.0, beta=0.0) == int(np.argmin(mean))
     mask = np.zeros(state.domain.size, dtype=bool)
@@ -603,7 +616,7 @@ def test_pruned_queries_match_full_grid_queries(log, oat, subset):
         assert np.array_equal(safe_set(state, oat, eps, fallback=False), want)
         masks.append(want)
 
-    mean, var = combine_gps_batch(state.cost_models, state.weights, x)
+    mean, var = combined_posterior(state, x)
     drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
     for mask in masks + [drawn, None]:
         if mask is not None and not mask.any():
@@ -613,6 +626,100 @@ def test_pruned_queries_match_full_grid_queries(log, oat, subset):
             if mask is not None:
                 score = np.where(mask, score, np.inf)
             assert acquire(state, oat, mask, beta) == int(np.argmin(score))
+
+
+# Weights whose float64 square differs from their product with themselves
+# in the last bit: a combination that squared them by multiplication would
+# score them differently.
+_ULP_WEIGHTS = (0.42672114373024106, 0.7454248080083349, 0.6816887827112171, 0.23850205025688043)
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]), log=_LOGS, oat=st.floats(-20.0, 20.0))
+def test_surrogates_regress_the_costs_then_the_headrooms(method, log, oat):
+    """A state conditions its cost surrogates on the normalized costs and
+    its constraint surrogates on cost minus threshold, over (unit gains,
+    unit context); its posteriors must be bit-equal to models built on
+    those targets written out here."""
+    thresholds = (0.9, 1.1, 1.3)
+    state = dataclasses.replace(logged_state(method, log), thresholds=thresholds)
+    priors = make_state(method, noise=0.02)
+    rows = state.domain.unit_points[[index for index, _, _ in log]]
+    contexts = [0.0 if state.scaler is None else state.scaler.normalize(o) for _, o, _ in log]
+    x = np.column_stack([rows, contexts])
+    y = np.array([costs for _, _, costs in log]).reshape(-1, 4)
+    headroom = y[:, :3] - thresholds
+    want = [m.with_data(x, y[:, i]) for i, m in enumerate(priors.cost_models)]
+    want += [m.with_data(x, headroom[:, i]) for i, m in enumerate(priors.constraint_models)]
+    got_x, got_y = surrogate_data(rows, contexts, y, thresholds)
+    np.testing.assert_array_equal(got_x, x)
+    np.testing.assert_array_equal(got_y, np.column_stack([y, headroom]))
+    context = 0.0 if state.scaler is None else state.scaler.normalize(oat)
+    grid = np.column_stack([state.domain.unit_points, np.full(state.domain.size, context)])
+    for model, reference in zip(state.cost_models + state.constraint_models, want, strict=True):
+        np.testing.assert_array_equal(model.posterior_batch(grid), reference.posterior_batch(grid))
+
+
+def acquire_with_score(state, oat, mask, beta):
+    """acquire's choice and the score array it took the argmin of (it
+    calls np.argmin once, on the candidates' scores)."""
+    scores = []
+    argmin = np.argmin
+
+    def recording_argmin(a, *args, **kwargs):
+        scores.append(np.array(a))
+        return argmin(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argmin", recording_argmin)
+        index = acquire(state, oat, mask, beta)
+    (score,) = scores
+    return index, score
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]),
+    log=_LOGS,
+    oat=st.floats(-20.0, 20.0),
+    weights=st.tuples(*[st.one_of(st.sampled_from(_ULP_WEIGHTS), st.floats(0.01, 1.0))] * 4),
+    subset=st.integers(1, 2 ** small_domain().size - 1),
+    beta=st.sampled_from([0.0, DEFAULT_BETA, 0.7]),
+)
+@example(method=METHOD_CBO, log=[(7, 1.0, (0.4, 1.2, 0.9, 0.3)), (12, -3.0, (1.1, 0.6, 0.2, 0.8))], oat=0.5,
+         weights=_ULP_WEIGHTS, subset=2 ** 25 - 1, beta=DEFAULT_BETA)
+def test_acquire_scores_the_weighted_cost_sum(method, log, oat, weights, subset, beta):
+    """acquire scores mean - beta * std of sum w_i f_i, formed as
+    combined_posterior forms it, bit for bit, over the whole grid and
+    over a drawn mask."""
+    state = dataclasses.replace(logged_state(method, log), weights=weights)
+    size = state.domain.size
+    context = 0.0 if state.scaler is None else state.scaler.normalize(oat)
+    x = np.column_stack([state.domain.unit_points, np.full(size, context)])
+    mean, var = combined_posterior(state, x)
+    want = mean - beta * np.sqrt(var)
+    drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
+    for mask in (None, drawn):
+        keep = np.ones(size, dtype=bool) if mask is None else mask
+        index, score = acquire_with_score(state, oat, mask, beta)
+        np.testing.assert_array_equal(score, want[keep])
+        assert index == int(np.flatnonzero(keep)[np.argmin(want[keep])])
+
+
+@pytest.mark.parametrize("oat", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", [METHOD_BO, METHOD_CBO, METHOD_SCBO])
+def test_a_non_finite_outside_temperature_is_rejected(method, oat):
+    """A NaN context would certify nothing (scbo's safe set fell back to
+    the anchor) and score every gain NaN (argmin chose index 0), so every
+    query at a non-finite temperature raises, bo's included."""
+    state = logged_state(method, [(3, 0.0, (0.5, 0.6, 0.4, 0.3)), (17, 5.0, (0.8, 0.7, 0.9, 0.2))])
+    queries = [lambda: propose(state, oat), lambda: acquire(state, oat), lambda: gain_schedule(state, [0.0, oat])]
+    if method == METHOD_SCBO:
+        queries += [lambda: safe_set(state, oat), lambda: safe_set(state, oat, fallback=False)]
+    for query in queries:
+        with pytest.raises(ValueError, match="not finite"):
+            query()
+    assert len(gain_schedule(state, [-20.0, 0.0, 20.0])) == 3
 
 
 def separate_propose(state, oat):

@@ -367,10 +367,12 @@ def test_integral_carry_removes_next_day_tracking_sag():
 
 
 def test_synth_weather_deterministic_and_sized():
-    cfg = WeatherConfig(days=20)
-    a = synth_weather(cfg, np.random.default_rng(7))
-    b = synth_weather(cfg, np.random.default_rng(7))
+    cfg = WeatherConfig()
+    a = synth_weather(cfg, 20, 300, np.random.default_rng(7))
+    b = synth_weather(cfg, 20, 300, np.random.default_rng(7))
     assert len(a) == 20
+    assert {d.oat_profile.size for d in a} == {288}
+    assert {d.oat_profile.size for d in synth_weather(cfg, 2, 60, np.random.default_rng(7))} == {1440}
     for da, db in zip(a, b):
         np.testing.assert_array_equal(da.oat_profile, db.oat_profile)
         np.testing.assert_array_equal(da.solar_profile, db.solar_profile)
@@ -379,27 +381,26 @@ def test_synth_weather_deterministic_and_sized():
 def test_synth_weather_daily_swing_is_exact():
     # within one day the AR term is constant, so 15:00 minus 03:00
     # equals twice the daily amplitude by construction
-    cfg = WeatherConfig(days=5, daily_amplitude=4.0)
-    days = synth_weather(cfg, np.random.default_rng(0))
-    i15 = int(15 * 3600 / cfg.step_seconds)
-    i03 = int(3 * 3600 / cfg.step_seconds)
+    cfg = WeatherConfig(daily_amplitude=4.0)
+    days = synth_weather(cfg, 5, 300, np.random.default_rng(0))
+    i15 = int(15 * 3600 / 300)
+    i03 = int(3 * 3600 / 300)
     for day in days:
         swing = day.oat_profile[i15] - day.oat_profile[i03]
         assert swing == pytest.approx(2.0 * cfg.daily_amplitude)
 
 
 def test_synth_weather_midseason_colder_than_edges():
-    cfg = WeatherConfig(days=145)
-    days = synth_weather(cfg, np.random.default_rng(1))
+    days = synth_weather(WeatherConfig(), 145, 300, np.random.default_rng(1))
     edge = np.mean([d.oat_profile.mean() for d in days[:5]])
     mid = np.mean([d.oat_profile.mean() for d in days[70:75]])
     assert mid < edge
 
 
 def test_synth_weather_solar_and_occupancy_windows():
-    cfg = WeatherConfig(days=3)
-    days = synth_weather(cfg, np.random.default_rng(2))
-    hours = np.arange(days[0].solar_profile.size) * cfg.step_seconds / 3600.0
+    cfg = WeatherConfig()
+    days = synth_weather(cfg, 3, 300, np.random.default_rng(2))
+    hours = np.arange(days[0].solar_profile.size) * 300 / 3600.0
     for day in days:
         assert np.all(day.solar_profile[hours < 7.0] == 0.0)
         assert np.all(day.solar_profile[hours >= 18.0] < 1e-12)
