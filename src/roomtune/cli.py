@@ -31,8 +31,19 @@ from .optimizer import (
 )
 
 
+class _ConfigError(Exception):
+    """A config file that does not read as a season config."""
+
+
+def _load_config(path):
+    try:
+        return load_config(path)
+    except ValueError as exc:
+        raise _ConfigError(f"config {path}: {exc}") from None
+
+
 def _cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     seeds = [args.seed] if args.seed is not None else list(range(config.seeds))
     for seed in seeds:
         calibration = run_calibration(config, seed)
@@ -42,7 +53,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args.config)
     cal_path = Path(args.calibration) if args.calibration else calibration_path(config, args.seed)
     if not cal_path.exists():
         # every method needs one: without it a fixed run's costs stay raw
@@ -163,6 +174,9 @@ def main(argv=None) -> int:
         # downstream pipe (head, less) closed early; not an error
         sys.stderr.close()
         return 0
+    except _ConfigError as exc:  # a bad value is refused before any work or write
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

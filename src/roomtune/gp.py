@@ -16,13 +16,19 @@ share one context is a gain-only Matern 5/2 GP.
 The tuner only ever observes gains on a grid, so the n observations sit
 on few (u) distinct gain rows, the nodes. A model is built through them:
 the Matern factor of the Gram matrix is evaluated on the u x u node pairs
-and gathered to n x n, bit-identical to the dense kernel matrix. The
-build factors the Gram matrix once and solves alpha = K^-1 (y - mu0)
-once, and the model carries both with the node index. Queries reuse
-them: the tuner queries grid gains at one context, so the query
-cross-covariance has rank at most u, and the variance of m queries costs
-m·u² + n²·u operations instead of the n²·m of a dense solve; see
-:meth:`GPModel.posterior_batch`.
+and gathered to n x n, bit-identical to the dense kernel matrix. What
+the build needs of the inputs alone (the nodes, each input's node and
+the unscaled context differences) is an :class:`InputIndex`, which the
+models conditioned on one input set can share. The build factors the
+Gram matrix once and solves alpha = K^-1 (y - mu0) once, and the model
+carries both with the node index. Queries reuse them: the tuner queries
+grid gains at one context, so the query cross-covariance has rank at
+most u, and the variance of m queries costs m·u² + n²·u operations
+instead of the n²·m of a dense solve; see :meth:`GPModel.posterior_batch`.
+The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
+formula, :meth:`GPModel.gain_covariance`. It depends on neither the
+targets nor the context, so a caller whose nodes stay the same from one
+query to the next may compute it once and pass the queried rows.
 
 :meth:`GPModel.with_data` is the one routine that conditions a GP, the
 fit's basis coefficient included, and one helper factors every Gram
@@ -178,6 +184,32 @@ def kernel_matrix(spec: KernelSpec, x, x2=None) -> np.ndarray:
     return spec.signal_variance * _unit_kernel(_scaled_sq_dists(spec.lengthscales, xa, xb))
 
 
+def _observed_points(inputs, dim: int) -> np.ndarray:
+    """Training inputs as an (n, dim) array; an empty list reads as no rows."""
+    return _as_points(inputs, dim) if len(inputs) else np.empty((0, dim))
+
+
+class InputIndex:
+    """The part of a model build that depends on the inputs alone.
+
+    Holds the finite (n, 3) ``inputs``, their u distinct gain rows
+    (``nodes``, in the lexicographic order of ``_distinct_rows``), the
+    index of each input's gain row among them (``node_of``) and the
+    unscaled context differences x_i - x_j (n, n). The models conditioned
+    on one observation log differ only in their hyperparameters and
+    targets, so they can share one index; :meth:`GPModel.with_data`
+    scales it by each model's lengthscales.
+    """
+
+    def __init__(self, inputs):
+        x = _observed_points(inputs, 3)  # two gain dims and one context dim, as KernelSpec requires
+        if x.size and not np.all(np.isfinite(x)):
+            raise ValueError("non-finite input values rejected")
+        self.inputs = x
+        self.nodes, self.node_of = _distinct_rows(x[:, :2])
+        self.context_diffs = np.subtract(x[:, 2, None], x[None, :, 2])
+
+
 @dataclass(frozen=True)
 class GPModel:
     """One cost or constraint surrogate.
@@ -219,7 +251,7 @@ class GPModel:
     def _prior_mean(self) -> float:
         return 0.0 if self.basis_coefficient is None else float(self.basis_coefficient)
 
-    def with_data(self, inputs, targets) -> "GPModel":
+    def with_data(self, inputs, targets, *, index: InputIndex | None = None) -> "GPModel":
         """Batch-build a model on the full observation set.
 
         The Gram matrix is built through the u distinct gain rows: the
@@ -229,41 +261,38 @@ class GPModel:
         ``kernel_matrix(kernel, inputs)`` bit for bit. It is factored
         once by LAPACK ``potrf`` and ``alpha`` is solved once by
         ``potrs``; :meth:`posterior_batch` reuses both with the node
-        index. Non-finite inputs or targets raise ``ValueError``, and a
-        Gram matrix that is not positive definite raises ``LinAlgError``.
+        index. ``index``, when given, must have been built on these
+        inputs; the models of one log pass one index, and ``None`` builds
+        a fresh one. Non-finite inputs or targets raise ``ValueError``,
+        and a Gram matrix that is not positive definite raises
+        ``LinAlgError``.
         """
-        x = _as_points(inputs, self.kernel.input_dim) if len(inputs) else np.empty((0, self.kernel.input_dim))
+        if index is None:
+            index = InputIndex(inputs)
+        elif inputs is not index.inputs and not np.array_equal(
+            _observed_points(inputs, self.kernel.input_dim), index.inputs
+        ):
+            raise ValueError("index was built on other inputs")
+        x = index.inputs
         y = np.asarray(targets, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
             raise ValueError("inputs and targets length mismatch")
         if y.size and not np.all(np.isfinite(y)):
             raise ValueError("non-finite target values rejected")
-        if x.size and not np.all(np.isfinite(x)):
-            raise ValueError("non-finite input values rejected")
+        data = {"inputs": x, "targets": y, "nodes": index.nodes, "node_of": index.node_of}
         if x.shape[0] == 0:
-            return replace(
-                self,
-                inputs=x,
-                targets=y,
-                gram_factor=np.empty((0, 0)),
-                alpha=np.empty(0),
-                nodes=np.empty((0, 2)),
-                node_of=np.empty(0, dtype=np.intp),
-            )
+            return replace(self, gram_factor=np.empty((0, 0)), alpha=np.empty(0), **data)
         ell = self.kernel.lengthscales
         s2 = self.kernel.signal_variance
-        nodes, node_of = _distinct_rows(x[:, :2])
-        node_sq = _scaled_sq_dists(ell[:2], nodes, nodes)
+        node_sq = _scaled_sq_dists(ell[:2], index.nodes, index.nodes)
         node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))  # (u, u)
-        ctx_sq = _scaled_sq_dists(ell[2:], x[:, 2:], x[:, 2:])[0]
-        gram = node_corr[node_of][:, node_of] * np.exp(-0.5 * ctx_sq)
+        ctx_sq = (index.context_diffs / ell[2]) ** 2  # as _scaled_sq_dists rounds it
+        gram = node_corr[index.node_of][:, index.node_of] * np.exp(-0.5 * ctx_sq)
         gram *= s2
         gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * s2
         factor = _factor_in_place(gram)
         alpha = _solve_factored(factor, y - self._prior_mean())
-        return replace(
-            self, inputs=x, targets=y, gram_factor=factor, alpha=alpha, nodes=nodes, node_of=node_of
-        )
+        return replace(self, gram_factor=factor, alpha=alpha, **data)
 
     def add_observation(self, x, y: float) -> "GPModel":
         """Condition on one more (input, target) pair; returns a new model."""
@@ -274,7 +303,16 @@ class GPModel:
         new_y = np.append(self.targets, float(y))
         return self.with_data(new_x, new_y)
 
-    def posterior_batch(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def gain_covariance(self, gains) -> np.ndarray:
+        """The (m, u) block s2 * m(gains, nodes): the Matern gain factor
+        of the covariance between gain rows and this model's nodes,
+        times the signal variance. Each entry depends only on its gain
+        row and node, so the rows of a block computed for a whole grid
+        equal, bit for bit, a block computed for some of its rows."""
+        sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), self.nodes)
+        return self.kernel.signal_variance * _matern_profile(np.sqrt(sq[0] + sq[1]))
+
+    def posterior_batch(self, x, gain_cov=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of query points.
 
         Exact, factored through the u distinct observed gain rows U
@@ -298,22 +336,27 @@ class GPModel:
         every query at its own context, costs an n^3 solve per query
         instead of n^2.
 
+        G is :meth:`gain_covariance` of the queries' gains. A caller that
+        holds it already, for example as rows of a block computed once
+        for the whole grid, passes it as ``gain_cov`` and skips the m u
+        kernel entries; ``None`` computes the queried rows only.
+
         Each row's mean and variance depend only on that row and the
         model, bit for bit, whatever else the batch holds.
         """
         pts = _as_points(x, self.kernel.input_dim)
         mean = np.full(pts.shape[0], self._prior_mean())
         var = np.full(pts.shape[0], self.kernel.signal_variance)
+        u = self.nodes.shape[0]
+        if gain_cov is not None and np.shape(gain_cov) != (pts.shape[0], u):
+            raise ValueError(f"gain_cov must have shape {(pts.shape[0], u)}, got {np.shape(gain_cov)}")
         n = self.num_observations
         if n == 0:
             return mean, var
+        if gain_cov is None:
+            gain_cov = self.gain_covariance(pts[:, :2])
         ell = self.kernel.lengthscales
-        u = self.nodes.shape[0]
         contexts, context_of = _distinct_rows(pts[:, 2:])
-        gain_sq = _scaled_sq_dists(ell[:2], pts[:, :2], self.nodes)
-        gain_cov = self.kernel.signal_variance * _matern_profile(
-            np.sqrt(gain_sq[0] + gain_sq[1])
-        )  # (m, u)
         ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, self.inputs[:, 2:])[0])  # (c, n)
         node_indicator = np.zeros((n, u))
         node_indicator[np.arange(n), self.node_of] = 1.0

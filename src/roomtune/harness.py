@@ -52,6 +52,8 @@ from .optimizer import (
     ContextScaler,
     GainDomain,
     OptimizerState,
+    QueryWorkspace,
+    check_confidence,
     contextual_kernel_template,
     propose,
     state_to_json,
@@ -117,6 +119,9 @@ class SeasonConfig:
         if not 0.0 < self.perturbation < 1.0:
             raise ValueError("perturbation must lie in (0, 1)")
         self.schedule.morning_step_index(self.plant.step_seconds)  # rejects a schedule with no comfort sample
+        # the tuner's own rules, checked before a calibration is simulated
+        self.build_domain()
+        check_confidence(self.beta, self.epsilon)
 
     @property
     def anchor_gains(self) -> PIGains:
@@ -455,7 +460,9 @@ def run_season(
     model-based retuner may change them intraday. Simulator divergence
     propagates: a bad day aborts the run rather than being skipped.
     Each GP day's proposal (gain index, safe-set size, whether it fell
-    back to the anchor) is logged at DEBUG. BLAS runs on one thread.
+    back to the anchor) is logged at DEBUG, and so are the season's wall
+    seconds in ``propose``, in ``update`` and in the closed-loop days.
+    The proposals share one ``QueryWorkspace``. BLAS runs on one thread.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -464,11 +471,15 @@ def run_season(
     normalization = calibration.normalization if calibration else IDENTITY_NORMALIZATION
     loop = _ClosedLoop(config, seed, STREAM_PLANT, config.days)
     opt_state = build_optimizer_state(config, calibration, method) if method in GP_METHODS else None
+    workspace = QueryWorkspace()
     gains, safe_size = config.anchor_gains, 1
     rows = []
+    propose_s = update_s = day_s = 0.0
     for day, oat in enumerate(loop.morning_oats, start=1):
         if opt_state is not None:
-            proposal = propose(opt_state, oat)
+            start = time.perf_counter()
+            proposal = propose(opt_state, oat, workspace=workspace)
+            propose_s += time.perf_counter() - start
             logger.debug(
                 "%s day %d: gain index %d, safe set %d, fallback %s",
                 method,
@@ -479,7 +490,10 @@ def run_season(
             )
             gains, safe_size = proposal.gains, proposal.safe_set_size
         adapter = AdaptiveZnTuner(step_seconds=config.plant.step_seconds) if method == METHOD_ADA else None
-        raw = compute_raw_costs(loop.play(day, gains, adapter))
+        start = time.perf_counter()
+        trace = loop.play(day, gains, adapter)
+        day_s += time.perf_counter() - start
+        raw = compute_raw_costs(trace)
         normed = normalization.normalize(raw)
         rows.append(
             DailyResult(
@@ -502,9 +516,20 @@ def run_season(
             )
         )
         if opt_state is not None:
+            start = time.perf_counter()
             opt_state = update(opt_state, gains, oat, normed, day=day)
+            update_s += time.perf_counter() - start
         elif adapter is not None:
             gains = adapter.gains  # the next day starts on the gains this day's tuner ended with
+    logger.debug(
+        "%s seed %d: %d days, %.3f s in propose, %.3f s in update, %.3f s in the closed-loop days",
+        method,
+        seed,
+        len(rows),
+        propose_s,
+        update_s,
+        day_s,
+    )
     return SeasonRun(method, seed, tuple(rows), opt_state)
 
 

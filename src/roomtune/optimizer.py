@@ -16,9 +16,15 @@ All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
 A state conditions its surrogates on its own log at construction, so
 ``update``, checkpoint restore and day truncation only build a state.
+The log is indexed once (its distinct gains and context differences)
+and every surrogate of the state is built on that one index.
 Only the gains that can still be chosen are queried: ``scbo`` checks each
 constraint surrogate on the gains the previous ones certified, and scores
-the acquisition on its safe candidates alone.
+the acquisition on its safe candidates alone. A ``QueryWorkspace``
+carries each surrogate's grid-to-node gain block from one query to the
+next while the nodes stay the same: a season keeps one for all its days
+and ``gain_schedule`` one for all its temperatures. The workspace is
+never part of a state, and every choice is the same without it.
 
 The model-based baseline lives here too: an in-day retuner that fits a
 first-order-plus-dead-time response by least squares (LAPACK ``gelsd``,
@@ -38,7 +44,7 @@ from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from scipy.special import ndtri
 
 from .costs import NormalizedCosts
-from .gp import GPModel, KernelSpec, PRODUCT, model_from_dict, model_to_dict
+from .gp import GPModel, InputIndex, KernelSpec, PRODUCT, model_from_dict, model_to_dict
 from .pid import PIGains
 
 METHOD_FIXED = "fixed"
@@ -247,10 +253,7 @@ class OptimizerState:
             raise ValueError(f"{self.method} requires {n_constraints} constraint surrogates")
         if any(m.basis_coefficient is not None for m in self.constraint_models):
             raise ValueError("constraint surrogates must be zero-mean")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 0.5)")
+        check_confidence(self.beta, self.epsilon)
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise ValueError("four positive weights required")
         if len(self.thresholds) != 3 or any(c <= 0 for c in self.thresholds):
@@ -264,13 +267,26 @@ class OptimizerState:
             [o.costs for o in self.observations],
             self.thresholds,
         )
-        models = [m.with_data(x, y[:, i]) for i, m in enumerate(self.cost_models + self.constraint_models)]
+        index = InputIndex(x)  # one node index and one set of context differences for the whole log
+        models = [
+            m.with_data(x, y[:, i], index=index) for i, m in enumerate(self.cost_models + self.constraint_models)
+        ]
         object.__setattr__(self, "cost_models", tuple(models[:4]))
         object.__setattr__(self, "constraint_models", tuple(models[4:]))
 
     @property
     def anchor_gains(self) -> PIGains:
         return self.domain.gains_at(self.domain.anchor_index)
+
+
+def check_confidence(beta: float, epsilon: float) -> None:
+    """The rules on the confidence settings: beta (the acquisition's
+    exploration weight) a finite number >= 0, and epsilon (the safe
+    set's allowed violation probability) in (0, 0.5)."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
 
 
 def _check_observations(domain: GainDomain, observations) -> None:
@@ -309,12 +325,48 @@ def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
     return np.column_stack([pts, np.full(pts.shape[0], _unit_context(state, oat))])
 
 
+class QueryWorkspace:
+    """Full-grid gain blocks reused by the queries of successive states.
+
+    A surrogate's block ``gain_covariance(grid)`` depends only on its
+    kernel, its nodes and the grid, and a season's nodes change on few
+    days. The workspace keeps one block per kernel and rebuilds it when
+    the model's nodes or the grid differ from the ones it was built for;
+    queries then take the candidates' rows of it. One workspace serves
+    one season or one ``gain_schedule`` call and never enters a state.
+    """
+
+    def __init__(self):
+        self._blocks: dict[KernelSpec, tuple[np.ndarray, bytes, np.ndarray]] = {}
+
+    def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
+        """``model.gain_covariance`` over every grid gain of ``state``."""
+        grid = state.domain.unit_points
+        nodes = model.nodes.tobytes()
+        cached = self._blocks.get(model.kernel)
+        if cached is None or cached[0] is not grid or cached[1] != nodes:
+            cached = self._blocks[model.kernel] = (grid, nodes, model.gain_covariance(grid))
+        return cached[2]
+
+
+def _posterior(state, model, x, rows, workspace):
+    """``model``'s posterior at ``x``, the grid inputs at the ascending
+    grid indices ``rows``, with the gain block taken from ``workspace``
+    when there is one."""
+    gain_cov = None
+    if workspace is not None:
+        block = workspace.gain_covariance(state, model)
+        gain_cov = block if len(rows) == len(block) else block[rows]  # ascending: all rows are the whole grid
+    return model.posterior_batch(x, gain_cov)
+
+
 def safe_set(
     state: OptimizerState,
     oat: float,
     epsilon: float | None = None,
     *,
     fallback: bool = True,
+    workspace: QueryWorkspace | None = None,
 ) -> np.ndarray:
     """Boolean grid mask of gains certified safe at this context.
 
@@ -323,19 +375,20 @@ def safe_set(
     threshold. The surrogates regress cost minus threshold, so the
     certificate reads headroom mean + q_{1-eps} * std <= 0. An empty
     set falls back to the anchor singleton unless ``fallback`` is off.
+    ``workspace`` supplies the surrogates' gain blocks; the mask is the
+    same without one.
     """
     if not state.constraint_models:
         raise ValueError(f"{state.method} state carries no constraint surrogates")
     eps = state.epsilon if epsilon is None else epsilon
-    if not 0.0 < eps < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
+    check_confidence(state.beta, eps)
     q = ndtri(1.0 - eps)  # what scipy.stats.norm.ppf computes, without loading scipy.stats
     x = _grid_inputs(state, oat)
     # Each surrogate is queried only where the ones before it still
     # certify; posterior rows do not depend on the rest of the batch.
     certified = np.arange(state.domain.size)
     for model in state.constraint_models:
-        mean, var = model.posterior_batch(x[certified])
+        mean, var = _posterior(state, model, x[certified], certified, workspace)
         certified = certified[mean + q * np.sqrt(var) <= 0.0]
         if not certified.size:
             break
@@ -351,17 +404,18 @@ def acquire(
     oat: float,
     safe_mask: np.ndarray | None = None,
     beta: float | None = None,
+    workspace: QueryWorkspace | None = None,
 ) -> int:
     """Grid index minimizing combined-cost mean - beta * std over the
     mask (full grid when no mask). Ties resolve to lower kp, then ki.
     Only the candidate gains are scored, so the mask must hold one. The
     cost surrogates are independent: the weighted sum has mean sum w_i m_i
-    and variance sum w_i^2 v_i."""
+    and variance sum w_i^2 v_i. ``workspace`` is as for ``safe_set``."""
     candidates = np.arange(state.domain.size) if safe_mask is None else np.flatnonzero(safe_mask)
     x = _grid_inputs(state, oat)[candidates]
     mean = var = 0.0
     for w, model in zip(np.asarray(state.weights, dtype=float), state.cost_models):
-        m, v = model.posterior_batch(x)
+        m, v = _posterior(state, model, x, candidates, workspace)
         mean = mean + w * m
         var = var + w**2 * v
     b = state.beta if beta is None else beta
@@ -377,31 +431,33 @@ class Proposal:
     used_fallback: bool
 
 
-def _select(state: OptimizerState, oat: float, beta: float) -> Proposal:
+def _select(state: OptimizerState, oat: float, beta: float, workspace: QueryWorkspace | None) -> Proposal:
     """The selection rule: the best-scoring gains among those the
     constraint surrogates certify (every gain when the state has none),
     or the anchor with ``used_fallback`` when nothing is certified."""
     mask = None
     if state.constraint_models:
-        mask = safe_set(state, oat, fallback=False)
+        mask = safe_set(state, oat, fallback=False, workspace=workspace)
         if not mask.any():
             return Proposal(state.domain.anchor_index, state.anchor_gains, 1, True)
-    index = acquire(state, oat, mask, beta)
+    index = acquire(state, oat, mask, beta, workspace)
     size = state.domain.size if mask is None else int(mask.sum())
     return Proposal(index, state.domain.gains_at(index), size, False)
 
 
-def propose(state: OptimizerState, oat: float) -> Proposal:
+def propose(state: OptimizerState, oat: float, workspace: QueryWorkspace | None = None) -> Proposal:
     """One round of gain selection for the observed context.
 
     The first call (no observations yet) returns the anchor: the
     surrogates are initialized with the known-safe gains before the
-    confidence-bound loop takes over.
+    confidence-bound loop takes over. A season passes one ``workspace``
+    to all its days, so the gain blocks are rebuilt only on the days
+    the nodes change; the choice is the same without one.
     """
     if not state.observations:
         size = 1 if state.constraint_models else state.domain.size
         return Proposal(state.domain.anchor_index, state.anchor_gains, size, False)
-    return _select(state, oat, state.beta)
+    return _select(state, oat, state.beta, workspace)
 
 
 def update(
@@ -424,8 +480,10 @@ def update(
 def gain_schedule(state: OptimizerState, oats) -> list[tuple[float, PIGains]]:
     """Pure-exploitation gain lookup per context: the selection rule of
     ``propose`` at beta = 0, so the posterior-mean argmin over the safe
-    set, or the anchor when nothing is certified."""
-    return [(oat, _select(state, oat, 0.0).gains) for oat in np.asarray(oats, dtype=float).tolist()]
+    set, or the anchor when nothing is certified. All the temperatures
+    share one workspace, so each surrogate's gain block is built once."""
+    workspace = QueryWorkspace()
+    return [(oat, _select(state, oat, 0.0, workspace).gains) for oat in np.asarray(oats, dtype=float).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from datetime import datetime
 from functools import lru_cache
 
@@ -41,6 +42,16 @@ class SimulationDivergedError(RuntimeError):
     """Room temperature left the sanity range during a rollout."""
 
 
+def _require_finite_numbers(settings) -> None:
+    """Reject a settings dataclass with a field that is not a finite real
+    number: NaN is false on both sides of every range check, so it would
+    pass them, and a string or a list fails only mid-run or in hashing."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     room_pole: float = 0.995  # a_d, per step
@@ -53,6 +64,7 @@ class PlantParams:
     noise_sigma: float = 0.01  # degC per step, truncated at +-3 sigma
 
     def __post_init__(self):
+        _require_finite_numbers(self)
         if not 0.0 < self.room_pole < 1.0:
             raise ValueError("room_pole must lie in (0, 1)")
         if self.input_gain <= 0 or self.disturbance_gain <= 0:
@@ -355,6 +367,11 @@ class WeatherConfig:
     ar1_sigma: float = 1.15
     solar_peak: float = 0.34  # degC-equivalent per step at clear midday
     occupancy_gain: float = 0.01  # degC-equivalent per step, 8-18 h
+
+    def __post_init__(self):
+        _require_finite_numbers(self)
+        if self.ar1_sigma < 0:
+            raise ValueError("ar1_sigma must be non-negative")
 
 
 def synth_weather(

@@ -172,9 +172,9 @@ def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys)
     rows = []
     with_data = GPModel.with_data
 
-    def counting_with_data(self, inputs, targets):
+    def counting_with_data(self, inputs, targets, *, index=None):
         rows.append(len(inputs))
-        return with_data(self, inputs, targets)
+        return with_data(self, inputs, targets, index=index)
 
     monkeypatch.setattr(GPModel, "with_data", counting_with_data)
     assert main(["safe-set", "--state", str(state_file), "--day", "2", "--oat", "0.0"]) == 0
@@ -217,6 +217,20 @@ def test_run_without_calibration_exits_with_error(method, tmp_path, capsys):
     assert main(["run", "--config", str(config), "--method", method, "--seed", "0"]) == 2
     assert "calibrate" in capsys.readouterr().err
     assert not (tmp_path / "empty").exists()
+
+
+@pytest.mark.parametrize("command", [["calibrate"], ["run", "--method", "scbo", "--seed", "0"]])
+@pytest.mark.parametrize("optimizer", [{"epsilon": 0.7}, {"beta": -1}, {"grid_size": 1}])
+def test_a_config_value_the_tuner_refuses_exits_with_error_before_any_write(command, optimizer, tmp_path, capsys):
+    """calibrate used to simulate and fit, and write, a calibration under
+    an epsilon or beta that only run refused; the config is now refused
+    when read: status 2, one error line, nothing written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"optimizer": optimizer, "season": {"output_dir": str(tmp_path / "out")}}))
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: config {config}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_method_rejected_by_parser(workspace):

@@ -17,6 +17,7 @@ from roomtune.gp import (
     DimensionMismatchError,
     FitResult,
     GPModel,
+    InputIndex,
     KernelSpec,
     LikelihoodWorkspace,
     fit_hyperparameters,
@@ -146,7 +147,9 @@ def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
 )
 def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     """A query row gets the same bits in batches of 1, 2, 3 and 1600 rows,
-    as the tuner relies on when it queries only the gains it can choose."""
+    as the tuner relies on when it queries only the gains it can choose,
+    and the same bits again when the batch's gain block is passed in as
+    rows of one block computed for the whole grid."""
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
     spec = random_spec(rng)
@@ -156,11 +159,16 @@ def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     model = GPModel.empty(spec, float(rng.uniform(1e-4, 0.1)), basis).with_data(x, rng.normal(size=n))
     query = np.column_stack([grid, np.full(grid.shape[0], rng.uniform())])
     mean, var = model.posterior_batch(query)
+    block = model.gain_covariance(grid)
+    np.testing.assert_array_equal(model.posterior_batch(query, block), (mean, var))
     for size in (1, 2, 3):
         rows = rng.choice(grid.shape[0], size, replace=False)
         sub_mean, sub_var = model.posterior_batch(query[rows])
         np.testing.assert_array_equal(sub_mean, mean[rows])
         np.testing.assert_array_equal(sub_var, var[rows])
+        np.testing.assert_array_equal(model.posterior_batch(query[rows], block[rows]), (sub_mean, sub_var))
+    with pytest.raises(ValueError, match="gain_cov"):
+        model.posterior_batch(query[:2], block[:3])
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,7 +183,9 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     """The Gram factor and alpha that with_data builds through the u
     distinct gain rows equal, bit for bit, scipy's Cholesky of the dense
     kernel_matrix and cho_solve, for u from 1 to n, at one shared context
-    and at distinct contexts, with and without a basis mean."""
+    and at distinct contexts, with and without a basis mean; so do those
+    of a build on an index of the same inputs, as a state's models share
+    one, and a build on an index of other inputs is refused."""
     u = data.draw(st.integers(1, n), label="u")
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
@@ -195,6 +205,11 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     want_nodes, want_node_of = np.unique(gains, axis=0, return_inverse=True)
     assert np.array_equal(model.nodes, want_nodes)
     assert np.array_equal(model.node_of, want_node_of.ravel())
+    index = InputIndex(x.copy())
+    shared = GPModel.empty(spec, noise, basis).with_data(x, y, index=index)
+    assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
+    with pytest.raises(ValueError, match="other inputs"):
+        GPModel.empty(spec, noise, basis).with_data(x + 1.0, y, index=index)
 
 
 @pytest.mark.parametrize("routine", ["dpotrf", "dtrtrs"])

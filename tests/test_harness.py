@@ -143,6 +143,30 @@ def test_config_field_validation():
         config_from_dict({"schedule": {"morning_hour": 30.0}})
     with pytest.raises(ValueError):
         config_from_dict({"schedule": {"night_setpoint": math.nan}})
+    # so do the tuner's confidence settings and gain grid, before a calibration is simulated
+    for optimizer in ({"epsilon": 0.7, "beta": -1}, {"epsilon": 0.7}, {"beta": -1}, {"beta": math.nan},
+                      {"grid_size": 1}, {"kp_bounds": [5, 1]}, {"initial_gains": [50.0, 0.004]}):
+        with pytest.raises(ValueError):
+            config_from_dict({"optimizer": optimizer})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # NaN is false on both sides of noise_sigma's range check; the run would have no noise
+        {"plant": {"noise_sigma": math.nan}},
+        {"plant": {"input_gain": math.inf}},
+        {"season": {"weather": {"mid_oat": "cold"}}},  # failed in the first weather day's arithmetic
+        {"season": {"weather": {"ar1_sigma": -1.0}}},  # failed inside rng.normal
+        {"season": {"weather": {"mid_oat": [1]}}},  # made a config whose hash raised TypeError
+        {"season": {"weather": {"daily_amplitude": math.nan}}},
+    ],
+)
+def test_plant_and_weather_values_must_be_finite_numbers(doc):
+    """A plant or weather value that could only fail mid-run, or never,
+    fails when the config is read."""
+    with pytest.raises(ValueError, match="must be"):
+        config_from_dict(doc)
 
 
 def test_config_rejects_a_schedule_with_no_comfort_sample():
@@ -297,13 +321,16 @@ def test_gp_season_starts_at_anchor_and_logs_days(small_config, calibration):
 def test_gp_season_logs_each_proposal_at_debug(small_config, calibration, caplog):
     """One DEBUG record per GP day: method, day, gain index, safe-set size
     and whether the proposal fell back to the anchor. The run is the one
-    made without logging; a fixed season logs nothing."""
+    made without logging; a fixed season logs no proposal, only the
+    season's timing line, as the GP season does after its days."""
     with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
         logged = run_season(small_config, "scbo", seed=0, calibration=calibration)
         run_season(small_config, "fixed", seed=0)
     assert logged.results == run_season(small_config, "scbo", seed=0, calibration=calibration).results
     records = [r for r in caplog.records if r.name == "roomtune.harness"]
-    assert [r.levelno for r in records] == [logging.DEBUG] * len(logged.results)
+    assert [r.levelno for r in records] == [logging.DEBUG] * (len(logged.results) + 2)
+    assert [r.args[:2] for r in records[-2:]] == [("scbo", 0), ("fixed", 0)]  # the timing lines
+    records = records[:-2]
     domain = small_config.build_domain()
     anchor = domain.anchor_index
     for record, row in zip(records, logged.results):
@@ -314,6 +341,31 @@ def test_gp_season_logs_each_proposal_at_debug(small_config, calibration, caplog
         if fallback:
             assert (index, size) == (anchor, 1)
     assert records[0].args[2:] == (anchor, 1, False)  # day one plays the anchor, not as a fallback
+
+
+def test_a_season_logs_its_wall_time_per_phase_at_debug(small_config, calibration, caplog, tmp_path):
+    """One DEBUG line per season, after its days: method, seed, days and
+    the wall seconds in propose, in update and in the closed-loop days.
+    Timings are not deterministic, so they stay out of the artifacts: a
+    logged run persists the same bytes as one made without logging."""
+    unlogged = {}
+    for method in ("fixed", "scbo"):
+        config = dataclasses.replace(small_config, output_dir=str(tmp_path / f"{method}_quiet"))
+        unlogged[method] = persist_run(config, run_season(config, method, seed=0, calibration=calibration))
+    for method in ("fixed", "scbo"):
+        config = dataclasses.replace(small_config, output_dir=str(tmp_path / method))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
+            run = run_season(config, method, seed=0, calibration=calibration)
+        record = [r for r in caplog.records if r.name == "roomtune.harness"][-1]
+        name, seed, days, propose_s, update_s, day_s = record.args
+        assert (name, seed, days) == (method, 0, small_config.days)
+        assert day_s > 0.0 and min(propose_s, update_s) >= 0.0
+        assert (propose_s > 0.0) == (method == "scbo") and (update_s > 0.0) == (method == "scbo")
+        assert "s in propose" in record.getMessage() and record.levelno == logging.DEBUG
+        path = persist_run(config, run)
+        assert path.read_bytes() == unlogged[method].read_bytes()
+    assert state_path(config, "scbo", 0).read_bytes() == (tmp_path / "scbo_quiet" / "scbo_seed0_state.json").read_bytes()
 
 
 def test_season_is_deterministic(small_config, calibration):

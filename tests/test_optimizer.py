@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from roomtune import optimizer
 from roomtune.costs import NormalizedCosts
-from roomtune.gp import GPModel
+from roomtune.gp import PRODUCT, GPModel, KernelSpec
 from roomtune.optimizer import (
     DEFAULT_BETA,
     METHOD_BO,
@@ -23,6 +23,7 @@ from roomtune.optimizer import (
     Observation,
     OptimizerState,
     Proposal,
+    QueryWorkspace,
     acquire,
     contextual_kernel_template,
     fit_fopdt,
@@ -416,11 +417,29 @@ _LOGS = st.lists(
 )
 
 
-def logged_state(method, log, noise=0.02):
-    state = make_state(method, noise=noise)
+def logged_states(method, log, noise=0.02, prior=None):
+    """The state before the log and after each of its days, from ``prior``
+    (``make_state``'s priors when None)."""
+    states = [make_state(method, noise=noise) if prior is None else prior]
     for day, (index, oat, (j1, j2, j3, j4)) in enumerate(log, start=1):
-        state = update(state, state.domain.gains_at(index), oat, costs_of(j1, j2, j3, j4), day=day)
-    return state
+        state = states[-1]
+        states.append(update(state, state.domain.gains_at(index), oat, costs_of(j1, j2, j3, j4), day=day))
+    return states
+
+
+def logged_state(method, log, noise=0.02):
+    return logged_states(method, log, noise)[-1]
+
+
+# A log whose later gains sort before the nodes logged so far (the grid
+# is kp-major), so the node order, and with it every gain block, changes.
+_REORDERING_LOG = [
+    (20, 0.0, (0.5, 0.6, 0.4, 0.3)),
+    (14, 2.0, (0.7, 0.5, 0.6, 0.2)),
+    (20, -3.0, (0.6, 0.4, 0.5, 0.4)),
+    (3, -1.0, (0.4, 0.3, 0.5, 0.3)),
+    (0, 5.0, (0.9, 1.1, 0.8, 0.2)),
+]
 
 
 def assert_same_posteriors(a, b):
@@ -597,35 +616,70 @@ def test_safe_set_is_monotone_in_epsilon_over_generated_states(log, oat, epsilon
         assert not np.any(tight & ~loose)  # a smaller epsilon certifies a subset
 
 
+def with_distinct_kernels(state):
+    """``state`` with its own kernel for every surrogate, so that a
+    workspace keeps one gain block per surrogate."""
+    def rekernel(models, first):
+        return tuple(
+            dataclasses.replace(m, kernel=KernelSpec(PRODUCT, (0.2 + 0.05 * i, 0.45 - 0.04 * i, 0.3), 0.6 + 0.2 * i))
+            for i, m in enumerate(models, start=first)
+        )
+
+    return dataclasses.replace(
+        state, cost_models=rekernel(state.cost_models, 0), constraint_models=rekernel(state.constraint_models, 4)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(log=_LOGS, oat=st.floats(-20.0, 20.0), subset=st.integers(1, 2 ** small_domain().size - 1))
+@example(log=_REORDERING_LOG, oat=1.0, subset=2 ** 25 - 1)
 def test_pruned_queries_match_full_grid_queries(log, oat, subset):
     """safe_set queries each constraint only where the previous ones
     certify, and acquire scores only its candidates; both must decide as
-    if every surrogate were queried on the whole grid."""
-    state = logged_state(METHOD_SCBO, log)
-    size = state.domain.size
-    x = np.column_stack([state.domain.unit_points, np.full(size, state.scaler.normalize(oat))])
-    masks = []
-    for eps in (state.epsilon, 0.25, 0.45):  # larger epsilons certify more gains
-        q = norm.ppf(1.0 - eps)
-        want = np.ones(size, dtype=bool)
-        for model in state.constraint_models:
-            mean, var = model.posterior_batch(x)
-            want &= mean + q * np.sqrt(var) <= 0.0
-        assert np.array_equal(safe_set(state, oat, eps, fallback=False), want)
-        masks.append(want)
+    if every surrogate were queried on the whole grid. One workspace,
+    reused over the successive states of the log as a season reuses it,
+    must leave every posterior row, mask and choice bit for bit as it is
+    without one."""
+    workspace = QueryWorkspace()
+    for state in logged_states(METHOD_SCBO, log, prior=with_distinct_kernels(make_state(METHOD_SCBO, noise=0.02))):
+        size = state.domain.size
+        x = np.column_stack([state.domain.unit_points, np.full(size, state.scaler.normalize(oat))])
+        drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
+        for model in state.cost_models + state.constraint_models:
+            block = workspace.gain_covariance(state, model)
+            full = model.posterior_batch(x)
+            np.testing.assert_array_equal(model.posterior_batch(x, block), full)
+            rows = np.flatnonzero(drawn)
+            got = model.posterior_batch(x[rows], block[rows])
+            np.testing.assert_array_equal(got, model.posterior_batch(x[rows]))
+            np.testing.assert_array_equal(got, (full[0][rows], full[1][rows]))
+        masks = []
+        for eps in (state.epsilon, 0.25, 0.45):  # larger epsilons certify more gains
+            q = norm.ppf(1.0 - eps)
+            want = np.ones(size, dtype=bool)
+            for model in state.constraint_models:
+                mean, var = model.posterior_batch(x)
+                want &= mean + q * np.sqrt(var) <= 0.0
+            assert np.array_equal(safe_set(state, oat, eps, fallback=False), want)
+            assert np.array_equal(safe_set(state, oat, eps, fallback=False, workspace=workspace), want)
+            masks.append(want)
 
-    mean, var = combined_posterior(state, x)
-    drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
-    for mask in masks + [drawn, None]:
-        if mask is not None and not mask.any():
-            continue
-        for beta in (state.beta, 0.0):
-            score = mean - beta * np.sqrt(var)
-            if mask is not None:
-                score = np.where(mask, score, np.inf)
-            assert acquire(state, oat, mask, beta) == int(np.argmin(score))
+        mean, var = combined_posterior(state, x)
+        for mask in masks + [drawn, None]:
+            if mask is not None and not mask.any():
+                continue
+            for beta in (state.beta, 0.0):
+                score = mean - beta * np.sqrt(var)
+                if mask is not None:
+                    score = np.where(mask, score, np.inf)
+                want = int(np.argmin(score))
+                assert acquire(state, oat, mask, beta) == want
+                assert acquire(state, oat, mask, beta, workspace) == want
+
+    # the final log on a 6 x 6 grid: the workspace must not serve the 5 x 5 grid's blocks
+    other = dataclasses.replace(state, domain=small_domain(6))
+    assert np.array_equal(safe_set(other, oat, workspace=workspace), safe_set(other, oat))
+    assert acquire(other, oat, workspace=workspace) == acquire(other, oat)
 
 
 # Weights whose float64 square differs from their product with themselves
@@ -636,28 +690,47 @@ _ULP_WEIGHTS = (0.42672114373024106, 0.7454248080083349, 0.6816887827112171, 0.2
 
 @settings(max_examples=40, deadline=None)
 @given(method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]), log=_LOGS, oat=st.floats(-20.0, 20.0))
+@example(method=METHOD_SCBO, log=_REORDERING_LOG, oat=1.0)
 def test_surrogates_regress_the_costs_then_the_headrooms(method, log, oat):
     """A state conditions its cost surrogates on the normalized costs and
     its constraint surrogates on cost minus threshold, over (unit gains,
-    unit context); its posteriors must be bit-equal to models built on
-    those targets written out here."""
+    unit context), all on one index of its log; its posteriors must be
+    bit-equal to models built one by one on those targets written out
+    here, on every day of the log, and so must the posteriors read
+    through one workspace reused over those days. The workspace serves
+    the mirrored log's state of each day in turn too: on the same grid,
+    it has as many nodes, mostly at other gains."""
     thresholds = (0.9, 1.1, 1.3)
-    state = dataclasses.replace(logged_state(method, log), thresholds=thresholds)
     priors = make_state(method, noise=0.02)
-    rows = state.domain.unit_points[[index for index, _, _ in log]]
-    contexts = [0.0 if state.scaler is None else state.scaler.normalize(o) for _, o, _ in log]
-    x = np.column_stack([rows, contexts])
-    y = np.array([costs for _, _, costs in log]).reshape(-1, 4)
-    headroom = y[:, :3] - thresholds
-    want = [m.with_data(x, y[:, i]) for i, m in enumerate(priors.cost_models)]
-    want += [m.with_data(x, headroom[:, i]) for i, m in enumerate(priors.constraint_models)]
-    got_x, got_y = surrogate_data(rows, contexts, y, thresholds)
-    np.testing.assert_array_equal(got_x, x)
-    np.testing.assert_array_equal(got_y, np.column_stack([y, headroom]))
-    context = 0.0 if state.scaler is None else state.scaler.normalize(oat)
-    grid = np.column_stack([state.domain.unit_points, np.full(state.domain.size, context)])
-    for model, reference in zip(state.cost_models + state.constraint_models, want, strict=True):
-        np.testing.assert_array_equal(model.posterior_batch(grid), reference.posterior_batch(grid))
+    workspace = QueryWorkspace()
+    mirrored = [(priors.domain.size - 1 - index, o, costs) for index, o, costs in log]
+
+    def check(logged, days):
+        state = dataclasses.replace(logged, thresholds=thresholds)
+        indices = np.array([index for index, _, _ in days], dtype=int)
+        rows = state.domain.unit_points[indices]
+        contexts = [0.0 if state.scaler is None else state.scaler.normalize(o) for _, o, _ in days]
+        x = np.column_stack([rows, contexts])
+        y = np.array([costs for _, _, costs in days]).reshape(-1, 4)
+        headroom = y[:, :3] - thresholds
+        want = [m.with_data(x, y[:, i]) for i, m in enumerate(priors.cost_models)]
+        want += [m.with_data(x, headroom[:, i]) for i, m in enumerate(priors.constraint_models)]
+        got_x, got_y = surrogate_data(rows, contexts, y, thresholds)
+        np.testing.assert_array_equal(got_x, x)
+        np.testing.assert_array_equal(got_y, np.column_stack([y, headroom]))
+        context = 0.0 if state.scaler is None else state.scaler.normalize(oat)
+        grid = np.column_stack([state.domain.unit_points, np.full(state.domain.size, context)])
+        node_rows = state.domain.unit_points[np.unique(indices)]  # the nodes are the logged grid gains, in grid order
+        for model, reference in zip(state.cost_models + state.constraint_models, want, strict=True):
+            np.testing.assert_array_equal(model.nodes, node_rows)
+            posterior = reference.posterior_batch(grid)
+            np.testing.assert_array_equal(model.posterior_batch(grid), posterior)
+            np.testing.assert_array_equal(model.posterior_batch(grid, workspace.gain_covariance(state, model)), posterior)
+
+    states = zip(logged_states(method, log, prior=priors), logged_states(method, mirrored, prior=priors))
+    for day, (logged, logged_mirror) in enumerate(states):
+        check(logged, log[:day])
+        check(logged_mirror, mirrored[:day])
 
 
 def acquire_with_score(state, oat, mask, beta):
