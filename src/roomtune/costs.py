@@ -20,6 +20,9 @@ DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 # scale; the floor keeps normalization well-defined.
 _SCALE_FLOOR = 1e-9
 
+# The fewest calibration episodes whose upper percentiles mean anything.
+MIN_CALIBRATION_EPISODES = 40
+
 
 class CalibrationError(ValueError):
     """Raised when the calibration set is too small to set scales."""
@@ -172,10 +175,7 @@ class CostNormalization:
             raise ValueError("scales must be positive")
         if any(c <= 0 for c in self.thresholds):
             raise ValueError("thresholds must be positive")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+        check_weights(self.weights)
 
     def normalize(self, raw: RawCosts) -> NormalizedCosts:
         vals = raw.as_array() / np.asarray(self.scales)
@@ -193,6 +193,14 @@ class CostNormalization:
         return cls(tuple(d["scales"]), tuple(d["thresholds"]), tuple(d["weights"]))
 
 
+def check_weights(weights) -> None:
+    """The rule on the cost weights: positive, summing to 1."""
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"weights must sum to 1, got {tuple(weights)!r}")
+
+
 def calibrate_normalization(
     calibration_raw_costs: list[RawCosts],
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS,
@@ -202,11 +210,13 @@ def calibrate_normalization(
     Percentiles take the next-higher order statistic so the stated
     coverage is a guarantee: at least 95% of calibration episodes land
     at or below scale 1.0, and at least 97.5% at or below the safety
-    threshold. At least 40 episodes are required for the upper
-    percentiles to mean anything.
+    threshold. At least ``MIN_CALIBRATION_EPISODES`` episodes are
+    required for the upper percentiles to mean anything.
     """
-    if len(calibration_raw_costs) < 40:
-        raise CalibrationError(f"need >= 40 calibration episodes, got {len(calibration_raw_costs)}")
+    if len(calibration_raw_costs) < MIN_CALIBRATION_EPISODES:
+        raise CalibrationError(
+            f"need >= {MIN_CALIBRATION_EPISODES} calibration episodes, got {len(calibration_raw_costs)}"
+        )
     raw = np.array([rc.as_array() for rc in calibration_raw_costs])
     scales = np.maximum(np.percentile(raw, 95.0, axis=0, method="higher"), _SCALE_FLOOR)
     p975 = np.percentile(raw, 97.5, axis=0, method="higher")

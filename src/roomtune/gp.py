@@ -33,15 +33,33 @@ query to the next may compute it once and pass the queried rows.
 :meth:`GPModel.with_data` is the one routine that conditions a GP, the
 fit's basis coefficient included, and one helper factors every Gram
 matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in place.
+
+A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
+not depend on one another. Passed a :class:`StartPool`, a fit splits
+them statically between the caller and P - 1 forked worker processes,
+P = min(CPUs this process may run on, starts): worker w runs starts
+w, w + P, ..., the caller the last share. Each process runs its share
+on one likelihood workspace and one BLAS thread and sends back only the
+final value and theta of each start; the caller puts them back in start
+order and keeps the first best, so a fit is bit-identical at any P and
+without a pool. The pool forks only (spawn or forkserver would import
+numpy and scipy again in every worker) and has no setting: the CPU
+count alone decides P, and at one CPU it starts no process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+
+from .blas import single_blas_thread
 
 # The one kernel family; kept as a format tag in serialized kernels.
 PRODUCT = "product"
@@ -397,6 +415,7 @@ def model_from_dict(d: dict) -> GPModel:
 LENGTHSCALE_BOUNDS = (0.05, 10.0)
 VARIANCE_BOUNDS = (1e-4, 10.0)
 _NOISE_VARIANCE_START = 1e-2  # the first start's noise variance; a degenerate fit's too
+N_STARTS = 5  # L-BFGS-B starts per fit: the template's, then random ones
 
 
 @dataclass(frozen=True)
@@ -549,14 +568,129 @@ def log_marginal_likelihood(
     return lml, grad
 
 
+@single_blas_thread()
+def _run_starts(template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: bool, bounds, starts) -> list:
+    """L-BFGS-B from each start in turn, every likelihood call on one
+    :class:`LikelihoodWorkspace` and BLAS on one thread, so a start's
+    result does not depend on the process that runs it; ``(fun, theta)``
+    per start. A start that raises ends the list with its exception,
+    where a loop over the starts would have stopped."""
+    from scipy.optimize import minimize
+
+    workspace = LikelihoodWorkspace(x)
+
+    def objective(theta):
+        lml, grad = log_marginal_likelihood(theta, template, x, y, with_basis, workspace=workspace)
+        return -lml, -grad
+
+    outcomes = []
+    for start in starts:
+        try:
+            res = minimize(
+                objective,
+                start,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
+            )
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+        outcomes.append((res.fun, res.x))
+    return outcomes
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _serve_starts(conn) -> None:
+    """A :class:`StartPool` worker: runs each share of starts it receives
+    and sends back their outcomes, until it receives ``None``. The caller
+    handles interrupts, so the worker ignores SIGINT."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while (task := conn.recv()) is not None:
+        conn.send(_run_starts(*task))
+
+
+class StartPool:
+    """Worker processes that share the random starts of each fit run
+    inside the ``with`` block with the calling process.
+
+    ``size`` is P = min(CPUs this process may run on, ``n_starts``): the
+    caller and P - 1 workers forked when the block is entered; at one CPU
+    no process is started. The workers are forked, so they inherit numpy,
+    scipy (scipy.optimize is imported before the fork) and roomtune
+    without importing them again. Forking is safe here because roomtune
+    starts no thread, and OpenBLAS, whose pool is the only other one in
+    the process, registers a fork handler that stops its threads. Every
+    exit from the block, an exception included, stops and joins them.
+    """
+
+    def __init__(self, n_starts: int = N_STARTS):
+        self.size = max(1, min(_cpu_count(), n_starts))
+        self._workers = []
+
+    def __enter__(self) -> "StartPool":
+        if self.size > 1:
+            import scipy.optimize  # noqa: F401 -- the workers inherit it
+
+            context = multiprocessing.get_context("fork")
+            try:
+                for _ in range(self.size - 1):
+                    mine, theirs = context.Pipe()
+                    worker = context.Process(target=_serve_starts, args=(theirs,), daemon=True)
+                    worker.start()
+                    theirs.close()
+                    self._workers.append((worker, mine))
+            except BaseException:
+                self._stop(terminate=True)
+                raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._stop(terminate=exc_type is not None)
+
+    def _stop(self, terminate: bool) -> None:
+        for worker, conn in self._workers:
+            if terminate:
+                worker.terminate()
+            else:
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+        for worker, conn in self._workers:
+            worker.join()
+            conn.close()
+        self._workers = []
+
+    def run(self, template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: bool, bounds, starts) -> list:
+        """The outcome of each start, in start order. With p = min(P,
+        number of starts), worker w runs ``starts[w::p]`` and the caller
+        runs ``starts[p-1::p]``: a static split, so the caller's share,
+        and what a profiler sees of it, is the same from run to run.
+        Outside the ``with`` block P is 1 and the caller runs every start."""
+        p = min(len(self._workers) + 1, len(starts))
+        workers = [conn for _, conn in self._workers[: p - 1]]
+        for w, conn in enumerate(workers):
+            conn.send((template, x, y, with_basis, bounds, starts[w::p]))
+        mine = _run_starts(template, x, y, with_basis, bounds, starts[p - 1 :: p])
+        shares = [conn.recv() for conn in workers] + [mine]
+        # A share that raised ends at its exception, which comes before
+        # the share's missing starts in start order.
+        return [shares[i % p][i // p] for i in range(len(starts)) if i // p < len(shares[i % p])]
+
+
 def fit_hyperparameters(
     template: KernelSpec,
     inputs,
     targets,
     *,
     with_basis: bool = False,
-    n_starts: int = 5,
+    n_starts: int = N_STARTS,
     seed: int = 0,
+    pool: StartPool | None = None,
 ) -> FitResult:
     """Fit kernel hyperparameters (and basis coefficient) once, offline.
 
@@ -564,11 +698,11 @@ def fit_hyperparameters(
     a bounded region. Hyperparameters are treated as fixed afterwards;
     the optimizer never re-fits them during a season. Constant targets
     short-circuit to the template defaults with ``degenerate=True``.
-    scipy.optimize is imported here, not with the module: it adds about
-    17 MB to every process, and only the calibration fits.
+    The starts run in the caller, or split between the caller and the
+    workers of ``pool``; the result is the same bit for bit.
+    scipy.optimize is imported only to fit: it adds about 17 MB to every
+    process, and only the calibration fits.
     """
-    from scipy.optimize import minimize
-
     x = _as_points(inputs, template.input_dim)
     y = np.asarray(targets, dtype=float).ravel()
     if x.shape[0] != y.shape[0]:
@@ -583,13 +717,6 @@ def fit_hyperparameters(
     lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [VARIANCE_BOUNDS[0]] * 2))
     hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [VARIANCE_BOUNDS[1]] * 2))
     bounds = list(zip(lo, hi))
-
-    workspace = LikelihoodWorkspace(x)
-
-    def objective(theta):
-        lml, grad = log_marginal_likelihood(theta, template, x, y, with_basis, workspace=workspace)
-        return -lml, -grad
-
     rng = np.random.default_rng(seed)
     theta0 = np.log(
         np.clip(
@@ -599,25 +726,24 @@ def fit_hyperparameters(
         )
     )
     starts = [theta0] + [rng.uniform(lo, hi) for _ in range(max(0, n_starts - 1))]
+    if pool is None:
+        outcomes = _run_starts(template, x, y, with_basis, bounds, starts)
+    else:
+        outcomes = pool.run(template, x, y, with_basis, bounds, starts)
 
     best = None
-    for start in starts:
-        res = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+    for outcome in outcomes:  # in start order, so the first start that raised raises
+        if isinstance(outcome, Exception):
+            raise outcome
+        if best is None or outcome[0] < best[0]:
+            best = outcome
 
-    spec, noise = _unpack(best.x, template)
+    fun, theta = best
+    spec, noise = _unpack(theta, template)
     alpha = None
     if with_basis:
         # 1^T K^-1 y / 1^T K^-1 1; a zero-mean model's alpha is K^-1 y
         model = GPModel(spec, noise).with_data(x, y)
         ones = np.ones(x.shape[0])
         alpha = float(ones @ model.alpha) / float(ones @ _solve_factored(model.gram_factor, ones))
-    return FitResult(spec, noise, alpha, -float(best.fun))
+    return FitResult(spec, noise, alpha, -float(fun))

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import re
 import secrets
@@ -28,13 +29,16 @@ import numpy as np
 from .blas import single_blas_thread
 from .costs import (
     DEFAULT_WEIGHTS,
+    MIN_CALIBRATION_EPISODES,
+    CalibrationError,
     CostNormalization,
     EpisodeTrace,
     RawCosts,
     calibrate_normalization,
+    check_weights,
     compute_raw_costs,
 )
-from .gp import GPModel, fit_hyperparameters, model_from_dict, model_to_dict
+from .gp import GPModel, StartPool, fit_hyperparameters, model_from_dict, model_to_dict
 from .optimizer import (
     ALL_METHODS,
     DEFAULT_ANCHOR,
@@ -112,10 +116,18 @@ class SeasonConfig:
     weather_csv: str | None = None  # measured weather; synthetic when None
 
     def __post_init__(self):
-        if self.days < 1 or self.calibration_days < 1:
-            raise ValueError("day counts must be >= 1")
+        _check_numbers(self)
+        if self.days < 1:
+            raise ValueError("days must be >= 1")
+        if self.calibration_days < MIN_CALIBRATION_EPISODES:
+            raise CalibrationError(
+                f"calibration_days must be >= {MIN_CALIBRATION_EPISODES}, got {self.calibration_days}"
+            )
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_weights(self.weights)
         if not 0.0 < self.perturbation < 1.0:
             raise ValueError("perturbation must lie in (0, 1)")
         self.schedule.morning_step_index(self.plant.step_seconds)  # rejects a schedule with no comfort sample
@@ -129,6 +141,29 @@ class SeasonConfig:
 
     def build_domain(self) -> GainDomain:
         return GainDomain.build(self.kp_bounds, self.ki_bounds, self.grid_size, self.initial_gains)
+
+
+def _check_numbers(config: SeasonConfig) -> None:
+    """Refuse a number of the wrong type before a rule compares it: an
+    ``int`` field takes an integer, a ``float`` field a finite real number
+    and a ``tuple[float, ...]`` field a tuple of as many; a bool is
+    neither. The kinds are read from the field annotations."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            ok, wanted = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+        elif f.type == "float" or f.type.startswith("tuple[float"):
+            count = f.type.count("float")
+            items = (value,) if f.type == "float" else value
+            ok = isinstance(items, tuple) and len(items) == count
+            ok = ok and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in items
+            )
+            wanted = "a finite number" if f.type == "float" else f"{count} finite numbers"
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 # Config sections whose keys set the SeasonConfig fields of the same name;
@@ -295,16 +330,25 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     """Perturbed-anchor season: simulate, derive normalization, fit all
     kernel hyperparameters once. The perturbed gains double as the
     random safe inputs for maximum-likelihood fitting. BLAS runs on one
-    thread, so the fits do not depend on the host's core count."""
+    thread, so the fits do not depend on the host's core count. The
+    season is simulated first; then one ``StartPool`` shares the random
+    starts of each of the seven fits between this process and a worker
+    per further CPU, which leaves every fit bit-identical. One DEBUG line
+    after the fits gives the seed, the pool's process count and the wall
+    seconds in the closed-loop days and in the fits."""
     loop = _ClosedLoop(config, seed, STREAM_CAL_NOISE, config.calibration_days)
     rng_gains = np.random.default_rng(_seed_sequence(config, seed, STREAM_CAL_GAINS))
     anchor = config.anchor_gains
     raws: list[RawCosts] = []
     gain_rows = []
+    day_s = 0.0
     for day in range(1, config.calibration_days + 1):
         factors = 1.0 + rng_gains.uniform(-config.perturbation, config.perturbation, 2)
         gains = PIGains(anchor.kp * factors[0], anchor.ki * factors[1])
-        raws.append(compute_raw_costs(loop.play(day, gains)))
+        start = time.perf_counter()
+        trace = loop.play(day, gains)
+        day_s += time.perf_counter() - start
+        raws.append(compute_raw_costs(trace))
         gain_rows.append([gains.kp, gains.ki])
 
     oats = loop.morning_oats
@@ -316,23 +360,33 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
         [normalization.normalize(r).as_array() for r in raws],
         normalization.thresholds,
     )
-    # the four cost surrogates fit a basis mean, the three constraint ones do not
-    models = tuple(
-        _fit_surrogate(name, x, y[:, i], i < 4, _seed_sequence(config, seed, STREAM_FIT, i))
-        for i, name in enumerate(_FIT_NAMES)
+    start = time.perf_counter()
+    with StartPool() as pool:
+        # the four cost surrogates fit a basis mean, the three constraint ones do not
+        models = tuple(
+            _fit_surrogate(name, x, y[:, i], i < 4, _seed_sequence(config, seed, STREAM_FIT, i), pool)
+            for i, name in enumerate(_FIT_NAMES)
+        )
+    logger.debug(
+        "calibration seed %d: %d process(es), %.3f s in the closed-loop days, %.3f s in the fits",
+        seed,
+        pool.size,
+        day_s,
+        time.perf_counter() - start,
     )
     return Calibration(normalization, scaler, models[:4], models[4:])
 
 
 def _fit_surrogate(
-    name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seeds: np.random.SeedSequence
+    name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seeds: np.random.SeedSequence, pool: StartPool
 ) -> GPModel:
     """One hyperparameter fit of the calibration, its random starts drawn
-    from ``seeds``, logged at DEBUG with its fitted likelihood, how many
-    hyperparameters sit on a bound, and its wall time."""
+    from ``seeds`` and shared with ``pool``, logged at DEBUG with its
+    fitted likelihood, how many hyperparameters sit on a bound, and its
+    wall time."""
     start = time.perf_counter()
     seed = int(seeds.generate_state(1)[0])
-    fit = fit_hyperparameters(contextual_kernel_template(), x, y, with_basis=with_basis, seed=seed)
+    fit = fit_hyperparameters(contextual_kernel_template(), x, y, with_basis=with_basis, seed=seed, pool=pool)
     logger.debug(
         "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, %.3f s",
         name,

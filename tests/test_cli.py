@@ -220,10 +220,13 @@ def test_run_without_calibration_exits_with_error(method, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["calibrate"], ["run", "--method", "scbo", "--seed", "0"]])
-@pytest.mark.parametrize("optimizer", [{"epsilon": 0.7}, {"beta": -1}, {"grid_size": 1}])
+@pytest.mark.parametrize(
+    "optimizer", [{"epsilon": 0.7}, {"beta": -1}, {"grid_size": 1}, {"beta": "2"}, {"grid_size": 40.5}]
+)
 def test_a_config_value_the_tuner_refuses_exits_with_error_before_any_write(command, optimizer, tmp_path, capsys):
     """calibrate used to simulate and fit, and write, a calibration under
-    an epsilon or beta that only run refused; the config is now refused
+    an epsilon or beta that only run refused, and a value of the wrong
+    type raised TypeError with a traceback; the config is now refused
     when read: status 2, one error line, nothing written."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"optimizer": optimizer, "season": {"output_dir": str(tmp_path / "out")}}))

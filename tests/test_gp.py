@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from roomtune.gp import (
     InputIndex,
     KernelSpec,
     LikelihoodWorkspace,
+    StartPool,
     fit_hyperparameters,
     kernel_matrix,
     log_marginal_likelihood,
@@ -566,6 +569,53 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
     want = fit_hyperparameters(template, x, y, with_basis=with_basis, n_starts=2, seed=3)
     assert isinstance(want, FitResult) and fit == want
     assert len(calls) > 10 and all(ws is calls[0] for ws in calls)  # one workspace per fit
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(10, 25),
+    n_starts=st.integers(1, 6),
+    with_basis=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+    fit_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_pooled_fit_equals_the_fit_without_a_pool(n, n_starts, with_basis, data_seed, fit_seed):
+    """However many CPUs the pool sees, and so however the starts are
+    split between this process and its workers, the fit is the same
+    FitResult as the one that runs every start here. One CPU starts no
+    worker, and none is left after the block."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+    options = {"with_basis": with_basis, "n_starts": n_starts, "seed": fit_seed}
+    want = fit_hyperparameters(template, x, y, **options)
+    for cpus in (1, 2, 3):
+        with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool() as pool:
+            assert pool.size == min(cpus, gp.N_STARTS)
+            assert len(multiprocessing.active_children()) == pool.size - 1
+            got = fit_hyperparameters(template, x, y, pool=pool, **options)
+        assert got == want
+        assert multiprocessing.active_children() == []
+
+
+def test_a_fit_that_raises_in_a_pool_leaves_the_pool_usable_and_no_worker_behind(monkeypatch):
+    """A start that raises in a worker raises in the caller; the pool's
+    next fit is still exact, and leaving the block by an exception stops
+    and joins every worker."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (20, 3))
+    y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=20)
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+    with pytest.raises(RuntimeError, match="leaving the block"):
+        with StartPool() as pool:
+            assert len(multiprocessing.active_children()) == 1
+            with pytest.raises(ValueError, match="non-finite target"):  # start 0 runs in the worker
+                fit_hyperparameters(template, x, np.where(np.arange(20) == 3, np.nan, y), pool=pool)
+            assert fit_hyperparameters(template, x, y, pool=pool) == fit_hyperparameters(template, x, y)
+            raise RuntimeError("leaving the block")
+    assert multiprocessing.active_children() == []
 
 
 def reference_basis_coefficient(spec, noise, x, y):

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomtune import harness
-from roomtune.costs import CalibrationError
+from roomtune import gp, harness
+from roomtune.costs import CalibrationError, RawCosts, calibrate_normalization
 from roomtune.harness import (
     RESULTS_FIELDS,
     Calibration,
@@ -169,6 +170,24 @@ def test_plant_and_weather_values_must_be_finite_numbers(doc):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"optimizer": {"beta": "2"}},  # raised TypeError in the confidence check
+        {"season": {"days": "3"}},  # raised TypeError in the day-count check
+        {"season": {"days": True}},
+        {"season": {"master_seed": -1}},  # failed in SeedSequence, after the config was read
+        {"costs": {"weights": [0.5, 0.5, 0.5, 0.5]}},  # failed after the calibration season was simulated
+        {"costs": {"weights": [0.25, 0.25, 0.5]}},
+        {"optimizer": {"kp_bounds": [0.1, "3"]}},
+        {"costs": {"calibration_days": 20}},  # failed in calibrate_normalization
+    ],
+)
+def test_a_config_value_of_the_wrong_type_or_out_of_range_is_refused_when_read(doc):
+    with pytest.raises(ValueError, match="must"):
+        config_from_dict(doc)
+
+
 def test_config_rejects_a_schedule_with_no_comfort_sample():
     # 23.95 h lies past the last 300 s sample (23:55), so the setpoint never steps up
     late = DaySchedule(morning_hour=23.95, evening_hour=24.0)
@@ -240,9 +259,9 @@ def test_calibration_fits_the_costs_then_the_headrooms_on_one_input(small_config
     fits = []
     fit = harness.fit_hyperparameters
 
-    def recording_fit(template, x, y, with_basis, seed):
+    def recording_fit(template, x, y, with_basis, seed, pool):
         fits.append((x, y, with_basis, seed))
-        return fit(template, x, y, with_basis=with_basis, seed=seed)
+        return fit(template, x, y, with_basis=with_basis, seed=seed, pool=pool)
 
     monkeypatch.setattr(harness, "fit_hyperparameters", recording_fit)
     assert run_calibration(small_config, seed=0).to_json() == calibration.to_json()
@@ -257,9 +276,25 @@ def test_calibration_fits_the_costs_then_the_headrooms_on_one_input(small_config
 
 
 def test_calibration_needs_enough_episodes(small_config):
-    short = dataclasses.replace(small_config, calibration_days=20)
+    """Too short a calibration is refused when the config is made, by the
+    minimum the normalization itself enforces."""
     with pytest.raises(CalibrationError):
-        run_calibration(short, seed=0)
+        dataclasses.replace(small_config, calibration_days=20)
+    with pytest.raises(CalibrationError):
+        calibrate_normalization([RawCosts(1.0, 1.0, 1.0, 1.0)] * 20)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_calibration_is_the_same_with_and_without_worker_processes(small_config, seed, monkeypatch):
+    """One CPU runs every start in this process, two share them with a
+    forked worker; the artifact is the same bytes, and no worker outlives
+    the calibration."""
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(gp, "_cpu_count", lambda: cpus)
+        texts.append(run_calibration(small_config, seed=seed).to_json())
+        assert multiprocessing.active_children() == []
+    assert texts[0] == texts[1]
 
 
 def test_bo_carries_the_calibration_models_unchanged(small_config, calibration):
@@ -443,7 +478,7 @@ def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
     with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
         logged = run_calibration(small_config, seed=0)
     assert logged.to_json() == calibration.to_json()
-    records = [r for r in caplog.records if r.name == "roomtune.harness"]
+    records = [r for r in caplog.records if r.name == "roomtune.harness"][:-1]  # the last is the calibration's
     assert [r.levelno for r in records] == [logging.DEBUG] * 7
     names = [r.args[0] for r in records]
     assert names == [f"cost_j{i}" for i in range(1, 5)] + [f"constraint_j{i}" for i in range(1, 4)]
@@ -452,6 +487,24 @@ def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
         assert degenerate or math.isfinite(lml)
         assert 0 <= on_bound <= 5 and seconds >= 0.0
         assert record.args[0] in record.getMessage()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_calibration_logs_its_wall_time_per_phase_at_debug(small_config, calibration, caplog, cpus, monkeypatch):
+    """One DEBUG line per calibration, after its seven fit lines: seed,
+    the start pool's process count and the wall seconds in the
+    closed-loop days and in the fits. The fit lines come from this
+    process only; the artifact is the one built without logging."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: cpus)
+    with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
+        logged = run_calibration(small_config, seed=0)
+    assert logged.to_json() == calibration.to_json()
+    records = [r for r in caplog.records if r.name == "roomtune.harness"]
+    assert len(records) == 8 and all(r.process == records[0].process for r in records)
+    record = records[-1]
+    seed, processes, day_s, fit_s = record.args
+    assert (seed, processes) == (0, cpus) and day_s > 0.0 and fit_s > 0.0
+    assert "s in the fits" in record.getMessage() and record.levelno == logging.DEBUG
 
 
 def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
