@@ -44,7 +44,8 @@ final value and theta of each start; the caller puts them back in start
 order and keeps the first best, so a fit is bit-identical at any P and
 without a pool. The pool forks only (spawn or forkserver would import
 numpy and scipy again in every worker) and has no setting: the CPU
-count alone decides P, and at one CPU it starts no process.
+count alone decides P, and at one CPU, or on a host that cannot fork, it
+starts no process.
 """
 
 from __future__ import annotations
@@ -602,7 +603,11 @@ def _run_starts(template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: 
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on; 1 on a host that cannot tell them
+    (no ``os.sched_getaffinity``) or cannot fork, so that a
+    :class:`StartPool` there starts no process."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     return len(os.sched_getaffinity(0))
 
 
@@ -619,18 +624,19 @@ class StartPool:
     """Worker processes that share the random starts of each fit run
     inside the ``with`` block with the calling process.
 
-    ``size`` is P = min(CPUs this process may run on, ``n_starts``): the
-    caller and P - 1 workers forked when the block is entered; at one CPU
-    no process is started. The workers are forked, so they inherit numpy,
-    scipy (scipy.optimize is imported before the fork) and roomtune
-    without importing them again. Forking is safe here because roomtune
-    starts no thread, and OpenBLAS, whose pool is the only other one in
-    the process, registers a fork handler that stops its threads. Every
-    exit from the block, an exception included, stops and joins them.
+    ``size`` is P = min(CPUs this process may run on, ``N_STARTS``): the
+    caller and P - 1 workers forked when the block is entered; at one CPU,
+    or on a host that cannot fork, no process is started. The workers are
+    forked, so they inherit numpy, scipy (scipy.optimize is imported
+    before the fork) and roomtune without importing them again. Forking
+    is safe here because roomtune starts no thread, and OpenBLAS, whose
+    pool is the only other one in the process, registers a fork handler
+    that stops its threads. Every exit from the block, an exception
+    included, stops and joins them.
     """
 
-    def __init__(self, n_starts: int = N_STARTS):
-        self.size = max(1, min(_cpu_count(), n_starts))
+    def __init__(self):
+        self.size = max(1, min(_cpu_count(), N_STARTS))
         self._workers = []
 
     def __enter__(self) -> "StartPool":

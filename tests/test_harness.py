@@ -297,6 +297,23 @@ def test_calibration_is_the_same_with_and_without_worker_processes(small_config,
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_a_host_that_cannot_fork_or_tell_its_cpus_calibrates_in_one_process(
+    small_config, calibration, missing, monkeypatch
+):
+    """Without os.sched_getaffinity, or without the fork start method, the
+    pool has one process and starts no worker; the artifact is the same."""
+    if missing == "sched_getaffinity":
+        monkeypatch.delattr(gp.os, "sched_getaffinity", raising=False)
+    else:
+        methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+        monkeypatch.setattr(gp.multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(gp.multiprocessing, "get_context", None)  # a fork attempt would raise
+    assert gp.StartPool().size == 1
+    assert run_calibration(small_config, seed=0).to_json() == calibration.to_json()
+    assert multiprocessing.active_children() == []
+
+
 def test_bo_carries_the_calibration_models_unchanged(small_config, calibration):
     """bo, cbo and scbo start from the same contextual cost fits; bo differs
     only in holding the context fixed (no scaler)."""
