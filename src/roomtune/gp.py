@@ -36,25 +36,26 @@ matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in place.
 
 A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
 not depend on one another. Passed a :class:`StartPool`, a fit splits
-them statically between the caller and P - 1 forked worker processes,
-P = min(CPUs this process may run on, starts): worker w runs starts
-w, w + P, ..., the caller the last share. Each process runs its share
-on one likelihood workspace and one BLAS thread and sends back only the
-final value and theta of each start; the caller puts them back in start
-order and keeps the first best, so a fit is bit-identical at any P and
-without a pool. The pool forks only (spawn or forkserver would import
-numpy and scipy again in every worker) and has no setting: the CPU
-count alone decides P, and at one CPU, or on a host that cannot fork, it
-starts no process.
+them statically between the caller and the P - 1 worker processes of a
+``concurrent.futures.ProcessPoolExecutor``, P = min(CPUs this process
+may run on, starts): worker w runs starts w, w + P, ..., the caller the
+last share. Each process runs its share on one likelihood workspace and
+one BLAS thread and returns only the final value and theta of each
+start; the caller puts them back in start order and keeps the first
+best, so a fit is bit-identical at any P and without a pool. The pool
+forks only (spawn or forkserver would import numpy and scipy again in
+every worker), and the executor forks every worker before it starts its
+own threads. The pool has no setting: the CPU count alone decides P,
+and at one CPU, or on a host that cannot fork, it starts no process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -611,78 +612,57 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve_starts(conn) -> None:
-    """A :class:`StartPool` worker: runs each share of starts it receives
-    and sends back their outcomes, until it receives ``None``. The caller
-    handles interrupts, so the worker ignores SIGINT."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while (task := conn.recv()) is not None:
-        conn.send(_run_starts(*task))
-
-
 class StartPool:
     """Worker processes that share the random starts of each fit run
     inside the ``with`` block with the calling process.
 
     ``size`` is P = min(CPUs this process may run on, ``N_STARTS``): the
-    caller and P - 1 workers forked when the block is entered; at one CPU,
-    or on a host that cannot fork, no process is started. The workers are
-    forked, so they inherit numpy, scipy (scipy.optimize is imported
+    caller and a ``ProcessPoolExecutor`` of P - 1 workers; at one CPU, or
+    on a host that cannot fork, no process is started. The executor forks
+    its workers at the block's first pooled fit, before it starts its own
+    threads, so they inherit numpy, scipy (scipy.optimize is imported
     before the fork) and roomtune without importing them again. Forking
-    is safe here because roomtune starts no thread, and OpenBLAS, whose
+    is safe there because roomtune starts no thread, and OpenBLAS, whose
     pool is the only other one in the process, registers a fork handler
-    that stops its threads. Every exit from the block, an exception
-    included, stops and joins them.
+    that stops its threads. The caller handles interrupts, so the workers
+    ignore SIGINT. Every exit from the block, an exception included,
+    cancels the shares not yet started and joins the workers.
     """
 
     def __init__(self):
         self.size = max(1, min(_cpu_count(), N_STARTS))
-        self._workers = []
+        self._executor = None
 
     def __enter__(self) -> "StartPool":
         if self.size > 1:
             import scipy.optimize  # noqa: F401 -- the workers inherit it
 
-            context = multiprocessing.get_context("fork")
-            try:
-                for _ in range(self.size - 1):
-                    mine, theirs = context.Pipe()
-                    worker = context.Process(target=_serve_starts, args=(theirs,), daemon=True)
-                    worker.start()
-                    theirs.close()
-                    self._workers.append((worker, mine))
-            except BaseException:
-                self._stop(terminate=True)
-                raise
+            self._executor = ProcessPoolExecutor(
+                self.size - 1,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN),
+            )
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._stop(terminate=exc_type is not None)
-
-    def _stop(self, terminate: bool) -> None:
-        for worker, conn in self._workers:
-            if terminate:
-                worker.terminate()
-            else:
-                with contextlib.suppress(OSError):
-                    conn.send(None)
-        for worker, conn in self._workers:
-            worker.join()
-            conn.close()
-        self._workers = []
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
 
     def run(self, template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: bool, bounds, starts) -> list:
         """The outcome of each start, in start order. With p = min(P,
-        number of starts), worker w runs ``starts[w::p]`` and the caller
-        runs ``starts[p-1::p]``: a static split, so the caller's share,
-        and what a profiler sees of it, is the same from run to run.
-        Outside the ``with`` block P is 1 and the caller runs every start."""
-        p = min(len(self._workers) + 1, len(starts))
-        workers = [conn for _, conn in self._workers[: p - 1]]
-        for w, conn in enumerate(workers):
-            conn.send((template, x, y, with_basis, bounds, starts[w::p]))
-        mine = _run_starts(template, x, y, with_basis, bounds, starts[p - 1 :: p])
-        shares = [conn.recv() for conn in workers] + [mine]
+        number of starts), worker shares ``starts[w::p]`` (w < p - 1) are
+        submitted, the caller runs ``starts[p-1::p]``, then collects the
+        workers' shares: a static split, so the caller's share, and what a
+        profiler sees of it, is the same from run to run. A worker that
+        dies raises ``BrokenProcessPool``. Outside the ``with`` block P is
+        1 and the caller runs every start."""
+        p = min(self.size if self._executor is not None else 1, len(starts))
+        task = (template, x, y, with_basis, bounds)
+        futures = [self._executor.submit(_run_starts, *task, starts[w::p]) for w in range(p - 1)]
+        mine = _run_starts(*task, starts[p - 1 :: p])
+        shares = [future.result() for future in futures] + [mine]
         # A share that raised ends at its exception, which comes before
         # the share's missing starts in start order.
         return [shares[i % p][i // p] for i in range(len(starts)) if i // p < len(shares[i % p])]

@@ -16,7 +16,6 @@ import io
 import json
 import logging
 import math
-import numbers
 import os
 import re
 import secrets
@@ -73,6 +72,7 @@ from .plant import (
     WeatherCompensation,
     WeatherConfig,
     WeatherDay,
+    check_field_kinds,
     load_weather_csv,
     simulate_day,
     synth_weather,
@@ -116,7 +116,7 @@ class SeasonConfig:
     weather_csv: str | None = None  # measured weather; synthetic when None
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_field_kinds(self)
         if self.days < 1:
             raise ValueError("days must be >= 1")
         if self.calibration_days < MIN_CALIBRATION_EPISODES:
@@ -141,29 +141,6 @@ class SeasonConfig:
 
     def build_domain(self) -> GainDomain:
         return GainDomain.build(self.kp_bounds, self.ki_bounds, self.grid_size, self.initial_gains)
-
-
-def _check_numbers(config: SeasonConfig) -> None:
-    """Refuse a number of the wrong type before a rule compares it: an
-    ``int`` field takes an integer, a ``float`` field a finite real number
-    and a ``tuple[float, ...]`` field a tuple of as many; a bool is
-    neither. The kinds are read from the field annotations."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int":
-            ok, wanted = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
-        elif f.type == "float" or f.type.startswith("tuple[float"):
-            count = f.type.count("float")
-            items = (value,) if f.type == "float" else value
-            ok = isinstance(items, tuple) and len(items) == count
-            ok = ok and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in items
-            )
-            wanted = "a finite number" if f.type == "float" else f"{count} finite numbers"
-        else:
-            continue
-        if not ok:
-            raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 # Config sections whose keys set the SeasonConfig fields of the same name;

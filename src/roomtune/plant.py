@@ -42,14 +42,36 @@ class SimulationDivergedError(RuntimeError):
     """Room temperature left the sanity range during a rollout."""
 
 
-def _require_finite_numbers(settings) -> None:
-    """Reject a settings dataclass with a field that is not a finite real
-    number: NaN is false on both sides of every range check, so it would
-    pass them, and a string or a list fails only mid-run or in hashing."""
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_field_kinds(settings) -> None:
+    """Refuse a settings dataclass with a field that is not of the kind
+    its annotation names, before a range check compares it: an ``int``
+    field takes an integer, a ``float`` field a finite real number, a
+    ``tuple[float, ...]`` field a tuple of as many, and a ``str`` (or
+    ``str | None``) field a string (or None); a bool is neither an
+    integer nor a number. NaN is false on both sides of every range
+    check, so it would pass them, and a wrong type fails only mid-run,
+    in hashing, or never (an integer path names a file descriptor).
+    Fields of other kinds are checked by their own class."""
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type == "int":
+            ok, wanted = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+        elif f.type == "float":
+            ok, wanted = _is_finite_number(value), "a finite number"
+        elif f.type.startswith("tuple[float"):
+            count = f.type.count("float")
+            ok = isinstance(value, tuple) and len(value) == count and all(map(_is_finite_number, value))
+            wanted = f"{count} finite numbers"
+        elif f.type in ("str", "str | None"):
+            ok, wanted = isinstance(value, str) or (value is None and f.type == "str | None"), "a string"
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +86,7 @@ class PlantParams:
     noise_sigma: float = 0.01  # degC per step, truncated at +-3 sigma
 
     def __post_init__(self):
-        _require_finite_numbers(self)
+        check_field_kinds(self)
         if not 0.0 < self.room_pole < 1.0:
             raise ValueError("room_pole must lie in (0, 1)")
         if self.input_gain <= 0 or self.disturbance_gain <= 0:
@@ -90,7 +112,13 @@ class WeatherCompensation:
     breakpoints: tuple[tuple[float, float], ...] = ((-10.0, 70.0), (-3.0, 60.0), (20.0, 35.0))
 
     def __post_init__(self):
-        pts = tuple((float(o), float(w)) for o, w in self.breakpoints)
+        try:
+            pts = tuple((o, w) for o, w in self.breakpoints)
+        except (TypeError, ValueError):
+            raise ValueError(f"breakpoints must be (oat, water) pairs, got {self.breakpoints!r}") from None
+        if not all(_is_finite_number(o) and _is_finite_number(w) for o, w in pts):
+            raise ValueError(f"breakpoints must be finite numbers, got {self.breakpoints!r}")
+        pts = tuple((float(o), float(w)) for o, w in pts)
         object.__setattr__(self, "breakpoints", pts)
         oats = [o for o, _ in pts]
         waters = [w for _, w in pts]
@@ -181,8 +209,7 @@ class DaySchedule:
     evening_hour: float = 22.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.night_setpoint) and math.isfinite(self.comfort_setpoint)):
-            raise ValueError("setpoints must be finite")
+        check_field_kinds(self)
         if not 0.0 <= self.morning_hour < self.evening_hour <= 24.0:
             raise ValueError("need 0 <= morning_hour < evening_hour <= 24")
 
@@ -369,7 +396,7 @@ class WeatherConfig:
     occupancy_gain: float = 0.01  # degC-equivalent per step, 8-18 h
 
     def __post_init__(self):
-        _require_finite_numbers(self)
+        check_field_kinds(self)
         if self.ar1_sigma < 0:
             raise ValueError("ar1_sigma must be non-negative")
 

@@ -1,6 +1,9 @@
 import math
 import multiprocessing
+import os
+import signal
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -582,8 +585,9 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
 def test_a_pooled_fit_equals_the_fit_without_a_pool(n, n_starts, with_basis, data_seed, fit_seed):
     """However many CPUs the pool sees, and so however the starts are
     split between this process and its workers, the fit is the same
-    FitResult as the one that runs every start here. One CPU starts no
-    worker, and none is left after the block."""
+    FitResult as the one that runs every start here. The workers start at
+    the first pooled fit; one CPU, or a fit of one start, starts none,
+    and none is left after the block."""
     rng = np.random.default_rng(data_seed)
     x = rng.uniform(0.0, 1.0, (n, 3))
     y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
@@ -593,8 +597,8 @@ def test_a_pooled_fit_equals_the_fit_without_a_pool(n, n_starts, with_basis, dat
     for cpus in (1, 2, 3):
         with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool() as pool:
             assert pool.size == min(cpus, gp.N_STARTS)
-            assert len(multiprocessing.active_children()) == pool.size - 1
             got = fit_hyperparameters(template, x, y, pool=pool, **options)
+            assert len(multiprocessing.active_children()) == (pool.size - 1 if n_starts > 1 else 0)
         assert got == want
         assert multiprocessing.active_children() == []
 
@@ -610,11 +614,37 @@ def test_a_fit_that_raises_in_a_pool_leaves_the_pool_usable_and_no_worker_behind
     template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
     with pytest.raises(RuntimeError, match="leaving the block"):
         with StartPool() as pool:
-            assert len(multiprocessing.active_children()) == 1
             with pytest.raises(ValueError, match="non-finite target"):  # start 0 runs in the worker
                 fit_hyperparameters(template, x, np.where(np.arange(20) == 3, np.nan, y), pool=pool)
+            assert len(multiprocessing.active_children()) == 1
             assert fit_hyperparameters(template, x, y, pool=pool) == fit_hyperparameters(template, x, y)
             raise RuntimeError("leaving the block")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fault", [BrokenProcessPool, KeyboardInterrupt])
+def test_a_pooled_fit_cut_short_raises_and_leaves_no_worker(fault, monkeypatch):
+    """A worker killed in the middle of its share makes the fit raise
+    BrokenProcessPool, not hang; an interrupt in the caller's share
+    propagates. Either way leaving the block joins every worker."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    caller = os.getpid()
+    lml = gp.log_marginal_likelihood
+
+    def cut_short(*args, **kwargs):
+        if fault is BrokenProcessPool and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault is KeyboardInterrupt and os.getpid() == caller:
+            raise KeyboardInterrupt
+        return lml(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "log_marginal_likelihood", cut_short)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (20, 3))
+    y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=20)
+    with pytest.raises(fault):
+        with StartPool() as pool:
+            fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, pool=pool)
     assert multiprocessing.active_children() == []
 
 

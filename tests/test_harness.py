@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roomtune import gp, harness
@@ -32,7 +32,7 @@ from roomtune.harness import (
     write_results_csv,
 )
 from roomtune.gp import model_to_dict
-from roomtune.optimizer import state_to_json
+from roomtune.optimizer import ALL_METHODS, state_to_json
 from roomtune.pid import PIGains
 from roomtune.plant import DEFAULT_COMPENSATION, DaySchedule, PlantParams, WeatherConfig
 
@@ -181,6 +181,9 @@ def test_plant_and_weather_values_must_be_finite_numbers(doc):
         {"costs": {"weights": [0.25, 0.25, 0.5]}},
         {"optimizer": {"kp_bounds": [0.1, "3"]}},
         {"costs": {"calibration_days": 20}},  # failed in calibrate_normalization
+        {"plant": {"step_seconds": 300.0}},
+        # a NaN water temperature passed every curve rule, being false on both sides of each
+        {"compensation": {"breakpoints": [[-20, math.nan], [-10, 70], [-3, 60], [20, 35]]}},
     ],
 )
 def test_a_config_value_of_the_wrong_type_or_out_of_range_is_refused_when_read(doc):
@@ -197,6 +200,75 @@ def test_config_rejects_a_schedule_with_no_comfort_sample():
         config_from_dict({"schedule": {"morning_hour": 23.99, "evening_hour": 24.0}})
     # at 60 s steps 23:57 is a sample, so the same schedule is valid there
     SeasonConfig(schedule=late, plant=PlantParams(step_seconds=60))
+
+
+# A value of the wrong kind for a number field.
+_NOT_A_NUMBER = st.sampled_from(["17", True, None, [1.0, 2.0], {"value": 1.0}, math.nan, -math.inf])
+
+# Per config key: values the config reads, then values it must refuse.
+_CONFIG_VALUES = {
+    ("plant", "noise_sigma"): (st.floats(0.0, 0.02), st.one_of(st.floats(-1.0, -1e-6), _NOT_A_NUMBER)),
+    ("plant", "step_seconds"): (st.just(300), st.sampled_from([120, 300.0, "300", True])),
+    ("compensation", "breakpoints"): (
+        st.just([[-12, 72], [-3, 58], [18, 35]]),
+        st.sampled_from([5, "curve", [[-3, 60]], [[-10, 50], [-3, 60], [20, 35]], [[-10, "70"], [-3, 60], [20, 35]]]),
+    ),
+    ("schedule", "night_setpoint"): (st.floats(15.0, 19.0), _NOT_A_NUMBER),
+    ("schedule", "morning_hour"): (st.floats(5.0, 8.0), st.one_of(st.sampled_from([23.99, 30.0]), _NOT_A_NUMBER)),
+    ("costs", "weights"): (st.just([0.4, 0.3, 0.2, 0.1]), st.sampled_from([[0.5] * 4, [0.5, 0.5], "even", None])),
+    ("costs", "calibration_days"): (st.just(40), st.sampled_from([20, 40.0, "40", None])),
+    ("optimizer", "beta"): (st.floats(1.0, 3.0), st.one_of(st.just(-1.0), _NOT_A_NUMBER)),
+    ("optimizer", "epsilon"): (st.floats(0.01, 0.2), st.one_of(st.sampled_from([0.0, 0.7]), _NOT_A_NUMBER)),
+    ("optimizer", "grid_size"): (st.sampled_from([10, 20]), st.sampled_from([1, 20.0, 40.5, "20", True])),
+    ("season", "days"): (st.just(2), st.sampled_from([0, 2.0, "2", True])),
+    ("season", "master_seed"): (st.integers(0, 2**31), st.sampled_from([-1, 1.5, "7", None])),
+    ("season", "output_dir"): (st.just("results"), st.sampled_from([5, True, None, ["results"]])),
+    ("weather", "mid_oat"): (st.floats(-5.0, 0.0), _NOT_A_NUMBER),
+    ("weather", "path"): (None, st.sampled_from([5, True, None, [], ""])),
+}
+
+
+@st.composite
+def _config_documents(draw):
+    """A 40-day calibration and 2-day season config with one to three
+    keys set to a value the config reads or one it must refuse, and
+    whether one must be refused."""
+    doc = {"costs": {"calibration_days": 40}, "season": {"days": 2, "seeds": 1}}
+    refuse = False
+    for section, key in draw(st.permutations(sorted(_CONFIG_VALUES)))[: draw(st.integers(1, 3))]:
+        accepted, refused = _CONFIG_VALUES[section, key]
+        refuse_this = accepted is None or draw(st.booleans())
+        refuse |= refuse_this
+        value = draw(refused if refuse_this else accepted)
+        if section == "weather":
+            weather = doc["season"].setdefault("weather", {})
+            weather.update({"source": "csv", "path": value} if key == "path" else {key: value})
+        else:
+            doc.setdefault(section, {})[key] = value
+    return doc, refuse
+
+
+@settings(max_examples=15, deadline=None)
+@given(drawn=_config_documents())
+@example(drawn=({"schedule": {"night_setpoint": "17"}}, True))
+@example(drawn=({"compensation": {"breakpoints": 5}}, True))
+@example(drawn=({"schedule": {"morning_hour": True}}, True))
+@example(drawn=({"season": {"output_dir": 5}}, True))
+@example(drawn=({"season": {"weather": {"source": "csv", "path": 5}}}, True))
+def test_a_config_document_is_refused_when_read_or_runs_every_method(drawn, tmp_path_factory):
+    """A value of the wrong kind or out of range raises ValueError when
+    the config is read, which the CLI reports as ``error:`` with status
+    2; a config of values in range reads, and a calibration and every
+    method run on it."""
+    doc, refuse = drawn
+    if refuse:
+        with pytest.raises(ValueError):
+            config_from_dict(doc)
+        return
+    config = dataclasses.replace(config_from_dict(doc), output_dir=str(tmp_path_factory.mktemp("run")))
+    calibration = run_calibration(config, seed=0)
+    for method in ALL_METHODS:
+        persist_run(config, run_season(config, method, 0, calibration))
 
 
 # ---------------------------------------------------------------------------
