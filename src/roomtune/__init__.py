@@ -32,7 +32,7 @@ from .optimizer import (
     state_to_json,
     update,
 )
-from .pid import ControllerState, PIGains, control_step
+from .pid import PIGains
 from .plant import (
     DaySchedule,
     PlantParams,
@@ -46,7 +46,6 @@ from .plant import (
 __all__ = [
     "Calibration",
     "ContextScaler",
-    "ControllerState",
     "CostNormalization",
     "DailyResult",
     "DaySchedule",
@@ -68,7 +67,6 @@ __all__ = [
     "calibrate_normalization",
     "compare_report",
     "compute_raw_costs",
-    "control_step",
     "fit_hyperparameters",
     "gain_schedule",
     "propose",

@@ -115,15 +115,24 @@ def _cmd_safe_set(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    """An outside temperature: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _checked(convert, ok, wanted: str):
+    """An argparse type: ``convert(text)`` where ``ok`` holds of it; any
+    other text is refused as not what was ``wanted``."""
+
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")  # an outside temperature
+_point_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_day_index = _checked(int, lambda d: d >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,12 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="optimizer state JSON")
     p.add_argument("--oat-min", type=_finite_float, default=-10.0)
     p.add_argument("--oat-max", type=_finite_float, default=15.0)
-    p.add_argument("--points", type=int, default=26)
+    p.add_argument("--points", type=_point_count, default=26)
     p.set_defaults(func=_cmd_gain_schedule)
 
     p = sub.add_parser("safe-set", help="print safe-set membership over the gain grid")
     p.add_argument("--state", required=True)
-    p.add_argument("--day", type=int, required=True, help="0 = before any data")
+    p.add_argument("--day", type=_day_index, required=True, help="0 = before any data")
     p.add_argument("--oat", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_safe_set)
 

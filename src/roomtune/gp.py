@@ -51,6 +51,7 @@ and at one CPU, or on a host that cannot fork, it starts no process.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -612,6 +613,21 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _start_worker(owner: int) -> None:
+    """Initializer of a :class:`StartPool` worker: ignore SIGINT, which
+    the caller handles, and, where libc has ``prctl``, have the kernel
+    SIGKILL the worker when the thread that forked it ends. The executor
+    forks from the thread that calls the pool, so a killed caller leaves
+    no worker; one whose ``owner`` died before this took hold exits."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != owner:
+            os._exit(1)
+
+
 class StartPool:
     """Worker processes that share the random starts of each fit run
     inside the ``with`` block with the calling process.
@@ -624,9 +640,9 @@ class StartPool:
     before the fork) and roomtune without importing them again. Forking
     is safe there because roomtune starts no thread, and OpenBLAS, whose
     pool is the only other one in the process, registers a fork handler
-    that stops its threads. The caller handles interrupts, so the workers
-    ignore SIGINT. Every exit from the block, an exception included,
-    cancels the shares not yet started and joins the workers.
+    that stops its threads. The workers ignore SIGINT and die with the
+    caller (:func:`_start_worker`). Every exit from the block, an exception
+    included, cancels the shares not yet started and joins the workers.
     """
 
     def __init__(self):
@@ -640,8 +656,8 @@ class StartPool:
             self._executor = ProcessPoolExecutor(
                 self.size - 1,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_IGN),
+                initializer=_start_worker,
+                initargs=(os.getpid(),),
             )
         return self
 

@@ -89,8 +89,8 @@ class PlantParams:
         check_field_kinds(self)
         if not 0.0 < self.room_pole < 1.0:
             raise ValueError("room_pole must lie in (0, 1)")
-        if self.input_gain <= 0 or self.disturbance_gain <= 0:
-            raise ValueError("input_gain and disturbance_gain must be positive")
+        if min(self.input_gain, self.disturbance_gain, self.radiator_ua) <= 0:
+            raise ValueError("input_gain, disturbance_gain and radiator_ua must be positive")
         if not 0.0 <= self.wall_coupling < 1.0:
             raise ValueError("wall_coupling must lie in [0, 1)")
         if not 0.0 < self.wall_pole < 1.0:
@@ -120,10 +120,9 @@ class WeatherCompensation:
             raise ValueError(f"breakpoints must be finite numbers, got {self.breakpoints!r}")
         pts = tuple((float(o), float(w)) for o, w in pts)
         object.__setattr__(self, "breakpoints", pts)
-        oats = [o for o, _ in pts]
-        waters = [w for _, w in pts]
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
+        oats, waters = zip(*pts)
         if any(b <= a for a, b in zip(oats, oats[1:])):
             raise ValueError("oat breakpoints must be strictly increasing")
         if any(b > a for a, b in zip(waters, waters[1:])):
@@ -132,23 +131,18 @@ class WeatherCompensation:
             raise ValueError("curve must change slope at -3 degC")
 
     def _has_slope_change_at(self, oat: float) -> bool:
-        oats = [o for o, _ in self.breakpoints]
-        waters = [w for _, w in self.breakpoints]
-        for i in range(1, len(oats) - 1):
-            if abs(oats[i] - oat) < 1e-9:
-                left = (waters[i] - waters[i - 1]) / (oats[i] - oats[i - 1])
-                right = (waters[i + 1] - waters[i]) / (oats[i + 1] - oats[i])
-                return abs(left - right) > 1e-12
+        pts = self.breakpoints
+        for (o0, w0), (o1, w1), (o2, w2) in zip(pts, pts[1:], pts[2:]):
+            if abs(o1 - oat) < 1e-9:
+                return abs((w1 - w0) / (o1 - o0) - (w2 - w1) / (o2 - o1)) > 1e-12
         return False
 
 
 def heating_curve(comp: WeatherCompensation, oat):
-    """Supply-water temperature for an outside air temperature, clamped
-    at the end breakpoints: a float for a scalar ``oat``, an array of
-    the same shape for an array."""
+    """Supply-water temperature for each outside air temperature in
+    ``oat``, clamped at the end breakpoints."""
     oats, waters = zip(*comp.breakpoints)
-    water = np.interp(oat, oats, waters)
-    return float(water) if np.ndim(water) == 0 else water
+    return np.interp(oat, oats, waters)
 
 
 DEFAULT_COMPENSATION = WeatherCompensation()
@@ -166,37 +160,6 @@ class RoomState:
 
 ROOM_TEMP_MIN = -20.0
 ROOM_TEMP_MAX = 50.0
-
-
-def step(
-    params: PlantParams,
-    state: RoomState,
-    valve: float,
-    oat: float,
-    water_temp: float,
-    solar: float = 0.0,
-    occupancy: float = 0.0,
-    noise: float = 0.0,
-) -> RoomState:
-    """Advance the thermal state by one control period.
-
-    simulate_day inlines this update; keep the two bit-identical."""
-    if not 0.0 <= valve <= 1.0:
-        raise ValueError("valve command must lie in [0, 1]")
-    heat = params.input_gain * params.radiator_ua * valve * max(water_temp - state.t_room, 0.0)
-    t_room = (
-        params.room_pole * state.t_room
-        + params.wall_coupling * state.t_wall
-        + heat
-        + params.disturbance_gain * (oat - state.t_room)
-        + solar
-        + occupancy
-        + noise
-    )
-    t_wall = params.wall_pole * state.t_wall + (1.0 - params.wall_pole) * state.t_room
-    if not ROOM_TEMP_MIN <= t_room <= ROOM_TEMP_MAX:
-        raise SimulationDivergedError(f"room temperature {t_room:.2f} degC outside sanity range")
-    return RoomState(t_room, t_wall)
 
 
 @dataclass(frozen=True)
@@ -246,15 +209,13 @@ class WeatherDay:
     occupancy_profile: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "oat_profile", np.asarray(self.oat_profile, dtype=float))
-        object.__setattr__(self, "solar_profile", np.asarray(self.solar_profile, dtype=float))
-        object.__setattr__(self, "occupancy_profile", np.asarray(self.occupancy_profile, dtype=float))
-        n = self.oat_profile.size
-        if self.solar_profile.size != n or self.occupancy_profile.size != n:
+        profiles = [np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)]
+        for f, arr in zip(fields(self), profiles):
+            object.__setattr__(self, f.name, arr)
+        if len({arr.size for arr in profiles}) != 1:
             raise ValueError("weather profiles must share one length")
-        for arr in (self.oat_profile, self.solar_profile, self.occupancy_profile):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("weather profiles must be finite")
+        if not all(np.all(np.isfinite(arr)) for arr in profiles):
+            raise ValueError("weather profiles must be finite")
 
 
 def simulate_day(
@@ -290,11 +251,15 @@ def simulate_day(
         noise = np.zeros(steps)
     water = heating_curve(comp, weather.oat_profile)
 
-    # The loop below is control_step followed by step, inlined on Python
-    # floats with every operation in the same order, so its traces are
-    # bit-identical to chaining those two references (tests/test_plant.py).
-    # A finite measurement follows from the validated initial state and
-    # the range check; a finite setpoint from DaySchedule.
+    # Per sample, on Python floats: the PI control law, then the module
+    # docstring's plant step. Anti-windup is conditional integration (no
+    # accumulation while the raw output is saturated in the error's
+    # direction), then the window that keeps ki * integrator within
+    # [INTEGRAL_TERM_MIN, INTEGRAL_TERM_MAX]; the valve saturates to
+    # [0, 1]. tests/reference.py spells the loop out per step, every
+    # operation in the same order, and the two stay bit-identical. The
+    # valid initial state and the range check keep the measurement
+    # finite; DaySchedule keeps the setpoint finite.
     t_room = np.empty(steps)
     valve = np.empty(steps)
     kp, ki, lo, hi = _pi_constants(gains)
@@ -364,8 +329,9 @@ def simulate_day(
 
 
 def _pi_constants(gains: PIGains) -> tuple[float, float, float, float]:
-    """kp, ki and the integrator window of control_step; with ki = 0 the
-    integrator is unbounded."""
+    """kp, ki and the integrator window of the PI update, as the per-step
+    reference in tests/reference.py has them; with ki = 0 the integrator
+    is unbounded."""
     if gains.ki > 0.0:
         return gains.kp, gains.ki, INTEGRAL_TERM_MIN / gains.ki, INTEGRAL_TERM_MAX / gains.ki
     return gains.kp, gains.ki, -math.inf, math.inf
@@ -420,13 +386,7 @@ def synth_weather(
         seasonal = config.edge_oat + (config.mid_oat - config.edge_oat) * math.sin(math.pi * phase)
         ar = config.ar1_phi * ar + rng.normal(0.0, config.ar1_sigma)
         cloud = rng.uniform(0.85, 1.0)
-        season.append(
-            WeatherDay(
-                oat_profile=seasonal + ar + daily,
-                solar_profile=config.solar_peak * cloud * sun,
-                occupancy_profile=occupancy.copy(),
-            )
-        )
+        season.append(WeatherDay(seasonal + ar + daily, config.solar_peak * cloud * sun, occupancy.copy()))
     return season
 
 
@@ -473,9 +433,8 @@ def load_weather_csv(path, step_seconds: int = 300) -> list[WeatherDay]:
     n_days = grid.size // steps_per_day
     if n_days < 1:
         raise ValueError("weather CSV covers less than one day")
-    days = []
-    for d in range(n_days):
-        sl = slice(d * steps_per_day, (d + 1) * steps_per_day)
-        days.append(WeatherDay(oat_grid[sl], solar_grid[sl], occupancy.copy()))
-    return days
+    return [
+        WeatherDay(oat_grid[k : k + steps_per_day], solar_grid[k : k + steps_per_day], occupancy.copy())
+        for k in range(0, n_days * steps_per_day, steps_per_day)
+    ]
 

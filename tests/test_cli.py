@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,7 +137,7 @@ def test_safe_set_output_matches_one_print_per_point(grid, workspace, tmp_path, 
     prints its values in exponent form too."""
     state_file = workspace[1] / "scbo_seed0_state.json" if grid == "default" else exponent_grid_state_file(tmp_path)
     saw_safe_points = False
-    for day in (-1, 0, 2, 3, 99):
+    for day in (0, 2, 3, 99):
         for oat in ("-7.5", "0.0", "12"):
             assert main(["safe-set", "--state", str(state_file), "--day", str(day), "--oat", oat]) == 0
             out = capsys.readouterr().out
@@ -162,6 +164,29 @@ def test_a_non_finite_outside_temperature_fails_at_parse_time(command, flag, val
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"expected a finite number, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, smallest",
+    [
+        ("gain-schedule", "--points", "-1", 1),  # ended in a numpy ValueError traceback
+        ("gain-schedule", "--points", "0", 1),  # printed the header alone
+        ("gain-schedule", "--points", "2.5", 1),
+        ("safe-set", "--day", "-1", 0),  # printed day 0's safe set under "# day -1"
+    ],
+)
+def test_a_point_count_or_day_out_of_range_fails_at_parse_time(command, flag, value, smallest, tmp_path, capsys):
+    """Refused with status 2 and nothing on stdout; the smallest value in
+    range is still read."""
+    argv = [command, "--state", str(exponent_grid_state_file(tmp_path))]
+    if command == "safe-set":
+        argv += ["--oat", "0.0"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"expected an integer >= {smallest}, got '{value}'" in captured.err
+    assert main([*argv, f"{flag}={smallest}"]) == 0
 
 
 def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys):
@@ -269,3 +294,54 @@ def test_run_prints_no_log_records(tmp_path, capsys):
     assert proc.stderr == ""
     assert len(proc.stdout.splitlines()) == 1
     assert proc.stdout.startswith("scbo seed 0: 3 days")
+
+
+def _state_and_parent(pid) -> tuple[str, int] | None:
+    """A process's state letter and parent pid, or None once it is gone."""
+    try:
+        state, ppid = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid) -> bool:
+    stat = _state_and_parent(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _live_children(pid: int) -> set[int]:
+    """Processes whose parent is ``pid`` and that are not zombies."""
+    stats = {int(p.name): _state_and_parent(p.name) for p in Path("/proc").glob("[0-9]*")}
+    return {child for child, stat in stats.items() if stat is not None and stat[0] != "Z" and stat[1] == pid}
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and two CPUs, so that the calibration starts a worker",
+)
+def test_a_killed_calibrate_leaves_no_worker(tmp_path):
+    """A start-pool worker used to outlive a SIGKILLed calibrate, asleep
+    and reparented; it now dies with the process that forked it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"costs": {"calibration_days": 40}, "season": {"output_dir": str(tmp_path)}}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "roomtune.cli", "calibrate", "--config", str(config), "--seed", "0"],
+        stdout=subprocess.DEVNULL, env=_subprocess_env(),
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (workers := _live_children(proc.pid)):
+            assert proc.poll() is None, "calibrate ended before a worker was seen"
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import multiprocessing
 import os
@@ -646,6 +647,22 @@ def test_a_pooled_fit_cut_short_raises_and_leaves_no_worker(fault, monkeypatch):
         with StartPool() as pool:
             fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, pool=pool)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(ctypes.CDLL(None), "prctl"),
+    reason="needs fork and prctl",
+)
+def test_a_worker_whose_owner_is_gone_exits_at_once():
+    """A worker forked just before its owner died would never get the
+    death signal; its initializer sees another parent and exits with
+    status 1, where one whose owner lives returns."""
+    fork = multiprocessing.get_context("fork")
+    for owner, status in ((-1, 1), (os.getpid(), 0)):
+        worker = fork.Process(target=gp._start_worker, args=(owner,))
+        worker.start()
+        worker.join(timeout=30)
+        assert worker.exitcode == status
 
 
 def reference_basis_coefficient(spec, noise, x, y):

@@ -182,6 +182,8 @@ def test_plant_and_weather_values_must_be_finite_numbers(doc):
         {"optimizer": {"kp_bounds": [0.1, "3"]}},
         {"costs": {"calibration_days": 20}},  # failed in calibrate_normalization
         {"plant": {"step_seconds": 300.0}},
+        {"plant": {"radiator_ua": 0}},  # calibrated a room that is never heated
+        {"plant": {"radiator_ua": -0.8}},  # failed mid-calibration with the room at -20.9 degC
         # a NaN water temperature passed every curve rule, being false on both sides of each
         {"compensation": {"breakpoints": [[-20, math.nan], [-10, 70], [-3, 60], [20, 35]]}},
     ],
@@ -209,6 +211,7 @@ _NOT_A_NUMBER = st.sampled_from(["17", True, None, [1.0, 2.0], {"value": 1.0}, m
 _CONFIG_VALUES = {
     ("plant", "noise_sigma"): (st.floats(0.0, 0.02), st.one_of(st.floats(-1.0, -1e-6), _NOT_A_NUMBER)),
     ("plant", "step_seconds"): (st.just(300), st.sampled_from([120, 300.0, "300", True])),
+    ("plant", "radiator_ua"): (st.floats(0.6, 1.0), st.one_of(st.sampled_from([0, -0.8]), _NOT_A_NUMBER)),
     ("compensation", "breakpoints"): (
         st.just([[-12, 72], [-3, 58], [18, 35]]),
         st.sampled_from([5, "curve", [[-3, 60]], [[-10, 50], [-3, 60], [20, 35]], [[-10, "70"], [-3, 60], [20, 35]]]),

