@@ -26,24 +26,28 @@ from .optimizer import (
     ALL_METHODS,
     gain_schedule,
     safe_set,
-    state_at_day,  # noqa: F401 -- unused here, but perfbench's tracer wraps it by this name
+    state_at_day,
     state_from_json,
 )
 
 
-class _ConfigError(Exception):
-    """A config file that does not read as a season config."""
+class _InputError(Exception):
+    """An input file that cannot be read as what the command needs."""
 
 
-def _load_config(path):
+def _read(what: str, load, path):
+    """``load(path)``, with a file that is missing, unreadable, not JSON,
+    short of a field or holding a refused value raised as an
+    :class:`_InputError` that names it."""
     try:
-        return load_config(path)
-    except ValueError as exc:
-        raise _ConfigError(f"config {path}: {exc}") from None
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"no {exc} field" if isinstance(exc, KeyError) else getattr(exc, "strerror", None) or exc
+        raise _InputError(f"{what} {path}: {detail}") from None
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
+    config = _read("config", load_config, args.config)
     seeds = [args.seed] if args.seed is not None else list(range(config.seeds))
     for seed in seeds:
         calibration = run_calibration(config, seed)
@@ -53,14 +57,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = _read("config", load_config, args.config)
     cal_path = Path(args.calibration) if args.calibration else calibration_path(config, args.seed)
     if not cal_path.exists():
         # every method needs one: without it a fixed run's costs stay raw
         # and a report would compare them with normalized ones
         print(f"error: calibration file {cal_path} not found; run `calibrate` first", file=sys.stderr)
         return 2
-    run = run_season(config, args.method, args.seed, load_calibration(cal_path))
+    run = run_season(config, args.method, args.seed, _read("calibration", load_calibration, cal_path))
     path = persist_run(config, run)
     mean_cost = float(np.mean([r.j_total for r in run.results]))
     violations = sum(r.violation for r in run.results)
@@ -89,7 +93,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gain_schedule(args) -> int:
-    state = state_from_json(Path(args.state).read_text())
+    state = _read("state", lambda p: state_from_json(Path(p).read_text()), args.state)
     oats = np.linspace(args.oat_min, args.oat_max, args.points)
     print("oat_c,kp,ki")
     for oat, gains in gain_schedule(state, oats):
@@ -98,7 +102,7 @@ def _cmd_gain_schedule(args) -> int:
 
 
 def _cmd_safe_set(args) -> int:
-    state = state_from_json(Path(args.state).read_text(), day=args.day)
+    state = state_at_day(_read("state", lambda p: state_from_json(Path(p).read_text()), args.state), args.day)
     if not state.constraint_models:
         print(f"error: a {state.method} state has no safe set; only scbo certifies gains", file=sys.stderr)
         return 2
@@ -183,7 +187,7 @@ def main(argv=None) -> int:
         # downstream pipe (head, less) closed early; not an error
         sys.stderr.close()
         return 0
-    except _ConfigError as exc:  # a bad value is refused before any work or write
+    except _InputError as exc:  # a bad input is refused before any work or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,10 @@ a squared exponential over the context input), optional constant
 explicit-basis mean, Cholesky-backed posteriors, and offline
 maximum-likelihood hyperparameter fitting with analytic gradients.
 
-Models are values: ``add_observation`` returns a new model, queries are
-read-only. Observation counts stay small (one per heating day), so a
-model is rebuilt on every update instead of rank-1 patched.
+Models are values: ``add_observation`` returns a new model, and a query
+changes nothing a caller can see. Observation counts stay small (one per
+heating day), so a model is rebuilt on every update instead of rank-1
+patched.
 
 The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
@@ -19,12 +20,14 @@ the Matern factor of the Gram matrix is evaluated on the u x u node pairs
 and gathered to n x n, bit-identical to the dense kernel matrix. What
 the build needs of the inputs alone (the nodes, each input's node and
 the unscaled context differences) is an :class:`InputIndex`, which the
-models conditioned on one input set can share. The build factors the
-Gram matrix once and solves alpha = K^-1 (y - mu0) once, and the model
-carries both with the node index. Queries reuse them: the tuner queries
-grid gains at one context, so the query cross-covariance has rank at
-most u, and the variance of m queries costs m·u² + n²·u operations
-instead of the n²·m of a dense solve; see :meth:`GPModel.posterior_batch`.
+models conditioned on one input set can share. Building a model only
+checks and binds its data; the model factors the Gram matrix and solves
+alpha = K^-1 (y - mu0) at its first query, once, and keeps both, so a
+model that is never queried never pays for them. Later queries reuse
+them: the tuner queries grid gains at one context, so the query
+cross-covariance has rank at most u, and the variance of m queries costs
+m·u² + n²·u operations instead of the n²·m of a dense solve; see
+:meth:`GPModel.posterior_batch`.
 The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
 formula, :meth:`GPModel.gain_covariance`. It depends on neither the
 targets nor the context, so a caller whose nodes stay the same from one
@@ -58,6 +61,7 @@ import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
@@ -218,8 +222,8 @@ class InputIndex:
     index of each input's gain row among them (``node_of``) and the
     unscaled context differences x_i - x_j (n, n). The models conditioned
     on one observation log differ only in their hyperparameters and
-    targets, so they can share one index; :meth:`GPModel.with_data`
-    scales it by each model's lengthscales.
+    targets, so they can share one index; each model scales it by its
+    own lengthscales when it factors its Gram matrix.
     """
 
     def __init__(self, inputs):
@@ -236,23 +240,19 @@ class GPModel:
     """One cost or constraint surrogate.
 
     ``basis_coefficient`` is the constant explicit-basis mean; ``None``
-    means a plain zero-mean GP. ``gram_factor`` is the lower Cholesky
-    factor of K + (noise_variance + jitter) I over ``inputs``, and
-    ``alpha`` = (K + (noise_variance + jitter) I)^-1 (targets - mean).
-    ``nodes`` are the u distinct gain rows of ``inputs`` and ``node_of``
-    the index of each input's gain row among them. All of these are
-    derived by :meth:`with_data`.
+    means a plain zero-mean GP. ``index`` is the :class:`InputIndex` of
+    the training inputs and ``targets`` their values; both are bound by
+    :meth:`with_data`. ``gram_factor``, the lower Cholesky factor of
+    K + (noise_variance + jitter) I over the inputs, and ``alpha`` =
+    (K + (noise_variance + jitter) I)^-1 (targets - mean) are computed
+    when first read, which the first :meth:`posterior_batch` on data does.
     """
 
     kernel: KernelSpec
     noise_variance: float
     basis_coefficient: float | None = None
-    inputs: np.ndarray | None = None
+    index: InputIndex | None = None
     targets: np.ndarray | None = None
-    gram_factor: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    nodes: np.ndarray | None = None
-    node_of: np.ndarray | None = None
 
     @classmethod
     def empty(
@@ -267,26 +267,18 @@ class GPModel:
 
     @property
     def num_observations(self) -> int:
-        return self.inputs.shape[0]
+        return self.targets.shape[0]
 
     def _prior_mean(self) -> float:
         return 0.0 if self.basis_coefficient is None else float(self.basis_coefficient)
 
     def with_data(self, inputs, targets, *, index: InputIndex | None = None) -> "GPModel":
-        """Batch-build a model on the full observation set.
+        """A model on the full observation set.
 
-        The Gram matrix is built through the u distinct gain rows: the
-        Matern factor is evaluated on the u x u node pairs and gathered
-        to n x n, then multiplied by the n x n context factor and by s2
-        in the operation order of :func:`kernel_matrix`, so it equals
-        ``kernel_matrix(kernel, inputs)`` bit for bit. It is factored
-        once by LAPACK ``potrf`` and ``alpha`` is solved once by
-        ``potrs``; :meth:`posterior_batch` reuses both with the node
-        index. ``index``, when given, must have been built on these
+        Checks the data and binds it; nothing is factored until the model
+        is queried. ``index``, when given, must have been built on these
         inputs; the models of one log pass one index, and ``None`` builds
-        a fresh one. Non-finite inputs or targets raise ``ValueError``,
-        and a Gram matrix that is not positive definite raises
-        ``LinAlgError``.
+        a fresh one. Non-finite inputs or targets raise ``ValueError``.
         """
         if index is None:
             index = InputIndex(inputs)
@@ -294,15 +286,20 @@ class GPModel:
             _observed_points(inputs, self.kernel.input_dim), index.inputs
         ):
             raise ValueError("index was built on other inputs")
-        x = index.inputs
         y = np.asarray(targets, dtype=float).ravel()
-        if x.shape[0] != y.shape[0]:
+        if index.inputs.shape[0] != y.shape[0]:
             raise ValueError("inputs and targets length mismatch")
         if y.size and not np.all(np.isfinite(y)):
             raise ValueError("non-finite target values rejected")
-        data = {"inputs": x, "targets": y, "nodes": index.nodes, "node_of": index.node_of}
-        if x.shape[0] == 0:
-            return replace(self, gram_factor=np.empty((0, 0)), alpha=np.empty(0), **data)
+        return replace(self, index=index, targets=y)
+
+    @cached_property
+    def gram_factor(self) -> np.ndarray:
+        """The Gram matrix built through the nodes (the u x u Matern block
+        gathered to n x n, times the context factor and s2 in the order of
+        :func:`kernel_matrix`, so bit for bit that matrix), factored by
+        LAPACK ``potrf``; ``LinAlgError`` if it is not positive definite."""
+        index = self.index
         ell = self.kernel.lengthscales
         s2 = self.kernel.signal_variance
         node_sq = _scaled_sq_dists(ell[:2], index.nodes, index.nodes)
@@ -311,16 +308,19 @@ class GPModel:
         gram = node_corr[index.node_of][:, index.node_of] * np.exp(-0.5 * ctx_sq)
         gram *= s2
         gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * s2
-        factor = _factor_in_place(gram)
-        alpha = _solve_factored(factor, y - self._prior_mean())
-        return replace(self, gram_factor=factor, alpha=alpha, **data)
+        return _factor_in_place(gram)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """K^-1 (targets - mean), solved once by LAPACK ``potrs``."""
+        return _solve_factored(self.gram_factor, self.targets - self._prior_mean())
 
     def add_observation(self, x, y: float) -> "GPModel":
         """Condition on one more (input, target) pair; returns a new model."""
         if not np.isfinite(y):
             raise ValueError("non-finite target values rejected")
         pt = _as_points([np.ravel(x)], self.kernel.input_dim)
-        new_x = np.vstack([self.inputs, pt])
+        new_x = np.vstack([self.index.inputs, pt])
         new_y = np.append(self.targets, float(y))
         return self.with_data(new_x, new_y)
 
@@ -330,24 +330,24 @@ class GPModel:
         times the signal variance. Each entry depends only on its gain
         row and node, so the rows of a block computed for a whole grid
         equal, bit for bit, a block computed for some of its rows."""
-        sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), self.nodes)
+        sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), self.index.nodes)
         return self.kernel.signal_variance * _matern_profile(np.sqrt(sq[0] + sq[1]))
 
     def posterior_batch(self, x, gain_cov=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of query points.
 
         Exact, factored through the u distinct observed gain rows U
-        (``nodes``; p(j) = ``node_of[j]`` is the U-row of observation j).
-        For queries sharing one context z, the cross-covariance is
-        k*[i, j] = G[i, p(j)] * s_j with G = s2 * m(g_query, U) of shape
-        (m, u) and s_j = c(z, z_j). So k*^T = D G^T, where D (n, u) holds
-        s_j at [j, p(j)], and
+        (``index.nodes``; p(j) = ``index.node_of[j]`` is the U-row of
+        observation j). For queries sharing one context z, the
+        cross-covariance is k*[i, j] = G[i, p(j)] * s_j with
+        G = s2 * m(g_query, U) of shape (m, u) and s_j = c(z, z_j). So
+        k*^T = D G^T, where D (n, u) holds s_j at [j, p(j)], and
 
             mean = mu0 + G a,  a = bincount(p, s * alpha)
             var  = s2 - rowsum((G M) o G),  M = W^T W,  W = L^-1 D
 
-        with L the Gram factor and alpha = K^-1 (y - mu0), both carried
-        from :meth:`with_data`. These are the dense-solve formulas
+        with L the Gram factor and alpha = K^-1 (y - mu0), both computed
+        at the first query on data. These are the dense-solve formulas
         regrouped, not an approximation. A query costs m u kernel
         entries, an n^2 u triangular solve (LAPACK ``trtrs``), an n u^2
         product for M and an m u^2 product for the variance, against m n
@@ -368,7 +368,8 @@ class GPModel:
         pts = _as_points(x, self.kernel.input_dim)
         mean = np.full(pts.shape[0], self._prior_mean())
         var = np.full(pts.shape[0], self.kernel.signal_variance)
-        u = self.nodes.shape[0]
+        index = self.index
+        u = index.nodes.shape[0]
         if gain_cov is not None and np.shape(gain_cov) != (pts.shape[0], u):
             raise ValueError(f"gain_cov must have shape {(pts.shape[0], u)}, got {np.shape(gain_cov)}")
         n = self.num_observations
@@ -378,9 +379,9 @@ class GPModel:
             gain_cov = self.gain_covariance(pts[:, :2])
         ell = self.kernel.lengthscales
         contexts, context_of = _distinct_rows(pts[:, 2:])
-        ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, self.inputs[:, 2:])[0])  # (c, n)
+        ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, index.inputs[:, 2:])[0])  # (c, n)
         node_indicator = np.zeros((n, u))
-        node_indicator[np.arange(n), self.node_of] = 1.0
+        node_indicator[np.arange(n), index.node_of] = 1.0
 
         for c, corr in enumerate(ctx_corr):
             rows = slice(None) if len(contexts) == 1 else np.flatnonzero(context_of == c)

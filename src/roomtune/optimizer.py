@@ -14,10 +14,12 @@ Three GP-backed selectors share one state type:
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
-A state conditions its surrogates on its own log at construction, so
+A state binds its surrogates to its own log at construction, so
 ``update``, checkpoint restore and day truncation only build a state.
 The log is indexed once (its distinct gains and context differences)
-and every surrogate of the state is built on that one index.
+and every surrogate of the state is built on that one index; each
+surrogate factors its Gram matrix at its first query, so a state pays
+only for the surrogates that are queried.
 Only the gains that can still be chosen are queried: ``scbo`` checks each
 constraint surrogate on the gains the previous ones certified, and scores
 the acquisition on its safe candidates alone. A ``QueryWorkspace``
@@ -221,10 +223,11 @@ class OptimizerState:
     of the safe set and exploration can only creep outward from
     observed safe territory.
 
-    Construction conditions every surrogate on ``observations`` through
+    Construction binds every surrogate to ``observations`` through
     ``surrogate_data``, whatever data the given models held, so ``replace``
-    on a state rebuilds its surrogates too. A log no season could have
-    written is rejected (see ``_check_observations``).
+    on a state rebuilds its surrogates too; a surrogate factors at its
+    first query, not here. A log no season could have written is
+    rejected (see ``_check_observations``).
     """
 
     method: str
@@ -306,10 +309,6 @@ def _check_observations(domain: GainDomain, observations) -> None:
         previous = o.day
 
 
-def _through_day(observations: tuple[Observation, ...], day: int) -> tuple[Observation, ...]:
-    return tuple(o for o in observations if o.day <= day)
-
-
 def _unit_context(state: OptimizerState, oat: float) -> float:
     """Context input of the surrogates: the scaled outside temperature,
     or 0.0 for ``bo``, which carries no scaler and so ignores the weather."""
@@ -342,7 +341,7 @@ class QueryWorkspace:
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
         """``model.gain_covariance`` over every grid gain of ``state``."""
         grid = state.domain.unit_points
-        nodes = model.nodes.tobytes()
+        nodes = model.index.nodes.tobytes()
         cached = self._blocks.get(model.kernel)
         if cached is None or cached[0] is not grid or cached[1] != nodes:
             cached = self._blocks[model.kernel] = (grid, nodes, model.gain_covariance(grid))
@@ -510,21 +509,12 @@ def state_to_json(state: OptimizerState) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def state_from_json(text: str, day: int | None = None) -> OptimizerState:
-    """Restore a saved state. With ``day``, build it as of the end of that
-    day, as ``state_at_day`` would, but condition the surrogates once: the
-    whole saved log is checked, and only its kept days are built on."""
+def state_from_json(text: str) -> OptimizerState:
+    """Restore a saved state."""
     doc = json.loads(text)
-    domain = GainDomain.from_dict(doc["domain"])
-    observations = tuple(
-        Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
-    )
-    if day is not None:
-        _check_observations(domain, observations)
-        observations = _through_day(observations, day)
     return OptimizerState(
         method=doc["method"],
-        domain=domain,
+        domain=GainDomain.from_dict(doc["domain"]),
         scaler=None if doc["context"] is None else ContextScaler.from_dict(doc["context"]),
         weights=tuple(doc["weights"]),
         thresholds=tuple(doc["thresholds"]),
@@ -532,13 +522,15 @@ def state_from_json(text: str, day: int | None = None) -> OptimizerState:
         constraint_models=tuple(model_from_dict(d) for d in doc["constraint_models"]),
         beta=doc["beta"],
         epsilon=doc["epsilon"],
-        observations=observations,
+        observations=tuple(
+            Observation(o["day"], o["context"], o["gain_index"], tuple(o["costs"])) for o in doc["observations"]
+        ),
     )
 
 
 def state_at_day(state: OptimizerState, day: int) -> OptimizerState:
     """State as of the end of the given day (0 = before any data)."""
-    return replace(state, observations=_through_day(state.observations, day))
+    return replace(state, observations=tuple(o for o in state.observations if o.day <= day))
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def simulate_day(
     gains: PIGains,
     schedule: DaySchedule,
     initial_state: RoomState,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     gain_adapter=None,
     initial_integral_action: float = 0.0,
 ) -> tuple[EpisodeTrace, RoomState, float]:
@@ -244,7 +244,7 @@ def simulate_day(
     """
     steps = weather.oat_profile.size
     setpoints = schedule.setpoints(steps, params.step_seconds)
-    if rng is not None and params.noise_sigma > 0:
+    if params.noise_sigma > 0:
         sigma = params.noise_sigma
         noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
     else:

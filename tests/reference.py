@@ -92,7 +92,7 @@ def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
     scalar heating_curve lookup: the oracle for its inlined loop."""
     steps = weather.oat_profile.size
     setpoints = schedule.setpoints(steps, params.step_seconds)
-    if rng is not None and params.noise_sigma > 0:
+    if params.noise_sigma > 0:
         sigma = params.noise_sigma
         noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
     else:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from roomtune import gp
 from roomtune.cli import main
 from roomtune.costs import NormalizedCosts
 from roomtune.gp import GPModel
@@ -190,21 +191,56 @@ def test_a_point_count_or_day_out_of_range_fails_at_parse_time(command, flag, va
 
 
 def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys):
-    """safe-set --day d builds its state at day d directly: 7 empty priors
-    from the file and 7 surrogates on the first d observations, none on
-    the whole log."""
+    """safe-set --day d factors only the constraint surrogates it queries,
+    each once and on the first d observations: 1 to 3 Gram matrices of
+    d x d, none over the whole log."""
     state_file = workspace[1] / "scbo_seed0_state.json"
-    rows = []
-    with_data = GPModel.with_data
+    shapes = []
+    factor = gp._factor_in_place
 
-    def counting_with_data(self, inputs, targets, *, index=None):
-        rows.append(len(inputs))
-        return with_data(self, inputs, targets, index=index)
+    def counting_factor(gram):
+        shapes.append(gram.shape)
+        return factor(gram)
 
-    monkeypatch.setattr(GPModel, "with_data", counting_with_data)
+    monkeypatch.setattr(gp, "_factor_in_place", counting_factor)
     assert main(["safe-set", "--state", str(state_file), "--day", "2", "--oat", "0.0"]) == 0
     capsys.readouterr()
-    assert sorted(rows) == [0] * 7 + [2] * 7
+    assert 1 <= len(shapes) <= 3 and set(shapes) == {(2, 2)}
+
+
+@pytest.mark.parametrize("command", [["safe-set", "--day", "2", "--oat", "0.0"], ["gain-schedule"]])
+@pytest.mark.parametrize("content", ["truncated", "missing", "{}"])
+def test_an_unreadable_state_file_exits_with_error(command, content, workspace, tmp_path, capsys):
+    """A truncated state (JSONDecodeError), a missing one
+    (FileNotFoundError) and one without its fields (KeyError) each ended
+    in a traceback with status 1; now status 2, one error line, and
+    nothing on stdout."""
+    state_file = tmp_path / "state.json"
+    if content == "truncated":
+        text = (workspace[1] / "scbo_seed0_state.json").read_text()
+        state_file.write_text(text[: len(text) // 2])
+    elif content == "{}":
+        state_file.write_text(content)
+    assert main([command[0], "--state", str(state_file), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: state {state_file}: ") and captured.err.count("\n") == 1
+
+
+def test_a_truncated_calibration_exits_with_error_before_any_write(workspace, tmp_path, capsys):
+    """run ended in a JSONDecodeError traceback on a truncated calibration
+    file; it now exits with status 2 and one error line, and writes nothing."""
+    text = (workspace[1] / "calibration_seed0.json").read_text()
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(text[: len(text) // 2])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"season": {"days": 2, "output_dir": str(tmp_path / "out")}}))
+    argv = ["run", "--config", str(config), "--method", "scbo", "--seed", "0", "--calibration", str(calibration)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: calibration {calibration}: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_loads_no_scipy_stats_or_optimize():

@@ -187,7 +187,7 @@ def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     data_seed=st.integers(0, 2**32 - 1),
 )
 def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_basis, data_seed):
-    """The Gram factor and alpha that with_data builds through the u
+    """The Gram factor and alpha that a model computes through the u
     distinct gain rows equal, bit for bit, scipy's Cholesky of the dense
     kernel_matrix and cho_solve, for u from 1 to n, at one shared context
     and at distinct contexts, with and without a basis mean; so do those
@@ -210,8 +210,8 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     assert np.array_equal(model.gram_factor, factor)
     assert np.array_equal(model.alpha, cho_solve((factor, True), y - (0.0 if basis is None else basis)))
     want_nodes, want_node_of = np.unique(gains, axis=0, return_inverse=True)
-    assert np.array_equal(model.nodes, want_nodes)
-    assert np.array_equal(model.node_of, want_node_of.ravel())
+    assert np.array_equal(model.index.nodes, want_nodes)
+    assert np.array_equal(model.index.node_of, want_node_of.ravel())
     index = InputIndex(x.copy())
     shared = GPModel.empty(spec, noise, basis).with_data(x, y, index=index)
     assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
@@ -221,9 +221,9 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
 
 @pytest.mark.parametrize("routine", ["dpotrf", "dtrtrs"])
 def test_model_raises_when_lapack_reports_failure(monkeypatch, routine):
-    """A Gram matrix that potrf cannot factor fails the build, and a
-    triangular solve that trtrs reports singular fails the query, with
-    LinAlgError as scipy's checked wrappers did."""
+    """A Gram matrix that potrf cannot factor, and a triangular solve
+    that trtrs reports singular, fail the first query with LinAlgError,
+    as scipy's checked wrappers did."""
     original = getattr(gp, routine)
 
     def failing(*args, **kwargs):

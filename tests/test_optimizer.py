@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from roomtune import optimizer
+from roomtune import gp, optimizer
 from roomtune.costs import NormalizedCosts
 from roomtune.gp import PRODUCT, GPModel, KernelSpec
 from roomtune.optimizer import (
@@ -329,7 +329,7 @@ def test_bo_choice_ignores_the_context():
     assert propose(state, -12.0).gain_index == propose(state, 12.0).gain_index
     # the contextual surrogates see every observation at context 0.0
     for model in state.cost_models:
-        assert model.inputs.shape == (6, 3) and np.all(model.inputs[:, 2] == 0.0)
+        assert model.index.inputs.shape == (6, 3) and np.all(model.index.inputs[:, 2] == 0.0)
 
 
 def test_cbo_and_scbo_agree_when_constraints_are_slack():
@@ -510,9 +510,9 @@ def test_a_state_rejects_days_that_do_not_strictly_increase(days):
     for o, day in zip(doc["observations"], days):
         o["day"] = day
     text = json.dumps(doc)
-    for day in (None, 2, 100):
+    for day in (0, 2, 100):
         with pytest.raises(ValueError, match=r"Observation\(day=\d+.* does not come after day"):
-            state_from_json(text, day=day)
+            state_at_day(state_from_json(text), day)
     logged = state_from_json(json.dumps(_logged_json())).observations
     with pytest.raises(ValueError, match="does not come after day"):
         dataclasses.replace(make_state(METHOD_SCBO), observations=logged[:3] + logged[4:] + logged[3:4])
@@ -543,14 +543,14 @@ def test_a_state_rejects_a_non_finite_context(method, context):
     ],
 )
 def test_state_from_json_at_a_day_checks_the_entries_after_it(field, value, message):
-    """safe-set --day d builds on the first d days only, but a file whose
+    """safe-set --day d queries the first d days only, but a file whose
     later entries no season could have written is still refused."""
     doc = _logged_json()
     doc["observations"][-1][field] = value
     text = json.dumps(doc)
     for day in (-1, 0, 2, 5, 99):
         with pytest.raises(ValueError, match=message):
-            state_from_json(text, day=day)
+            state_at_day(state_from_json(text), day)
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,18 +561,18 @@ def test_state_from_json_at_a_day_checks_the_entries_after_it(field, value, mess
     oat=st.floats(-20.0, 20.0),
 )
 def test_state_from_json_at_a_day_equals_truncating_the_restored_state(method, log, gaps, oat):
-    """One build at the requested day gives the state that restoring the
-    whole log and then truncating it gives, on every day: before the
-    first, between and on logged days, and past the last."""
-    state = make_state(method, noise=0.02)
+    """Restoring the whole log and truncating it to a day gives the state
+    constructed from the priors on the log's days up to it, on every day:
+    before the first, between and on logged days, and past the last."""
+    priors = make_state(method, noise=0.02)
+    state = priors
     for day, (index, context, (j1, j2, j3, j4)) in zip(np.cumsum(gaps).tolist(), log):
         state = update(state, state.domain.gains_at(index), context, costs_of(j1, j2, j3, j4), day=day)
     text = state_to_json(state)
-    restored = state_from_json(text)
     last = state.observations[-1].day if state.observations else 0
     for day in range(-1, last + 3):
-        built = state_from_json(text, day=day)
-        truncated = state_at_day(restored, day)
+        built = dataclasses.replace(priors, observations=tuple(o for o in state.observations if o.day <= day))
+        truncated = state_at_day(state_from_json(text), day)
         assert built.observations == truncated.observations
         assert_same_posteriors(built, truncated)
         if method == METHOD_SCBO:
@@ -722,7 +722,7 @@ def test_surrogates_regress_the_costs_then_the_headrooms(method, log, oat):
         grid = np.column_stack([state.domain.unit_points, np.full(state.domain.size, context)])
         node_rows = state.domain.unit_points[np.unique(indices)]  # the nodes are the logged grid gains, in grid order
         for model, reference in zip(state.cost_models + state.constraint_models, want, strict=True):
-            np.testing.assert_array_equal(model.nodes, node_rows)
+            np.testing.assert_array_equal(model.index.nodes, node_rows)
             posterior = reference.posterior_batch(grid)
             np.testing.assert_array_equal(model.posterior_batch(grid), posterior)
             np.testing.assert_array_equal(model.posterior_batch(grid, workspace.gain_covariance(state, model)), posterior)
@@ -850,6 +850,39 @@ def test_state_at_day_truncates_the_log():
     fresh = state_at_day(state, 0)
     mean, _ = fresh.cost_models[0].posterior_batch([[0.5, 0.5, 0.5]])
     assert mean[0] == 0.5  # back to the prior
+
+
+def test_only_a_query_factors_and_each_surrogate_factors_once(monkeypatch):
+    """update, state_from_json and state_at_day bind a log and factor
+    nothing; a surrogate factors its Gram matrix at its first query, and
+    its later queries reuse the factor."""
+    shapes = []
+    factor = gp._factor_in_place
+
+    def counting_factor(gram):
+        shapes.append(gram.shape)
+        return factor(gram)
+
+    monkeypatch.setattr(gp, "_factor_in_place", counting_factor)
+    state = make_state(METHOD_SCBO, noise=0.02)
+    for day in range(1, 6):
+        state = update(state, state.domain.gains_at(3 * day), float(day), costs_of(0.1 * day), day=day)
+    state = state_at_day(state_from_json(state_to_json(state)), 4)
+    assert shapes == []
+
+    model = state.cost_models[0]
+    x = np.column_stack([state.domain.unit_points, np.full(state.domain.size, 0.5)])
+    first = model.posterior_batch(x)
+    assert shapes == [(4, 4)]
+    np.testing.assert_array_equal(model.posterior_batch(x), first)
+    np.testing.assert_array_equal(model.posterior_batch(x[:3]), (first[0][:3], first[1][:3]))
+    assert shapes == [(4, 4)]
+
+    want = safe_set(state, 0.0)
+    queried = len(shapes) - 1
+    assert 1 <= queried <= 3
+    np.testing.assert_array_equal(safe_set(state, 0.0), want)
+    assert len(shapes) == 1 + queried
 
 
 # ---------------------------------------------------------------------------

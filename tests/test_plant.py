@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,8 +61,8 @@ def test_divergence_guard_trips():
     day = quiet_day(oat=500.0, steps=50)
     with pytest.raises(SimulationDivergedError):
         simulate_day(
-            PlantParams(), DEFAULT_COMPENSATION, day, PIGains(0.5, 0.0),
-            DaySchedule(), RoomState(20.0, 20.0), rng=None,
+            PlantParams(noise_sigma=0.0), DEFAULT_COMPENSATION, day, PIGains(0.5, 0.0),
+            DaySchedule(), RoomState(20.0, 20.0), np.random.default_rng(0),
         )
 
 
@@ -191,10 +192,13 @@ class SwitchingAdapter:
 
 def run_both(params, weather, gains, schedule, initial, noise_seed, carry, switch=None):
     """Run simulate_day and the reference on the same inputs; each result
-    is the returned tuple, or the exception raised, plus the adapter."""
+    is the returned tuple, or the exception raised, plus the adapter. No
+    ``noise_seed`` runs a noise-free day."""
+    if noise_seed is None:
+        params, noise_seed = replace(params, noise_sigma=0.0), 0
     out = []
     for fn in (simulate_day, reference_day):
-        rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+        rng = np.random.default_rng(noise_seed)
         adapter = None if switch is None else SwitchingAdapter(*switch)
         try:
             result = fn(params, DEFAULT_COMPENSATION, weather, gains, schedule, initial, rng,
@@ -292,12 +296,12 @@ def test_nan_valve_command_raises_like_the_reference():
 
 
 def test_simulate_day_shapes_and_carry():
-    p = PlantParams()
+    p = PlantParams(noise_sigma=0.0)
     schedule = DaySchedule()
     day = quiet_day()
     gains = PIGains(0.6, 0.004)
     trace, state, carry = simulate_day(
-        p, DEFAULT_COMPENSATION, day, gains, schedule, RoomState(17.0, 17.0), rng=None
+        p, DEFAULT_COMPENSATION, day, gains, schedule, RoomState(17.0, 17.0), np.random.default_rng(0)
     )
     assert trace.num_steps == 288
     assert trace.step_index == 72  # 06:00 at 300 s sampling
@@ -307,18 +311,18 @@ def test_simulate_day_shapes_and_carry():
 
 
 def test_integral_carry_removes_next_day_tracking_sag():
-    p = PlantParams()
+    p = PlantParams(noise_sigma=0.0)
     schedule = DaySchedule()
     day = quiet_day(oat=0.0)
     gains = PIGains(0.6, 0.004)  # integral too slow to recharge within a day
     state, carry = RoomState(17.0, 17.0), 0.0
     for _ in range(3):  # settle the day-to-day carry
         warm, state, carry = simulate_day(
-            p, DEFAULT_COMPENSATION, day, gains, schedule, state, rng=None,
+            p, DEFAULT_COMPENSATION, day, gains, schedule, state, np.random.default_rng(0),
             initial_integral_action=carry,
         )
     cold, _, _ = simulate_day(
-        p, DEFAULT_COMPENSATION, day, gains, schedule, state, rng=None
+        p, DEFAULT_COMPENSATION, day, gains, schedule, state, np.random.default_rng(0)
     )
     comfort = slice(110, 260)  # ~09:10 to 21:40
     sag_warm = np.mean(np.clip(warm.setpoint[comfort] - warm.t_room[comfort], 0.0, None))
