@@ -76,8 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    grouped = collect_results(args.dir)
-    report = compare_report(grouped)
+    report = _read("results directory", lambda d: compare_report(collect_results(d)), args.dir)
     out = Path(args.dir) / "summary.json"
     write_atomically(out, report.to_json())
     print(f"{'method':<8} {'final median cum. avg':>22} {'vs fixed':>10}")
@@ -136,7 +135,7 @@ def _checked(convert, ok, wanted: str):
 
 _finite_float = _checked(float, math.isfinite, "a finite number")  # an outside temperature
 _point_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
-_day_index = _checked(int, lambda d: d >= 0, "an integer >= 0")
+_non_negative = _checked(int, lambda n: n >= 0, "an integer >= 0")  # a seed or a day
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,13 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the perturbed-gain calibration season and fit GP hyperparameters")
     p.add_argument("--config", required=True, help="season config JSON")
-    p.add_argument("--seed", type=int, default=None, help="single seed (default: all configured seeds)")
+    p.add_argument("--seed", type=_non_negative, default=None, help="single seed (default: all configured seeds)")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("run", help="run one method over one seeded season")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True, choices=ALL_METHODS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--calibration", default=None, help="calibration JSON (default: output dir of the config)")
     p.set_defaults(func=_cmd_run)
 
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("safe-set", help="print safe-set membership over the gain grid")
     p.add_argument("--state", required=True)
-    p.add_argument("--day", type=_day_index, required=True, help="0 = before any data")
+    p.add_argument("--day", type=_non_negative, required=True, help="0 = before any data")
     p.add_argument("--oat", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_safe_set)
 

@@ -130,7 +130,7 @@ class SeasonConfig:
         check_weights(self.weights)
         if not 0.0 < self.perturbation < 1.0:
             raise ValueError("perturbation must lie in (0, 1)")
-        self.schedule.morning_step_index(self.plant.step_seconds)  # rejects a schedule with no comfort sample
+        self.schedule.morning_step_index  # rejects a schedule with no comfort sample
         # the tuner's own rules, checked before a calibration is simulated
         self.build_domain()
         check_confidence(self.beta, self.epsilon)
@@ -203,12 +203,12 @@ def season_weather(config: SeasonConfig, seed: int) -> list[WeatherDay]:
     lengths) so both phases of one seed see identical days."""
     horizon = max(config.days, config.calibration_days)
     if config.weather_csv is not None:
-        days = load_weather_csv(config.weather_csv, config.plant.step_seconds)
+        days = load_weather_csv(config.weather_csv)
         if len(days) < horizon:
             raise ValueError(f"weather CSV covers {len(days)} days, need {horizon}")
         return days[:horizon]
     rng = np.random.default_rng(_seed_sequence(config, seed, STREAM_WEATHER))
-    return synth_weather(config.weather, horizon, config.plant.step_seconds, rng)
+    return synth_weather(config.weather, horizon, rng)
 
 
 def _seed_sequence(config: SeasonConfig, seed: int, *keys: int) -> np.random.SeedSequence:
@@ -235,7 +235,7 @@ class _ClosedLoop:
         self._stream = stream
         weather = season_weather(config, seed)[:days]
         self._days = (weather[0], *weather)  # day 0, the burn-in, replays the first weather day
-        morning = config.schedule.morning_step_index(config.plant.step_seconds)
+        morning = config.schedule.morning_step_index
         self.morning_oats = [float(day.oat_profile[morning]) for day in weather]  # each day's context
         night = config.schedule.night_setpoint
         self._room = RoomState(night, night)
@@ -520,7 +520,7 @@ def run_season(
                 proposal.used_fallback,
             )
             gains, safe_size = proposal.gains, proposal.safe_set_size
-        adapter = AdaptiveZnTuner(step_seconds=config.plant.step_seconds) if method == METHOD_ADA else None
+        adapter = AdaptiveZnTuner() if method == METHOD_ADA else None
         start = time.perf_counter()
         trace = loop.play(day, gains, adapter)
         day_s += time.perf_counter() - start

@@ -48,6 +48,7 @@ from scipy.special import ndtri
 from .costs import NormalizedCosts
 from .gp import GPModel, InputIndex, KernelSpec, PRODUCT, model_from_dict, model_to_dict
 from .pid import PIGains
+from .plant import STEP_SECONDS
 
 METHOD_FIXED = "fixed"
 METHOD_ADA = "ada"
@@ -615,9 +616,10 @@ class AdaptiveZnTuner:
     the FOPDT model hourly on the day so far and retunes. Invalid fits
     keep the previous gains. One instance serves one day."""
 
-    def __init__(self, step_seconds: int = 300):
-        self.warmup_samples = int(round(7200 / step_seconds))
-        self.refit_samples = int(round(3600 / step_seconds))
+    warmup_samples = 7200 // STEP_SECONDS
+    refit_samples = 3600 // STEP_SECONDS
+
+    def __init__(self):
         self._next_refit = self.warmup_samples
         self.gains: PIGains | None = None
 

@@ -3,7 +3,7 @@ the control law runs in ``plant.simulate_day``.
 
 Derivative gain is fixed at zero (the loop is inherently stable and a D
 term would amplify noise). Gains are sample-time coupled: the control
-period is the plant's step_seconds.
+period is ``plant.STEP_SECONDS``.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, fields
-from datetime import datetime
-from functools import lru_cache
+from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .costs import EpisodeTrace
 from .pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 
 SECONDS_PER_DAY = 86400
+# The control period, at which every per-step constant and PI gain is tuned
+STEP_SECONDS = 300
+STEPS_PER_DAY = SECONDS_PER_DAY // STEP_SECONDS
 
 
 class SimulationDivergedError(RuntimeError):
@@ -81,7 +84,6 @@ class PlantParams:
     disturbance_gain: float = 0.036  # degC per step per degC of (oat - room)
     wall_coupling: float = 0.003
     wall_pole: float = 0.999
-    step_seconds: int = 300
     radiator_ua: float = 0.8  # kW/K-equivalent scaling of the heat term
     noise_sigma: float = 0.01  # degC per step, truncated at +-3 sigma
 
@@ -95,14 +97,12 @@ class PlantParams:
             raise ValueError("wall_coupling must lie in [0, 1)")
         if not 0.0 < self.wall_pole < 1.0:
             raise ValueError("wall_pole must lie in (0, 1)")
-        if self.step_seconds not in (60, 300):
-            raise ValueError("step_seconds must be 60 or 300")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 
     @property
     def steps_per_day(self) -> int:
-        return SECONDS_PER_DAY // self.step_seconds
+        return STEPS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -176,23 +176,21 @@ class DaySchedule:
         if not 0.0 <= self.morning_hour < self.evening_hour <= 24.0:
             raise ValueError("need 0 <= morning_hour < evening_hour <= 24")
 
-    def _comfort(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
-        hours = np.arange(steps_per_day) * step_seconds / 3600.0
+    def _comfort(self, steps: int) -> np.ndarray:
+        hours = np.arange(steps) * STEP_SECONDS / 3600.0
         return (hours >= self.morning_hour) & (hours < self.evening_hour)
 
-    def setpoints(self, steps_per_day: int, step_seconds: int) -> np.ndarray:
-        return np.where(self._comfort(steps_per_day, step_seconds), self.comfort_setpoint, self.night_setpoint)
+    def setpoints(self, steps: int) -> np.ndarray:
+        return np.where(self._comfort(steps), self.comfort_setpoint, self.night_setpoint)
 
-    # simulate_day asks every day; a frozen schedule hashes by its fields,
-    # and a season plays one, so a few entries suffice
-    @lru_cache(maxsize=8)
-    def morning_step_index(self, step_seconds: int) -> int:
-        """The first comfort sample, where ``setpoints`` steps up; raises
-        ``ValueError`` when no sample at this step length falls in the
-        comfort period."""
-        comfort = self._comfort(SECONDS_PER_DAY // step_seconds, step_seconds)
+    @cached_property  # simulate_day asks every day
+    def morning_step_index(self) -> int:
+        """The first comfort sample of a day, where ``setpoints`` steps
+        up; raises ``ValueError`` when no sample falls in the comfort
+        period."""
+        comfort = self._comfort(STEPS_PER_DAY)
         if not comfort.any():
-            raise ValueError(f"schedule has no comfort sample at {step_seconds} s steps")
+            raise ValueError(f"schedule has no comfort sample at {STEP_SECONDS} s steps")
         return int(comfort.argmax())
 
 
@@ -243,7 +241,7 @@ def simulate_day(
     whole day re-learning the standing heat demand.
     """
     steps = weather.oat_profile.size
-    setpoints = schedule.setpoints(steps, params.step_seconds)
+    setpoints = schedule.setpoints(steps)
     if params.noise_sigma > 0:
         sigma = params.noise_sigma
         noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
@@ -322,8 +320,8 @@ def simulate_day(
         setpoint=setpoints,
         t_room=t_room,
         valve=valve,
-        step_seconds=params.step_seconds,
-        step_index=schedule.morning_step_index(params.step_seconds),
+        step_seconds=STEP_SECONDS,
+        step_index=schedule.morning_step_index,
     )
     return trace, RoomState(t, t_wall), ki * integrator
 
@@ -367,14 +365,12 @@ class WeatherConfig:
             raise ValueError("ar1_sigma must be non-negative")
 
 
-def synth_weather(
-    config: WeatherConfig, days: int, step_seconds: int, rng: np.random.Generator
-) -> list[WeatherDay]:
-    """Generate ``days`` days of weather sampled every ``step_seconds``;
+def synth_weather(config: WeatherConfig, days: int, rng: np.random.Generator) -> list[WeatherDay]:
+    """Generate ``days`` days of weather sampled every ``STEP_SECONDS``;
     deterministic given the rng."""
     if days < 1:
         raise ValueError("day count must be >= 1")
-    hours = np.arange(SECONDS_PER_DAY // step_seconds) * step_seconds / 3600.0
+    hours = np.arange(STEPS_PER_DAY) * STEP_SECONDS / 3600.0
     daily = config.daily_amplitude * np.cos(2.0 * np.pi * (hours - config.warmest_hour) / 24.0)
     sun = np.clip(np.sin(np.pi * (hours - 7.0) / 11.0), 0.0, None)
     occupancy = np.where((hours >= 8.0) & (hours < 18.0), config.occupancy_gain, 0.0)
@@ -395,14 +391,15 @@ def synth_weather(
 SOLAR_WM2_TO_GAIN = 6.8e-4
 
 
-def load_weather_csv(path, step_seconds: int = 300) -> list[WeatherDay]:
+def load_weather_csv(path) -> list[WeatherDay]:
     """Read measured weather and resample it onto the simulation grid.
 
     Expects the header ``timestamp,oat_celsius,solar_wm2`` with ISO-8601
-    timestamps at a fixed interval. Values are linearly interpolated to
-    ``step_seconds`` and split into whole days; a trailing partial day is
-    dropped. Occupancy follows the synthetic generator's default
-    office-hours profile.
+    timestamps at a fixed interval; a timestamp without an offset is read
+    as UTC, whatever the host's time zone. Values are linearly
+    interpolated to ``STEP_SECONDS`` and split into whole days; a trailing
+    partial day is dropped. Occupancy follows the synthetic generator's
+    default office-hours profile.
     """
     times: list[float] = []
     oats: list[float] = []
@@ -413,7 +410,8 @@ def load_weather_csv(path, step_seconds: int = 300) -> list[WeatherDay]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"weather CSV must have header {sorted(expected)}")
         for row in reader:
-            times.append(datetime.fromisoformat(row["timestamp"]).timestamp())
+            moment = datetime.fromisoformat(row["timestamp"])
+            times.append((moment.replace(tzinfo=timezone.utc) if moment.tzinfo is None else moment).timestamp())
             oats.append(float(row["oat_celsius"]))
             solar.append(float(row["solar_wm2"]))
     if len(times) < 2:
@@ -423,18 +421,17 @@ def load_weather_csv(path, step_seconds: int = 300) -> list[WeatherDay]:
     if np.ptp(intervals) > 1e-6:
         raise ValueError("weather CSV timestamps must be evenly spaced")
 
-    grid = np.arange(t[0], t[-1] + 1e-9, step_seconds)
+    grid = np.arange(t[0], t[-1] + 1e-9, STEP_SECONDS)
     oat_grid = np.interp(grid, t, np.asarray(oats))
     solar_grid = np.interp(grid, t, np.asarray(solar)) * SOLAR_WM2_TO_GAIN
 
-    steps_per_day = SECONDS_PER_DAY // step_seconds
-    hours = np.arange(steps_per_day) * step_seconds / 3600.0
+    hours = np.arange(STEPS_PER_DAY) * STEP_SECONDS / 3600.0
     occupancy = np.where((hours >= 8.0) & (hours < 18.0), WeatherConfig.occupancy_gain, 0.0)
-    n_days = grid.size // steps_per_day
+    n_days = grid.size // STEPS_PER_DAY
     if n_days < 1:
         raise ValueError("weather CSV covers less than one day")
     return [
-        WeatherDay(oat_grid[k : k + steps_per_day], solar_grid[k : k + steps_per_day], occupancy.copy())
-        for k in range(0, n_days * steps_per_day, steps_per_day)
+        WeatherDay(oat_grid[k : k + STEPS_PER_DAY], solar_grid[k : k + STEPS_PER_DAY], occupancy.copy())
+        for k in range(0, n_days * STEPS_PER_DAY, STEPS_PER_DAY)
     ]
 

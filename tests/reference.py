@@ -91,7 +91,7 @@ def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
     """simulate_day spelled out as control_step and step per sample with a
     scalar heating_curve lookup: the oracle for its inlined loop."""
     steps = weather.oat_profile.size
-    setpoints = schedule.setpoints(steps, params.step_seconds)
+    setpoints = schedule.setpoints(steps)
     if params.noise_sigma > 0:
         sigma = params.noise_sigma
         noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)

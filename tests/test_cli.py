@@ -190,6 +190,46 @@ def test_a_point_count_or_day_out_of_range_fails_at_parse_time(command, flag, va
     assert main([*argv, f"{flag}={smallest}"]) == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["calibrate"],  # started the calibration, then ended in a SeedSequence traceback
+        ["run", "--method", "fixed"],  # looked for out/calibration_seed-2.json
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_a_negative_seed_fails_at_parse_time(command, seed, tmp_path, capsys):
+    """Refused with status 2 before the config is read: nothing on stdout,
+    nothing written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"season": {"days": 2, "output_dir": str(tmp_path / "out")}}))
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--config", str(config), *command[1:], f"--seed={seed}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"expected an integer >= 0, got '{seed}'" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "empty", "bad header"])
+def test_report_on_a_directory_without_valid_results_exits_with_error(case, tmp_path, capsys):
+    """A missing directory (FileNotFoundError), one with no results CSV and
+    one whose CSV has the wrong header (ValueError) each ended in a
+    traceback with status 1; now status 2, one error line, nothing on
+    stdout and no summary written."""
+    directory = tmp_path / "results"
+    if case != "missing":
+        directory.mkdir()
+        (directory / "notes.txt").write_text("not a results file\n")
+    if case == "bad header":
+        (directory / "fixed_seed0.csv").write_text("seed,day,cost\n0,1,0.5\n")
+    assert main(["report", "--dir", str(directory)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: results directory {directory}: ") and captured.err.count("\n") == 1
+    assert not (directory / "summary.json").exists()
+
+
 def test_safe_set_conditions_each_surrogate_once(workspace, monkeypatch, capsys):
     """safe-set --day d factors only the constraint surrogates it queries,
     each once and on the first d observations: 1 to 3 Gram matrices of

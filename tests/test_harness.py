@@ -34,7 +34,7 @@ from roomtune.harness import (
 from roomtune.gp import model_to_dict
 from roomtune.optimizer import ALL_METHODS, state_to_json
 from roomtune.pid import PIGains
-from roomtune.plant import DEFAULT_COMPENSATION, DaySchedule, PlantParams, WeatherConfig
+from roomtune.plant import DEFAULT_COMPENSATION, DaySchedule, WeatherConfig
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"season": {"weather": {"solar": 0.1}}})
     with pytest.raises(ValueError, match="plant"):
         config_from_dict({"plant": {"gain": 1.0}})
+    # the sample step is a constant of the simulator, not a plant setting
+    with pytest.raises(ValueError, match=r"unknown plant config keys: \['step_seconds'\]"):
+        config_from_dict({"plant": {"step_seconds": 300}})
 
 
 def test_config_csv_weather():
@@ -109,7 +112,7 @@ def test_config_csv_weather():
 def test_a_config_hashes_and_reads_its_sections_into_typed_fields():
     """Every field of a config is a value, so configs hash; the weather
     block reads into an equal WeatherConfig, and a key that is not one of
-    its fields (the day count and step are run parameters) fails on read,
+    its fields (the day count is a run parameter, the step a constant) fails on read,
     not in the middle of a run."""
     assert hash(SeasonConfig()) == hash(config_from_dict({}))
     block = {"edge_oat": 6.0, "mid_oat": -4, "daily_amplitude": 3.5, "warmest_hour": 14.0, "ar1_phi": 0.8,
@@ -181,7 +184,7 @@ def test_plant_and_weather_values_must_be_finite_numbers(doc):
         {"costs": {"weights": [0.25, 0.25, 0.5]}},
         {"optimizer": {"kp_bounds": [0.1, "3"]}},
         {"costs": {"calibration_days": 20}},  # failed in calibrate_normalization
-        {"plant": {"step_seconds": 300.0}},
+        {"season": {"days": 145.0}},  # a float for an integer
         {"plant": {"radiator_ua": 0}},  # calibrated a room that is never heated
         {"plant": {"radiator_ua": -0.8}},  # failed mid-calibration with the room at -20.9 degC
         # a NaN water temperature passed every curve rule, being false on both sides of each
@@ -200,8 +203,6 @@ def test_config_rejects_a_schedule_with_no_comfort_sample():
         SeasonConfig(schedule=late)
     with pytest.raises(ValueError, match="no comfort sample"):
         config_from_dict({"schedule": {"morning_hour": 23.99, "evening_hour": 24.0}})
-    # at 60 s steps 23:57 is a sample, so the same schedule is valid there
-    SeasonConfig(schedule=late, plant=PlantParams(step_seconds=60))
 
 
 # A value of the wrong kind for a number field.
@@ -210,7 +211,6 @@ _NOT_A_NUMBER = st.sampled_from(["17", True, None, [1.0, 2.0], {"value": 1.0}, m
 # Per config key: values the config reads, then values it must refuse.
 _CONFIG_VALUES = {
     ("plant", "noise_sigma"): (st.floats(0.0, 0.02), st.one_of(st.floats(-1.0, -1e-6), _NOT_A_NUMBER)),
-    ("plant", "step_seconds"): (st.just(300), st.sampled_from([120, 300.0, "300", True])),
     ("plant", "radiator_ua"): (st.floats(0.6, 1.0), st.one_of(st.sampled_from([0, -0.8]), _NOT_A_NUMBER)),
     ("compensation", "breakpoints"): (
         st.just([[-12, 72], [-3, 58], [18, 35]]),
@@ -258,6 +258,7 @@ def _config_documents(draw):
 @example(drawn=({"schedule": {"morning_hour": True}}, True))
 @example(drawn=({"season": {"output_dir": 5}}, True))
 @example(drawn=({"season": {"weather": {"source": "csv", "path": 5}}}, True))
+@example(drawn=({"plant": {"step_seconds": 300}}, True))  # the step is a constant, not a key
 def test_a_config_document_is_refused_when_read_or_runs_every_method(drawn, tmp_path_factory):
     """A value of the wrong kind or out of range raises ValueError when
     the config is read, which the CLI reports as ``error:`` with status
@@ -293,7 +294,7 @@ def test_season_weather_covers_both_phases_and_is_seeded(small_config):
 
 def test_morning_context_reads_the_six_oclock_sample(small_config):
     weather = season_weather(small_config, seed=0)
-    assert DaySchedule().morning_step_index(small_config.plant.step_seconds) == 72  # 06:00 at 300 s
+    assert DaySchedule().morning_step_index == 72  # 06:00 at 300 s
     run = run_season(small_config, "fixed", 0)
     assert [r.oat_c for r in run.results] == [day.oat_profile[72] for day in weather[: small_config.days]]
 

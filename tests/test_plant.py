@@ -1,5 +1,7 @@
 import math
+import time
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from roomtune.pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 from roomtune.plant import (
     DEFAULT_COMPENSATION,
     DaySchedule,
+    STEPS_PER_DAY,
     PlantParams,
     RoomState,
     SimulationDivergedError,
@@ -116,64 +119,58 @@ def test_day_schedule_validated():
 def test_morning_step_index_off_the_sample_grid():
     # 06:01:12 falls between the 06:00 and 06:05 samples; the setpoint steps at 06:05
     off_grid = DaySchedule(morning_hour=6.02)
-    assert off_grid.morning_step_index(300) == 73
-    sp = off_grid.setpoints(288, 300)
+    assert off_grid.morning_step_index == 73
+    sp = off_grid.setpoints(288)
     assert sp[72] == off_grid.night_setpoint and sp[73] == off_grid.comfort_setpoint
-    assert DaySchedule().morning_step_index(300) == 72
-    # 23.99 h is past the last 300 s sample: no comfort sample at all
-    with pytest.raises(ValueError, match="no comfort sample"):
-        DaySchedule(morning_hour=23.99, evening_hour=24.0).morning_step_index(300)
-    # 23.95 h (23:57) is past the last 300 s sample (23:55) but is a 60 s sample
-    late = DaySchedule(morning_hour=23.95, evening_hour=24.0)
-    with pytest.raises(ValueError, match="no comfort sample"):
-        late.morning_step_index(300)
-    assert late.morning_step_index(60) == 1437
+    assert DaySchedule().morning_step_index == 72
+    # 23.99 h and 23.95 h (23:57) are past the last sample (23:55): no comfort sample at all
+    for morning in (23.99, 23.95):
+        with pytest.raises(ValueError, match="no comfort sample"):
+            DaySchedule(morning_hour=morning, evening_hour=24.0).morning_step_index
 
 
 def test_setpoints_keep_a_fractional_comfort_setpoint_over_an_integer_night_one():
     # a JSON config gives 17 as an int; the comfort setpoint must not be cast to its type
-    sp = DaySchedule(night_setpoint=17, comfort_setpoint=21.5).setpoints(288, 300)
+    sp = DaySchedule(night_setpoint=17, comfort_setpoint=21.5).setpoints(288)
     assert sp[0] == 17.0 and sp[72] == 21.5
 
 
-def first_comfort_sample(schedule, step_seconds):
+def first_comfort_sample(schedule):
     """Index of the first comfort setpoint, or None: the oracle."""
-    sp = schedule.setpoints(86400 // step_seconds, step_seconds)
+    sp = schedule.setpoints(STEPS_PER_DAY)
     comfort = np.flatnonzero(sp == schedule.comfort_setpoint)
     return int(comfort[0]) if comfort.size else None
 
 
 def test_morning_step_index_at_and_beside_every_sample_hour():
     # an hour one ulp off a sample is where a rounded index would slip
-    for step_seconds in (60, 300):
-        for k in range(86400 // step_seconds):
-            h = k * step_seconds / 3600.0
-            for morning in (float(np.nextafter(h, -1.0)), h, float(np.nextafter(h, 25.0))):
-                if not 0.0 <= morning < 24.0:
-                    continue
-                schedule = DaySchedule(morning_hour=morning, evening_hour=24.0)
-                want = first_comfort_sample(schedule, step_seconds)
-                if want is None:
-                    with pytest.raises(ValueError):
-                        schedule.morning_step_index(step_seconds)
-                else:
-                    assert schedule.morning_step_index(step_seconds) == want
+    for k in range(STEPS_PER_DAY):
+        h = k * 300 / 3600.0
+        for morning in (float(np.nextafter(h, -1.0)), h, float(np.nextafter(h, 25.0))):
+            if not 0.0 <= morning < 24.0:
+                continue
+            schedule = DaySchedule(morning_hour=morning, evening_hour=24.0)
+            want = first_comfort_sample(schedule)
+            if want is None:
+                with pytest.raises(ValueError):
+                    schedule.morning_step_index
+            else:
+                assert schedule.morning_step_index == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     morning=st.floats(0.0, 23.99),
     span=st.floats(0.001, 24.0),
-    step_seconds=st.sampled_from([60, 300]),
 )
-def test_morning_step_index_is_where_the_setpoint_steps_up(morning, span, step_seconds):
+def test_morning_step_index_is_where_the_setpoint_steps_up(morning, span):
     schedule = DaySchedule(morning_hour=morning, evening_hour=min(morning + span, 24.0))
-    want = first_comfort_sample(schedule, step_seconds)
+    want = first_comfort_sample(schedule)
     if want is None:
         with pytest.raises(ValueError):
-            schedule.morning_step_index(step_seconds)
+            schedule.morning_step_index
     else:
-        assert schedule.morning_step_index(step_seconds) == want
+        assert schedule.morning_step_index == want
 
 
 class SwitchingAdapter:
@@ -222,7 +219,6 @@ _CARRY = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    step_seconds=st.sampled_from([60, 300]),
     steps=st.integers(1, 300),
     gains=st.builds(PIGains, _GAIN, st.floats(0.0, 0.5)),
     initial=st.builds(RoomState, st.floats(-10.0, 40.0), st.floats(-10.0, 40.0)),
@@ -235,7 +231,7 @@ _CARRY = st.one_of(
     switch=st.one_of(st.none(), st.tuples(st.integers(0, 299), st.builds(PIGains, _GAIN, _GAIN))),
 )
 def test_simulate_day_matches_reference_loop(
-    step_seconds, steps, gains, initial, carry, oat_ends, warming, noise_seed, exo_seed, morning, switch,
+    steps, gains, initial, carry, oat_ends, warming, noise_seed, exo_seed, morning, switch,
 ):
     # OAT sweeps past both end breakpoints and through the -3 degC slope
     # break, which it also hits exactly
@@ -243,10 +239,9 @@ def test_simulate_day_matches_reference_loop(
     oat[steps // 2] = -3.0
     exo = np.random.default_rng(exo_seed)
     weather = WeatherDay(oat, exo.uniform(0.0, 0.35, steps), exo.choice([0.0, 0.01], steps))
-    params = PlantParams(step_seconds=step_seconds)
     schedule = DaySchedule(morning_hour=morning, evening_hour=morning + 2.0)
     (lean, lean_adapter), (ref, ref_adapter) = run_both(
-        params, weather, gains, schedule, initial, noise_seed, carry, switch,
+        PlantParams(), weather, gains, schedule, initial, noise_seed, carry, switch,
     )
     if isinstance(ref, Exception):
         assert type(lean) is type(ref) and str(lean) == str(ref)
@@ -254,7 +249,7 @@ def test_simulate_day_matches_reference_loop(
         trace, state, closing = lean
         setpoints, t_room, valve, ref_state, ref_closing = ref
         np.testing.assert_array_equal(trace.setpoint, setpoints)
-        assert trace.step_index == schedule.morning_step_index(step_seconds)
+        assert trace.step_index == schedule.morning_step_index
         assert trace.t_room.tobytes() == t_room.tobytes()
         assert trace.valve.tobytes() == valve.tobytes()
         assert same_float(state.t_room, ref_state.t_room)
@@ -335,11 +330,10 @@ def test_integral_carry_removes_next_day_tracking_sag():
 
 def test_synth_weather_deterministic_and_sized():
     cfg = WeatherConfig()
-    a = synth_weather(cfg, 20, 300, np.random.default_rng(7))
-    b = synth_weather(cfg, 20, 300, np.random.default_rng(7))
+    a = synth_weather(cfg, 20, np.random.default_rng(7))
+    b = synth_weather(cfg, 20, np.random.default_rng(7))
     assert len(a) == 20
     assert {d.oat_profile.size for d in a} == {288}
-    assert {d.oat_profile.size for d in synth_weather(cfg, 2, 60, np.random.default_rng(7))} == {1440}
     for da, db in zip(a, b):
         np.testing.assert_array_equal(da.oat_profile, db.oat_profile)
         np.testing.assert_array_equal(da.solar_profile, db.solar_profile)
@@ -349,7 +343,7 @@ def test_synth_weather_daily_swing_is_exact():
     # within one day the AR term is constant, so 15:00 minus 03:00
     # equals twice the daily amplitude by construction
     cfg = WeatherConfig(daily_amplitude=4.0)
-    days = synth_weather(cfg, 5, 300, np.random.default_rng(0))
+    days = synth_weather(cfg, 5, np.random.default_rng(0))
     i15 = int(15 * 3600 / 300)
     i03 = int(3 * 3600 / 300)
     for day in days:
@@ -358,7 +352,7 @@ def test_synth_weather_daily_swing_is_exact():
 
 
 def test_synth_weather_midseason_colder_than_edges():
-    days = synth_weather(WeatherConfig(), 145, 300, np.random.default_rng(1))
+    days = synth_weather(WeatherConfig(), 145, np.random.default_rng(1))
     edge = np.mean([d.oat_profile.mean() for d in days[:5]])
     mid = np.mean([d.oat_profile.mean() for d in days[70:75]])
     assert mid < edge
@@ -366,7 +360,7 @@ def test_synth_weather_midseason_colder_than_edges():
 
 def test_synth_weather_solar_and_occupancy_windows():
     cfg = WeatherConfig()
-    days = synth_weather(cfg, 3, 300, np.random.default_rng(2))
+    days = synth_weather(cfg, 3, np.random.default_rng(2))
     hours = np.arange(days[0].solar_profile.size) * 300 / 3600.0
     for day in days:
         assert np.all(day.solar_profile[hours < 7.0] == 0.0)
@@ -390,11 +384,48 @@ def test_load_weather_csv_resamples(tmp_path):
     path = tmp_path / "weather.csv"
     hours = np.arange(0, 49)  # two full days plus one sample
     _write_weather_csv(path, hours, np.linspace(0, 10, 49), np.full(49, 100.0))
-    days = load_weather_csv(path, step_seconds=300)
+    days = load_weather_csv(path)
     assert len(days) == 2
     assert days[0].oat_profile.size == 288
     assert days[0].oat_profile[0] == pytest.approx(0.0)
     assert days[0].solar_profile[0] == pytest.approx(100.0 * 6.8e-4)
+
+
+def _write_stamped_csv(path, stamps, oat):
+    rows = [f"{stamp},{o},100.0" for stamp, o in zip(stamps, oat)]
+    path.write_text("\n".join(["timestamp,oat_celsius,solar_wm2", *rows]) + "\n")
+
+
+@pytest.fixture
+def zurich_clock(monkeypatch):
+    """The process's local time is Central European, whose daylight
+    saving time ends at 01:00 UTC on 2024-10-27."""
+    monkeypatch.setenv("TZ", "CET-1CEST,M3.5.0,M10.5.0/3")  # a POSIX rule: no tz database needed
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_load_weather_csv_reads_naive_timestamps_as_utc(tmp_path, zurich_clock):
+    start = datetime(2024, 10, 26, tzinfo=timezone.utc)
+    assert time.localtime(start.timestamp()).tm_isdst == 1
+    instants = [start + timedelta(hours=h) for h in range(73)]  # three days plus one sample
+    oat = np.linspace(0.0, 10.0, 73)
+    # read in local time, the 73 naive stamps would span 73 hours with a gap of two
+    naive = tmp_path / "naive.csv"
+    _write_stamped_csv(naive, [u.replace(tzinfo=None).isoformat() for u in instants], oat)
+    days = load_weather_csv(naive)
+    assert len(days) == 3
+    # the same instants on a Zurich clock, whose offset drops from +02:00 to
+    # +01:00: evenly spaced only when each stamp keeps its offset
+    dst_end = datetime(2024, 10, 27, 1, tzinfo=timezone.utc)
+    zurich = [u.astimezone(timezone(timedelta(hours=2 if u < dst_end else 1))).isoformat() for u in instants]
+    assert zurich[24:26] == ["2024-10-27T02:00:00+02:00", "2024-10-27T02:00:00+01:00"]
+    local = tmp_path / "local.csv"
+    _write_stamped_csv(local, zurich, oat)
+    for a, b in zip(days, load_weather_csv(local), strict=True):
+        assert a.oat_profile.tobytes() == b.oat_profile.tobytes()
 
 
 def test_load_weather_csv_rejects_bad_input(tmp_path):
