@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = _read("results directory", lambda d: compare_report(collect_results(d)), args.dir)
+    report = compare_report(_read("results directory", collect_results, args.dir))
     out = Path(args.dir) / "summary.json"
     write_atomically(out, report.to_json())
     print(f"{'method':<8} {'final median cum. avg':>22} {'vs fixed':>10}")

@@ -684,5 +684,5 @@ def collect_results(directory) -> dict[str, list[list[DailyResult]]]:
         if m:
             grouped.setdefault(m.group(1), []).append(read_results_csv(path))
     if not grouped:
-        raise ValueError(f"no results CSVs found in {directory}")
+        raise ValueError("no results CSVs found")
     return grouped

@@ -227,6 +227,12 @@ def test_report_on_a_directory_without_valid_results_exits_with_error(case, tmp_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: results directory {directory}: ") and captured.err.count("\n") == 1
+    detail = {
+        "missing": "No such file or directory",
+        "empty": "no results CSVs found",
+        "bad header": f"unexpected results header in {directory / 'fixed_seed0.csv'}",
+    }[case]
+    assert captured.err == f"error: results directory {directory}: {detail}\n"
     assert not (directory / "summary.json").exists()
 
 

@@ -13,6 +13,7 @@ from roomtune.pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 from roomtune.plant import (
     DEFAULT_COMPENSATION,
     DaySchedule,
+    STEP_SECONDS,
     STEPS_PER_DAY,
     PlantParams,
     RoomState,
@@ -145,7 +146,7 @@ def first_comfort_sample(schedule):
 def test_morning_step_index_at_and_beside_every_sample_hour():
     # an hour one ulp off a sample is where a rounded index would slip
     for k in range(STEPS_PER_DAY):
-        h = k * 300 / 3600.0
+        h = k * STEP_SECONDS / 3600.0
         for morning in (float(np.nextafter(h, -1.0)), h, float(np.nextafter(h, 25.0))):
             if not 0.0 <= morning < 24.0:
                 continue
@@ -344,8 +345,8 @@ def test_synth_weather_daily_swing_is_exact():
     # equals twice the daily amplitude by construction
     cfg = WeatherConfig(daily_amplitude=4.0)
     days = synth_weather(cfg, 5, np.random.default_rng(0))
-    i15 = int(15 * 3600 / 300)
-    i03 = int(3 * 3600 / 300)
+    i15 = int(15 * 3600 / STEP_SECONDS)
+    i03 = int(3 * 3600 / STEP_SECONDS)
     for day in days:
         swing = day.oat_profile[i15] - day.oat_profile[i03]
         assert swing == pytest.approx(2.0 * cfg.daily_amplitude)
@@ -361,7 +362,7 @@ def test_synth_weather_midseason_colder_than_edges():
 def test_synth_weather_solar_and_occupancy_windows():
     cfg = WeatherConfig()
     days = synth_weather(cfg, 3, np.random.default_rng(2))
-    hours = np.arange(days[0].solar_profile.size) * 300 / 3600.0
+    hours = np.arange(days[0].solar_profile.size) * STEP_SECONDS / 3600.0
     for day in days:
         assert np.all(day.solar_profile[hours < 7.0] == 0.0)
         assert np.all(day.solar_profile[hours >= 18.0] < 1e-12)
