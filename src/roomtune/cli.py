@@ -76,7 +76,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = compare_report(_read("results directory", collect_results, args.dir))
+    results = _read("results directory", collect_results, args.dir)
+    try:
+        report = compare_report(results)
+    except ValueError as exc:  # runs of different lengths; any other fault stays a traceback
+        raise _InputError(f"results directory {args.dir}: {exc}") from None
     out = Path(args.dir) / "summary.json"
     write_atomically(out, report.to_json())
     print(f"{'method':<8} {'final median cum. avg':>22} {'vs fixed':>10}")

@@ -10,6 +10,7 @@ thresholds (97.5th percentile, indexes 1-3) for the optimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,15 +172,15 @@ class CostNormalization:
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
-        if any(c <= 0 for c in self.thresholds):
-            raise ValueError("thresholds must be positive")
+        if not all(0 < s < math.inf for s in self.scales):
+            raise ValueError("scales must be positive and finite")
+        if not all(0 < c < math.inf for c in self.thresholds):
+            raise ValueError("thresholds must be positive and finite")
         check_weights(self.weights)
 
     def normalize(self, raw: RawCosts) -> NormalizedCosts:
         vals = raw.as_array() / np.asarray(self.scales)
-        return NormalizedCosts(*vals, total=total_cost(vals, self.weights))
+        return NormalizedCosts(*vals, total=float(np.dot(vals, np.asarray(self.weights, dtype=float))))
 
     def is_violation(self, costs: NormalizedCosts) -> bool:
         """Any constrained index (1-3) above its safety threshold."""
@@ -194,9 +195,9 @@ class CostNormalization:
 
 
 def check_weights(weights) -> None:
-    """The rule on the cost weights: positive, summing to 1."""
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
+    """The rule on the cost weights: positive and finite, summing to 1."""
+    if not all(0 < w < math.inf for w in weights):
+        raise ValueError("weights must be positive and finite")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {tuple(weights)!r}")
 
@@ -222,10 +223,3 @@ def calibrate_normalization(
     p975 = np.percentile(raw, 97.5, axis=0, method="higher")
     thresholds = np.maximum(p975[:3] / scales[:3], _SCALE_FLOOR)
     return CostNormalization(tuple(scales), tuple(thresholds), tuple(weights))
-
-
-def total_cost(normalized_values, weights) -> float:
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    return float(np.dot(np.asarray(normalized_values, dtype=float), w))

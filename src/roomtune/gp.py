@@ -78,10 +78,6 @@ JITTER = 1e-9
 _SQRT5 = math.sqrt(5.0)
 
 
-class DimensionMismatchError(ValueError):
-    """Query or training points do not match the kernel's input dimension."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Stationary kernel description.
@@ -101,10 +97,10 @@ class KernelSpec:
         object.__setattr__(self, "lengthscales", tuple(float(l) for l in self.lengthscales))
         if len(self.lengthscales) != 3:
             raise ValueError("product kernel takes 2 gain dims + 1 context dim")
-        if any(l <= 0 for l in self.lengthscales):
-            raise ValueError("lengthscales must be positive")
-        if self.signal_variance <= 0:
-            raise ValueError("signal_variance must be positive")
+        if not all(0 < l < math.inf for l in self.lengthscales):
+            raise ValueError("lengthscales must be positive and finite")
+        if not 0 < self.signal_variance < math.inf:
+            raise ValueError("signal_variance must be positive and finite")
 
     @property
     def input_dim(self) -> int:
@@ -125,7 +121,7 @@ class KernelSpec:
 def _as_points(x, dim: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != dim:
-        raise DimensionMismatchError(f"expected {dim}-dim points, got shape {pts.shape}")
+        raise ValueError(f"expected {dim}-dim points, got shape {pts.shape}")
     return pts
 
 
@@ -261,8 +257,10 @@ class GPModel:
         noise_variance: float,
         basis_coefficient: float | None = None,
     ) -> "GPModel":
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
+        if basis_coefficient is not None and not math.isfinite(basis_coefficient):
+            raise ValueError("basis_coefficient must be finite")
         return cls(kernel, noise_variance, basis_coefficient).with_data([], [])
 
     @property
@@ -317,8 +315,6 @@ class GPModel:
 
     def add_observation(self, x, y: float) -> "GPModel":
         """Condition on one more (input, target) pair; returns a new model."""
-        if not np.isfinite(y):
-            raise ValueError("non-finite target values rejected")
         pt = _as_points([np.ravel(x)], self.kernel.input_dim)
         new_x = np.vstack([self.index.inputs, pt])
         new_y = np.append(self.targets, float(y))
@@ -691,7 +687,6 @@ def fit_hyperparameters(
     targets,
     *,
     with_basis: bool = False,
-    n_starts: int = N_STARTS,
     seed: int = 0,
     pool: StartPool | None = None,
 ) -> FitResult:
@@ -728,11 +723,8 @@ def fit_hyperparameters(
             np.exp(hi),
         )
     )
-    starts = [theta0] + [rng.uniform(lo, hi) for _ in range(max(0, n_starts - 1))]
-    if pool is None:
-        outcomes = _run_starts(template, x, y, with_basis, bounds, starts)
-    else:
-        outcomes = pool.run(template, x, y, with_basis, bounds, starts)
+    starts = [theta0] + [rng.uniform(lo, hi) for _ in range(N_STARTS - 1)]
+    outcomes = (pool or StartPool()).run(template, x, y, with_basis, bounds, starts)
 
     best = None
     for outcome in outcomes:  # in start order, so the first start that raised raises

@@ -88,10 +88,8 @@ STREAM_PLANT = 3
 STREAM_FIT = 4
 
 # Raw-cost passthrough for calibration-free fixed-PI runs: unit scales,
-# thresholds that never flag.
-IDENTITY_NORMALIZATION = CostNormalization(
-    (1.0, 1.0, 1.0, 1.0), (math.inf, math.inf, math.inf), DEFAULT_WEIGHTS
-)
+# thresholds that never flag a finite cost.
+IDENTITY_NORMALIZATION = CostNormalization((1.0, 1.0, 1.0, 1.0), (np.finfo(float).max,) * 3, DEFAULT_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -612,12 +610,6 @@ def persist_run(config: SeasonConfig, run: SeasonRun) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cumulative_average(totals) -> np.ndarray:
-    """Prefix means of the daily totals, ordered by day."""
-    arr = np.asarray(totals, dtype=float)
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
-
-
 @dataclass(frozen=True)
 class SeasonReport:
     days: int
@@ -653,11 +645,9 @@ def compare_report(results_by_method: dict[str, list[list[DailyResult]]]) -> Sea
     for method, seed_runs in results_by_method.items():
         if not seed_runs:
             raise ValueError(f"method {method!r} has no seed runs")
-        curves = []
-        for rows in seed_runs:
-            ordered = sorted(rows, key=lambda r: r.day)
-            curves.append(cumulative_average([r.j_total for r in ordered]))
-        stacked = np.vstack(curves)
+        # each seed's prefix means of the daily totals, ordered by day
+        totals = np.array([[r.j_total for r in sorted(rows, key=lambda r: r.day)] for rows in seed_runs])
+        stacked = np.cumsum(totals, axis=1) / np.arange(1, days + 1)
         cumulative[method] = {
             "median": np.median(stacked, axis=0).tolist(),
             "min": stacked.min(axis=0).tolist(),

@@ -84,9 +84,9 @@ class GainDomain:
         object.__setattr__(self, "kp_values", np.asarray(self.kp_values, dtype=float))
         object.__setattr__(self, "ki_values", np.asarray(self.ki_values, dtype=float))
         for values in (self.kp_values, self.ki_values):
-            if values.size < 2 or np.any(values <= 0):
-                raise ValueError("gain grids need >= 2 positive values")
-            if np.any(np.diff(values) <= 0):
+            if values.size < 2 or not np.all((0 < values) & (values < math.inf)):
+                raise ValueError("gain grids need >= 2 positive finite values")
+            if not np.all(np.diff(values) > 0):
                 raise ValueError("gain grids must be strictly increasing")
         if self.anchor_kp not in self.kp_values or self.anchor_ki not in self.ki_values:
             raise ValueError("anchor gains must lie on the grid")
@@ -178,8 +178,8 @@ class ContextScaler:
     oat_max: float
 
     def __post_init__(self):
-        if not self.oat_max > self.oat_min:
-            raise ValueError("oat_max must exceed oat_min")
+        if not -math.inf < self.oat_min < self.oat_max < math.inf:
+            raise ValueError("oat_min and oat_max must be finite, and oat_max must exceed oat_min")
 
     def normalize(self, oat: float) -> float:
         return (oat - self.oat_min) / (self.oat_max - self.oat_min)
@@ -258,10 +258,10 @@ class OptimizerState:
         if any(m.basis_coefficient is not None for m in self.constraint_models):
             raise ValueError("constraint surrogates must be zero-mean")
         check_confidence(self.beta, self.epsilon)
-        if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
-            raise ValueError("four positive weights required")
-        if len(self.thresholds) != 3 or any(c <= 0 for c in self.thresholds):
-            raise ValueError("three positive thresholds required")
+        if len(self.weights) != 4 or not all(0 < w < math.inf for w in self.weights):
+            raise ValueError("four positive finite weights required")
+        if len(self.thresholds) != 3 or not all(0 < c < math.inf for c in self.thresholds):
+            raise ValueError("three positive finite thresholds required")
         _check_observations(self.domain, self.observations)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
@@ -296,8 +296,8 @@ def check_confidence(beta: float, epsilon: float) -> None:
 def _check_observations(domain: GainDomain, observations) -> None:
     """Reject a log no season could have written: a gain off the grid, a
     non-finite context (``bo`` never reads it, but writes it back) or
-    cost, or days that do not strictly increase (``state_at_day``
-    truncates by day, so the days must order the log)."""
+    cost, or days that are not finite or do not strictly increase
+    (``state_at_day`` truncates by day, so the days must order the log)."""
     size = domain.size
     previous = -math.inf
     for o in observations:
@@ -305,8 +305,8 @@ def _check_observations(domain: GainDomain, observations) -> None:
             raise ValueError(f"{o} has a gain_index off the {size}-point grid")
         if not all(map(math.isfinite, (o.context, *o.costs))):
             raise ValueError(f"{o} has a non-finite context or cost")
-        if not o.day > previous:
-            raise ValueError(f"{o} does not come after day {previous}")
+        if not previous < o.day < math.inf:
+            raise ValueError(f"{o} does not come after day {previous}, or its day is not finite")
         previous = o.day
 
 

@@ -418,6 +418,8 @@ def load_weather_csv(path) -> list[WeatherDay]:
         raise ValueError("weather CSV needs at least two rows")
     t = np.asarray(times)
     intervals = np.diff(t)
+    if not np.all(intervals > 0):
+        raise ValueError("weather CSV timestamps must strictly increase")
     if np.ptp(intervals) > 1e-6:
         raise ValueError("weather CSV timestamps must be evenly spaced")
 

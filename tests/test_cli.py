@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from roomtune import gp
+from roomtune import cli, gp
 from roomtune.cli import main
 from roomtune.costs import NormalizedCosts
 from roomtune.gp import GPModel
@@ -287,6 +288,138 @@ def test_a_truncated_calibration_exits_with_error_before_any_write(workspace, tm
     assert captured.out == ""
     assert captured.err.startswith(f"error: calibration {calibration}: ") and captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _numeric_paths(doc, path=()):
+    """Key paths to the numeric leaves of a JSON document; in a list only
+    the last item is visited, and stands for the others."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_paths(value, (*path, key))
+    elif isinstance(doc, list) and doc:
+        yield from _numeric_paths(doc[-1], (*path, -1))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+# Every numeric field of a calibration and of an scbo state, as _numeric_paths names them.
+_CALIBRATION_FIELDS = [
+    ("normalization", "scales", -1),
+    ("normalization", "thresholds", -1),
+    ("normalization", "weights", -1),
+    ("context", "oat_min"),
+    ("context", "oat_max"),
+    ("models", "cost_contextual", -1, "kernel", "lengthscales", -1),
+    ("models", "cost_contextual", -1, "kernel", "signal_variance"),
+    ("models", "cost_contextual", -1, "noise_variance"),
+    ("models", "cost_contextual", -1, "basis_coefficient"),
+    ("models", "constraint_contextual", -1, "kernel", "lengthscales", -1),
+    ("models", "constraint_contextual", -1, "kernel", "signal_variance"),
+    ("models", "constraint_contextual", -1, "noise_variance"),
+]
+_STATE_FIELDS = [
+    ("beta",),
+    ("epsilon",),
+    ("weights", -1),
+    ("thresholds", -1),
+    ("domain", "kp_values", -1),
+    ("domain", "ki_values", -1),
+    ("domain", "anchor", -1),
+    ("context", "oat_min"),
+    ("context", "oat_max"),
+    ("cost_models", -1, "kernel", "lengthscales", -1),
+    ("cost_models", -1, "kernel", "signal_variance"),
+    ("cost_models", -1, "noise_variance"),
+    ("cost_models", -1, "basis_coefficient"),
+    ("constraint_models", -1, "kernel", "lengthscales", -1),
+    ("constraint_models", -1, "kernel", "signal_variance"),
+    ("constraint_models", -1, "noise_variance"),
+    ("observations", -1, "day"),
+    ("observations", -1, "context"),
+    ("observations", -1, "gain_index"),
+    ("observations", -1, "costs", -1),
+]
+
+
+def _field_id(path) -> str:
+    return ".".join(map(str, path))
+
+
+def _with_value(text: str, path, value) -> str:
+    """The JSON document ``text`` with the field at ``path`` set to
+    ``value``; json writes NaN and the infinities as NaN and Infinity."""
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "name, fields", [("calibration_seed0.json", _CALIBRATION_FIELDS), ("scbo_seed0_state.json", _STATE_FIELDS)]
+)
+def test_the_field_lists_name_every_numeric_field_of_the_artifacts(name, fields, workspace):
+    assert set(_numeric_paths(json.loads((workspace[1] / name).read_text()))) == set(fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _CALIBRATION_FIELDS, ids=_field_id)
+def test_run_refuses_a_calibration_holding_a_non_finite_number(field, value, workspace, tmp_path, capsys):
+    """json reads NaN and Infinity, and the range rules let them through:
+    run went on with a NaN lengthscale or noise variance and wrote its
+    results, and a NaN threshold ended in a traceback after day 1. Each is
+    now refused on reading: status 2, one error line, nothing written."""
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(_with_value((workspace[1] / "calibration_seed0.json").read_text(), field, value))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"season": {"days": 2, "output_dir": str(tmp_path / "out")}}))
+    argv = ["run", "--config", str(config), "--method", "scbo", "--seed", "0", "--calibration", str(calibration)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: calibration {calibration}: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _STATE_FIELDS, ids=_field_id)
+@pytest.mark.parametrize("command", [["safe-set", "--day", "3", "--oat", "0.0"], ["gain-schedule"]], ids=lambda c: c[0])
+def test_a_state_holding_a_non_finite_number_is_refused(command, field, value, workspace, tmp_path, capsys):
+    """safe-set printed "safe 1 of 1600", the anchor fallback shown as a
+    certified gain, on a state with a NaN lengthscale or grid value; every
+    non-finite number in a state is now refused on reading: status 2, one
+    error line, nothing on stdout."""
+    state_file = tmp_path / "state.json"
+    state_file.write_text(_with_value((workspace[1] / "scbo_seed0_state.json").read_text(), field, value))
+    assert main([command[0], "--state", str(state_file), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: state {state_file}: ") and captured.err.count("\n") == 1
+
+
+def test_report_on_runs_of_different_lengths_exits_with_error(workspace, tmp_path, capsys, monkeypatch):
+    """A 3-day and a 2-day results CSV ended in a "mismatched day counts"
+    traceback with status 1; now status 2, one error line, nothing on
+    stdout and no summary written. Only that ValueError is turned into an
+    error line: any other fault of the aggregation stays a traceback."""
+    directory = tmp_path / "results"
+    directory.mkdir()
+    lines = (workspace[1] / "fixed_seed0.csv").read_text().splitlines(keepends=True)
+    (directory / "fixed_seed0.csv").write_text("".join(lines))
+    (directory / "scbo_seed0.csv").write_text("".join(lines[:3]))
+    assert main(["report", "--dir", str(directory)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: results directory {directory}: mismatched day counts across runs: [2, 3]\n"
+    assert not (directory / "summary.json").exists()
+
+    def faulty(results):
+        raise KeyError("j_total")
+
+    monkeypatch.setattr(cli, "compare_report", faulty)
+    with pytest.raises(KeyError):
+        main(["report", "--dir", str(directory)])
 
 
 def test_importing_the_cli_loads_no_scipy_stats_or_optimize():

@@ -17,7 +17,6 @@ from roomtune.costs import (
     output_l2,
     overshoot,
     rise_time_10_90,
-    total_cost,
 )
 
 STEP = 300
@@ -189,9 +188,11 @@ def test_normalization_roundtrip_and_total():
 def test_weights_validated():
     with pytest.raises(ValueError):
         CostNormalization((1.0,) * 4, (1.0,) * 3, (0.3, 0.3, 0.3, 0.3))
-    with pytest.raises(ValueError):
-        total_cost([1.0, 1.0], [0.5, -0.5])
-    assert total_cost([1.0, 2.0, 3.0, 4.0], (0.25,) * 4) == pytest.approx(2.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            CostNormalization((1.0,) * 4, (1.0,) * 3, (0.5, 0.5, 0.5, bad))
+    norm = CostNormalization((1.0,) * 4, (1.0,) * 3, (0.1, 0.2, 0.3, 0.4))
+    assert norm.normalize(RawCosts(1.0, 2.0, 3.0, 4.0)).total == pytest.approx(3.0)
 
 
 def test_trace_validation():

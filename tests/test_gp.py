@@ -20,7 +20,6 @@ from roomtune.gp import (
     LENGTHSCALE_BOUNDS,
     PRODUCT,
     VARIANCE_BOUNDS,
-    DimensionMismatchError,
     FitResult,
     GPModel,
     InputIndex,
@@ -298,15 +297,15 @@ def test_add_observation_equals_batch_build():
 
 def test_dimension_mismatch_raises():
     model = GPModel.empty(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), 1e-3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match=r"expected 3-dim points, got shape \(1, 2\)"):
         model.posterior_batch([[0.5, 0.5]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match=r"expected 3-dim points, got shape \(1, 1\)"):
         model.add_observation([0.5], 1.0)
 
 
 def test_non_finite_target_rejected():
     model = GPModel.empty(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite target values rejected"):
         model.add_observation([0.5, 0.5, 0.5], math.nan)
 
 
@@ -562,7 +561,7 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
     x[:3] = x[-3:]
     y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=40)
     template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
-    fit = fit_hyperparameters(template, x, y, with_basis=with_basis, n_starts=2, seed=3)
+    fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=3)
     calls = []
 
     def reference(theta, template, x, y, with_basis, workspace=None):
@@ -570,7 +569,7 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
         return allocating_lml(theta, template, x, y, with_basis)
 
     monkeypatch.setattr(gp, "log_marginal_likelihood", reference)
-    want = fit_hyperparameters(template, x, y, with_basis=with_basis, n_starts=2, seed=3)
+    want = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=3)
     assert isinstance(want, FitResult) and fit == want
     assert len(calls) > 10 and all(ws is calls[0] for ws in calls)  # one workspace per fit
 
@@ -578,29 +577,37 @@ def test_fit_equals_one_driven_by_the_allocating_reference(monkeypatch, with_bas
 @settings(max_examples=10, deadline=None)
 @given(
     n=st.integers(10, 25),
-    n_starts=st.integers(1, 6),
+    k=st.integers(1, 6),
     with_basis=st.booleans(),
     data_seed=st.integers(0, 2**32 - 1),
     fit_seed=st.integers(0, 2**32 - 1),
 )
-def test_a_pooled_fit_equals_the_fit_without_a_pool(n, n_starts, with_basis, data_seed, fit_seed):
+def test_a_pooled_fit_equals_the_fit_without_a_pool(n, k, with_basis, data_seed, fit_seed):
     """However many CPUs the pool sees, and so however the starts are
-    split between this process and its workers, the fit is the same
-    FitResult as the one that runs every start here. The workers start at
-    the first pooled fit; one CPU, or a fit of one start, starts none,
-    and none is left after the block."""
+    split between this process and its workers, the pool gives each of
+    the first k of six starts the outcome it has when every start runs
+    here, and a pooled fit is the same FitResult as the one without a
+    pool. The workers start at the first pooled run of more than one
+    start; one CPU, or a run of one start, starts none, and none is left
+    after the block."""
     rng = np.random.default_rng(data_seed)
     x = rng.uniform(0.0, 1.0, (n, 3))
     y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
     template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
-    options = {"with_basis": with_basis, "n_starts": n_starts, "seed": fit_seed}
-    want = fit_hyperparameters(template, x, y, **options)
+    lo = np.log([LENGTHSCALE_BOUNDS[0]] * 3 + [VARIANCE_BOUNDS[0]] * 2)
+    hi = np.log([LENGTHSCALE_BOUNDS[1]] * 3 + [VARIANCE_BOUNDS[1]] * 2)
+    starts_rng = np.random.default_rng(fit_seed)
+    task = (template, x, y, with_basis, list(zip(lo, hi)), [starts_rng.uniform(lo, hi) for _ in range(6)][:k])
+    want = [(fun, theta.tolist()) for fun, theta in gp._run_starts(*task)]
+    want_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed)
     for cpus in (1, 2, 3):
         with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool() as pool:
             assert pool.size == min(cpus, gp.N_STARTS)
-            got = fit_hyperparameters(template, x, y, pool=pool, **options)
-            assert len(multiprocessing.active_children()) == (pool.size - 1 if n_starts > 1 else 0)
+            got = [(fun, theta.tolist()) for fun, theta in pool.run(*task)]
+            assert len(multiprocessing.active_children()) == (pool.size - 1 if k > 1 else 0)
+            got_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed, pool=pool)
         assert got == want
+        assert got_fit == want_fit
         assert multiprocessing.active_children() == []
 
 
@@ -687,7 +694,7 @@ def test_fit_basis_coefficient_equals_the_dense_reference(n, data, data_seed):
     rows = rng.uniform(0.0, 1.0, (distinct, 3))
     x = rows[rng.permutation(np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]))]
     y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
-    fit = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, with_basis=True, n_starts=1)
+    fit = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, with_basis=True)
     assert fit.basis_coefficient == reference_basis_coefficient(fit.kernel, fit.noise_variance, x, y)
 
 

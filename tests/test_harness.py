@@ -20,7 +20,6 @@ from roomtune.harness import (
     collect_results,
     compare_report,
     config_from_dict,
-    cumulative_average,
     persist_run,
     read_results_csv,
     results_path,
@@ -721,7 +720,11 @@ def test_results_csv_rejects_non_finite_floats_and_non_binary_flags(tmp_path, fi
 
 
 def test_cumulative_average():
-    np.testing.assert_allclose(cumulative_average([1.0, 3.0, 5.0]), [1.0, 2.0, 3.0])
+    """The report's curves are prefix means of the daily totals, taken in
+    day order whatever order the rows come in."""
+    rows = [result_row(0, 3, 5.0), result_row(0, 1, 1.0), result_row(0, 2, 3.0)]
+    curve = compare_report({"fixed": [rows]}).cumulative["fixed"]
+    assert curve == {"median": [1.0, 2.0, 3.0], "min": [1.0, 2.0, 3.0], "max": [1.0, 2.0, 3.0]}
 
 
 def test_collect_and_compare_report(tmp_path):

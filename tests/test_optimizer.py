@@ -541,8 +541,9 @@ def test_a_state_rejects_a_non_finite_context(method, context):
         ("costs", [0.1, math.inf, 0.3, 0.4], "non-finite context or cost"),
         ("day", 1, "does not come after day 5"),
     ],
+    ids=["gain_index", "context", "costs", "day"],
 )
-def test_state_from_json_at_a_day_checks_the_entries_after_it(field, value, message):
+def test_state_at_day_on_a_restored_state_checks_the_later_entries(field, value, message):
     """safe-set --day d queries the first d days only, but a file whose
     later entries no season could have written is still refused."""
     doc = _logged_json()
@@ -560,7 +561,7 @@ def test_state_from_json_at_a_day_checks_the_entries_after_it(field, value, mess
     gaps=st.lists(st.integers(1, 3), min_size=12, max_size=12),
     oat=st.floats(-20.0, 20.0),
 )
-def test_state_from_json_at_a_day_equals_truncating_the_restored_state(method, log, gaps, oat):
+def test_state_at_day_on_a_restored_state_equals_the_state_built_on_its_days(method, log, gaps, oat):
     """Restoring the whole log and truncating it to a day gives the state
     constructed from the priors on the log's days up to it, on every day:
     before the first, between and on logged days, and past the last."""

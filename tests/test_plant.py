@@ -437,6 +437,12 @@ def test_load_weather_csv_rejects_bad_input(tmp_path):
     _write_weather_csv(path, np.array([0, 1, 3]), [0, 1, 2], [0, 0, 0])
     with pytest.raises(ValueError):
         load_weather_csv(path)  # uneven spacing
+    # two days of hourly rows written last first, or with every stamp
+    # repeated, are evenly spaced (by -1 h or by 0 h) but do not increase
+    for hours in (np.arange(0, 49)[::-1], np.zeros(49)):
+        _write_weather_csv(path, hours, np.linspace(0, 10, 49), np.full(49, 100.0))
+        with pytest.raises(ValueError, match="weather CSV timestamps must strictly increase"):
+            load_weather_csv(path)
 
 
 def test_weather_day_validation():
