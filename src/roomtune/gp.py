@@ -38,18 +38,24 @@ fit's basis coefficient included, and one helper factors every Gram
 matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in place.
 
 A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
-not depend on one another. Passed a :class:`StartPool`, a fit splits
-them statically between the caller and the P - 1 worker processes of a
+not depend on one another; :func:`fit_starts` checks a fit's data and
+draws its seeded starts before any of them runs. Passed a
+:class:`StartPool`, a fit splits its starts statically between the
+caller and the P - 1 worker processes of a
 ``concurrent.futures.ProcessPoolExecutor``, P = min(CPUs this process
-may run on, starts): worker w runs starts w, w + P, ..., the caller the
-last share. Each process runs its share on one likelihood workspace and
-one BLAS thread and returns only the final value and theta of each
+may run on, starts). A caller with several fits to make on one pool
+queues all of their starts first, and they are split as one batch:
+start g of the batch, counted in fit order, goes to process g mod P,
+and the caller is process P - 1. A fit that was not queued is a batch of
+one. Each process runs its share of a fit on one likelihood workspace
+and one BLAS thread and returns only the final value and theta of each
 start; the caller puts them back in start order and keeps the first
-best, so a fit is bit-identical at any P and without a pool. The pool
-forks only (spawn or forkserver would import numpy and scipy again in
-every worker), and the executor forks every worker before it starts its
-own threads. The pool has no setting: the CPU count alone decides P,
-and at one CPU, or on a host that cannot fork, it starts no process.
+best, so a fit is bit-identical at any P, queued or not, and without a
+pool. The pool forks only (spawn or forkserver would import numpy and
+scipy again in every worker), and the executor forks every worker before
+it starts its own threads. The pool has no setting: the CPU count alone
+decides P, and at one CPU, or on a host that cannot fork, it starts no
+process.
 """
 
 from __future__ import annotations
@@ -59,9 +65,11 @@ import math
 import multiprocessing
 import os
 import signal
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
@@ -625,26 +633,59 @@ def _start_worker(owner: int) -> None:
             os._exit(1)
 
 
+class FitStarts(NamedTuple):
+    """What every start of one fit runs on: the kernel template, the
+    checked inputs ``x`` and targets ``y``, the basis flag, the L-BFGS-B
+    bounds on theta and the seeded starts, the template's first. It
+    unpacks into the arguments of :meth:`StartPool.run`."""
+
+    template: KernelSpec
+    x: np.ndarray
+    y: np.ndarray
+    with_basis: bool
+    bounds: list
+    starts: list
+
+    def same_fit(self, other: "FitStarts") -> bool:
+        """Equal field by field, the arrays bit for bit (NaN equal to NaN)."""
+        same = partial(np.array_equal, equal_nan=True)
+        return (
+            self.template == other.template
+            and self.with_basis == other.with_basis
+            and self.bounds == other.bounds
+            and same(self.x, other.x)
+            and same(self.y, other.y)
+            and len(self.starts) == len(other.starts)
+            and all(map(same, self.starts, other.starts))
+        )
+
+
 class StartPool:
-    """Worker processes that share the random starts of each fit run
+    """Worker processes that share the random starts of the fits run
     inside the ``with`` block with the calling process.
 
     ``size`` is P = min(CPUs this process may run on, ``N_STARTS``): the
     caller and a ``ProcessPoolExecutor`` of P - 1 workers; at one CPU, or
     on a host that cannot fork, no process is started. The executor forks
-    its workers at the block's first pooled fit, before it starts its own
+    its workers at the block's first submission, before it starts its own
     threads, so they inherit numpy, scipy (scipy.optimize is imported
     before the fork) and roomtune without importing them again. Forking
     is safe there because roomtune starts no thread, and OpenBLAS, whose
     pool is the only other one in the process, registers a fork handler
     that stops its threads. The workers ignore SIGINT and die with the
-    caller (:func:`_start_worker`). Every exit from the block, an exception
-    included, cancels the shares not yet started and joins the workers.
+    caller (:func:`_start_worker`).
+
+    :meth:`queue` submits the workers' shares of a batch of fits before
+    any start runs, so the workers go from one fit's share to the next
+    while the caller runs its own; :meth:`run` then serves the fits one
+    at a time. Every exit from the block, an exception included, drops
+    the queue, cancels the shares not yet started and joins the workers.
     """
 
     def __init__(self):
         self.size = max(1, min(_cpu_count(), N_STARTS))
         self._executor = None
+        self._queue = deque()  # (fit, start indices of each process, worker futures) per queued fit
 
     def __enter__(self) -> "StartPool":
         if self.size > 1:
@@ -659,26 +700,89 @@ class StartPool:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._queue.clear()
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
+    def _submit(self, fits: list[FitStarts]) -> list[tuple[FitStarts, list, list]]:
+        """Split the starts of ``fits`` as one batch and submit the
+        workers' shares: with p = min(P, starts in the batch), start g of
+        the batch, counted in fit order, goes to process g mod p, the
+        caller being process p - 1, and each worker gets one future per
+        fit. Returns (fit, start indices of each process, worker futures)
+        per fit. Outside the ``with`` block P is 1."""
+        p = min(self.size if self._executor is not None else 1, sum(len(fit.starts) for fit in fits))
+        batch, first = [], 0
+        for fit in fits:
+            shares = [[i for i in range(len(fit.starts)) if (first + i) % p == q] for q in range(p)]
+            futures = [
+                self._executor.submit(_run_starts, *fit[:-1], [fit.starts[i] for i in share])
+                for share in shares[:-1]
+            ]
+            batch.append((fit, shares, futures))
+            first += len(fit.starts)
+        return batch
+
+    def queue(self, plans) -> None:
+        """Queue the starts of several fits as one batch, split as
+        :meth:`_submit` says; ``plans`` are :func:`fit_starts` results in
+        the order the fits will be asked for. A ``FitResult`` (constant
+        targets) needs no start and is passed over."""
+        self._queue.extend(self._submit([plan for plan in plans if isinstance(plan, FitStarts)]))
+
     def run(self, template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: bool, bounds, starts) -> list:
-        """The outcome of each start, in start order. With p = min(P,
-        number of starts), worker shares ``starts[w::p]`` (w < p - 1) are
-        submitted, the caller runs ``starts[p-1::p]``, then collects the
-        workers' shares: a static split, so the caller's share, and what a
+        """The outcome of each start of one fit, in start order. A fit
+        equal to the head of the queue (:meth:`FitStarts.same_fit`) takes
+        its queued split; any other fit is split and submitted as a batch
+        of one. The caller runs its own share, then collects the
+        workers': a static split, so the caller's share, and what a
         profiler sees of it, is the same from run to run. A worker that
-        dies raises ``BrokenProcessPool``. Outside the ``with`` block P is
-        1 and the caller runs every start."""
-        p = min(self.size if self._executor is not None else 1, len(starts))
-        task = (template, x, y, with_basis, bounds)
-        futures = [self._executor.submit(_run_starts, *task, starts[w::p]) for w in range(p - 1)]
-        mine = _run_starts(*task, starts[p - 1 :: p])
-        shares = [future.result() for future in futures] + [mine]
+        dies raises ``BrokenProcessPool``."""
+        fit = FitStarts(template, x, y, with_basis, bounds, starts)
+        if self._queue and self._queue[0][0].same_fit(fit):
+            _, shares, futures = self._queue.popleft()
+        else:
+            [(_, shares, futures)] = self._submit([fit])
+        mine = _run_starts(*fit[:-1], [starts[i] for i in shares[-1]])
+        done = [future.result() for future in futures] + [mine]
         # A share that raised ends at its exception, which comes before
         # the share's missing starts in start order.
-        return [shares[i % p][i // p] for i in range(len(starts)) if i // p < len(shares[i % p])]
+        by_start = {i: outcome for share, outcomes in zip(shares, done) for i, outcome in zip(share, outcomes)}
+        return [by_start[i] for i in sorted(by_start)]
+
+
+def fit_starts(
+    template: KernelSpec, inputs, targets, *, with_basis: bool = False, seed: int = 0
+) -> FitStarts | FitResult:
+    """The :class:`FitStarts` of one fit, its starts drawn from ``seed``,
+    or, when the targets are constant, the fit's ``FitResult`` (the
+    template defaults, ``degenerate=True``), which needs no start. Raises
+    ``ValueError`` on inputs and targets of different lengths or on fewer
+    than 10 samples."""
+    x = _as_points(inputs, template.input_dim)
+    y = np.asarray(targets, dtype=float).ravel()
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("inputs and targets length mismatch")
+    if x.shape[0] < 10:
+        raise ValueError("need at least 10 calibration samples")
+    if float(np.ptp(y)) < 1e-12:
+        alpha = float(y[0]) if with_basis else None
+        return FitResult(template, _NOISE_VARIANCE_START, alpha, math.nan, degenerate=True)
+
+    d = template.input_dim
+    lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [VARIANCE_BOUNDS[0]] * 2))
+    hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [VARIANCE_BOUNDS[1]] * 2))
+    rng = np.random.default_rng(seed)
+    theta0 = np.log(
+        np.clip(
+            np.array(list(template.lengthscales) + [template.signal_variance, _NOISE_VARIANCE_START]),
+            np.exp(lo),
+            np.exp(hi),
+        )
+    )
+    starts = [theta0] + [rng.uniform(lo, hi) for _ in range(N_STARTS - 1)]
+    return FitStarts(template, x, y, with_basis, list(zip(lo, hi)), starts)
 
 
 def fit_hyperparameters(
@@ -693,38 +797,19 @@ def fit_hyperparameters(
     """Fit kernel hyperparameters (and basis coefficient) once, offline.
 
     Multi-start L-BFGS-B on the concentrated log marginal likelihood over
-    a bounded region. Hyperparameters are treated as fixed afterwards;
-    the optimizer never re-fits them during a season. Constant targets
-    short-circuit to the template defaults with ``degenerate=True``.
-    The starts run in the caller, or split between the caller and the
-    workers of ``pool``; the result is the same bit for bit.
+    a bounded region, from the starts of :func:`fit_starts`.
+    Hyperparameters are treated as fixed afterwards; the optimizer never
+    re-fits them during a season. Constant targets short-circuit to the
+    template defaults with ``degenerate=True``. The starts run in the
+    caller, or split between the caller and the workers of ``pool``,
+    which may have queued them; the result is the same bit for bit.
     scipy.optimize is imported only to fit: it adds about 17 MB to every
     process, and only the calibration fits.
     """
-    x = _as_points(inputs, template.input_dim)
-    y = np.asarray(targets, dtype=float).ravel()
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs and targets length mismatch")
-    if x.shape[0] < 10:
-        raise ValueError("need at least 10 calibration samples")
-    if float(np.ptp(y)) < 1e-12:
-        alpha = float(y[0]) if with_basis else None
-        return FitResult(template, _NOISE_VARIANCE_START, alpha, math.nan, degenerate=True)
-
-    d = template.input_dim
-    lo = np.log(np.array([LENGTHSCALE_BOUNDS[0]] * d + [VARIANCE_BOUNDS[0]] * 2))
-    hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [VARIANCE_BOUNDS[1]] * 2))
-    bounds = list(zip(lo, hi))
-    rng = np.random.default_rng(seed)
-    theta0 = np.log(
-        np.clip(
-            np.array(list(template.lengthscales) + [template.signal_variance, _NOISE_VARIANCE_START]),
-            np.exp(lo),
-            np.exp(hi),
-        )
-    )
-    starts = [theta0] + [rng.uniform(lo, hi) for _ in range(N_STARTS - 1)]
-    outcomes = (pool or StartPool()).run(template, x, y, with_basis, bounds, starts)
+    fit = fit_starts(template, inputs, targets, with_basis=with_basis, seed=seed)
+    if isinstance(fit, FitResult):
+        return fit
+    outcomes = (pool or StartPool()).run(*fit)
 
     best = None
     for outcome in outcomes:  # in start order, so the first start that raised raises
@@ -738,7 +823,7 @@ def fit_hyperparameters(
     alpha = None
     if with_basis:
         # 1^T K^-1 y / 1^T K^-1 1; a zero-mean model's alpha is K^-1 y
-        model = GPModel(spec, noise).with_data(x, y)
-        ones = np.ones(x.shape[0])
+        model = GPModel(spec, noise).with_data(fit.x, fit.y)
+        ones = np.ones(fit.x.shape[0])
         alpha = float(ones @ model.alpha) / float(ones @ _solve_factored(model.gram_factor, ones))
     return FitResult(spec, noise, alpha, -float(fun))

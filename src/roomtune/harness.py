@@ -37,7 +37,7 @@ from .costs import (
     check_weights,
     compute_raw_costs,
 )
-from .gp import GPModel, StartPool, fit_hyperparameters, model_from_dict, model_to_dict
+from .gp import GPModel, KernelSpec, StartPool, fit_hyperparameters, fit_starts, model_from_dict, model_to_dict
 from .optimizer import (
     ALL_METHODS,
     DEFAULT_ANCHOR,
@@ -306,11 +306,12 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     kernel hyperparameters once. The perturbed gains double as the
     random safe inputs for maximum-likelihood fitting. BLAS runs on one
     thread, so the fits do not depend on the host's core count. The
-    season is simulated first; then one ``StartPool`` shares the random
-    starts of each of the seven fits between this process and a worker
-    per further CPU, which leaves every fit bit-identical. One DEBUG line
-    after the fits gives the seed, the pool's process count and the wall
-    seconds in the closed-loop days and in the fits."""
+    season is simulated first; then every fit's random starts are drawn
+    and queued at once on one ``StartPool``, which splits them between
+    this process and a worker per further CPU, and the seven fits, each
+    bit-identical to one without the pool, collect them in turn. One
+    DEBUG line after the fits gives the seed, the pool's process count
+    and the wall seconds in the closed-loop days and in the fits."""
     loop = _ClosedLoop(config, seed, STREAM_CAL_NOISE, config.calibration_days)
     rng_gains = np.random.default_rng(_seed_sequence(config, seed, STREAM_CAL_GAINS))
     anchor = config.anchor_gains
@@ -335,13 +336,17 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
         [normalization.normalize(r).as_array() for r in raws],
         normalization.thresholds,
     )
+    # (name, targets, basis flag, start seed) per fit; the four cost
+    # surrogates fit a basis mean, the three constraint ones do not
+    fits = [
+        (name, y[:, i], i < 4, int(_seed_sequence(config, seed, STREAM_FIT, i).generate_state(1)[0]))
+        for i, name in enumerate(_FIT_NAMES)
+    ]
+    template = contextual_kernel_template()
     start = time.perf_counter()
     with StartPool() as pool:
-        # the four cost surrogates fit a basis mean, the three constraint ones do not
-        models = tuple(
-            _fit_surrogate(name, x, y[:, i], i < 4, _seed_sequence(config, seed, STREAM_FIT, i), pool)
-            for i, name in enumerate(_FIT_NAMES)
-        )
+        pool.queue([fit_starts(template, x, targets, with_basis=basis, seed=s) for _, targets, basis, s in fits])
+        models = tuple(_fit_surrogate(pool, template, x, *fit) for fit in fits)
     logger.debug(
         "calibration seed %d: %d process(es), %.3f s in the closed-loop days, %.3f s in the fits",
         seed,
@@ -353,15 +358,14 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
 
 
 def _fit_surrogate(
-    name: str, x: np.ndarray, y: np.ndarray, with_basis: bool, seeds: np.random.SeedSequence, pool: StartPool
+    pool: StartPool, template: KernelSpec, x: np.ndarray, name: str, y: np.ndarray, with_basis: bool, seed: int
 ) -> GPModel:
     """One hyperparameter fit of the calibration, its random starts drawn
-    from ``seeds`` and shared with ``pool``, logged at DEBUG with its
+    from ``seed`` and shared with ``pool``, logged at DEBUG with its
     fitted likelihood, how many hyperparameters sit on a bound, and its
     wall time."""
     start = time.perf_counter()
-    seed = int(seeds.generate_state(1)[0])
-    fit = fit_hyperparameters(contextual_kernel_template(), x, y, with_basis=with_basis, seed=seed, pool=pool)
+    fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=seed, pool=pool)
     logger.debug(
         "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, %.3f s",
         name,
@@ -645,6 +649,9 @@ def compare_report(results_by_method: dict[str, list[list[DailyResult]]]) -> Sea
     for method, seed_runs in results_by_method.items():
         if not seed_runs:
             raise ValueError(f"method {method!r} has no seed runs")
+        for rows in seed_runs:
+            if sorted(r.day for r in rows) != list(range(1, days + 1)):
+                raise ValueError(f"a {method} run of seed {rows[0].seed} does not hold days 1..{days} once each")
         # each seed's prefix means of the daily totals, ordered by day
         totals = np.array([[r.j_total for r in sorted(rows, key=lambda r: r.day)] for rows in seed_runs])
         stacked = np.cumsum(totals, axis=1) / np.arange(1, days + 1)

@@ -296,7 +296,7 @@ def check_confidence(beta: float, epsilon: float) -> None:
 def _check_observations(domain: GainDomain, observations) -> None:
     """Reject a log no season could have written: a gain off the grid, a
     non-finite context (``bo`` never reads it, but writes it back) or
-    cost, or days that are not finite or do not strictly increase
+    cost, or days that are not integers or do not strictly increase
     (``state_at_day`` truncates by day, so the days must order the log)."""
     size = domain.size
     previous = -math.inf
@@ -305,8 +305,8 @@ def _check_observations(domain: GainDomain, observations) -> None:
             raise ValueError(f"{o} has a gain_index off the {size}-point grid")
         if not all(map(math.isfinite, (o.context, *o.costs))):
             raise ValueError(f"{o} has a non-finite context or cost")
-        if not previous < o.day < math.inf:
-            raise ValueError(f"{o} does not come after day {previous}, or its day is not finite")
+        if type(o.day) is not int or not previous < o.day:
+            raise ValueError(f"{o} does not come after day {previous}, or its day is not an integer")
         previous = o.day
 
 

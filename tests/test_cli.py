@@ -36,10 +36,8 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
+def tiny_season_config(root: Path) -> tuple[Path, Path]:
     """Config file plus output dir for a tiny end-to-end season."""
-    root = tmp_path_factory.mktemp("cli")
     out = root / "out"
     config = {
         "costs": {"calibration_days": 40},
@@ -50,8 +48,20 @@ def workspace(tmp_path_factory):
     return path, out
 
 
-def test_calibrate_then_run_then_report(workspace, capsys):
-    config, out = workspace
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """The tiny season's config file and its output dir, which holds the
+    seed-0 calibration and the fixed, bo and scbo CSVs and states, so a
+    test that reads them runs on its own as well."""
+    config, out = tiny_season_config(tmp_path_factory.mktemp("cli"))
+    assert main(["calibrate", "--config", str(config)]) == 0
+    for method in ("fixed", "bo", "scbo"):
+        assert main(["run", "--config", str(config), "--method", method, "--seed", "0"]) == 0
+    return config, out
+
+
+def test_calibrate_then_run_then_report(tmp_path, capsys):
+    config, out = tiny_season_config(tmp_path)
 
     assert main(["calibrate", "--config", str(config)]) == 0
     assert (out / "calibration_seed0.json").exists()
@@ -398,20 +408,29 @@ def test_a_state_holding_a_non_finite_number_is_refused(command, field, value, w
     assert captured.err.startswith(f"error: state {state_file}: ") and captured.err.count("\n") == 1
 
 
-def test_report_on_runs_of_different_lengths_exits_with_error(workspace, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case", ["different lengths", "repeated day"])
+def test_report_on_runs_that_do_not_hold_the_same_days_exits_with_error(
+    case, workspace, tmp_path, capsys, monkeypatch
+):
     """A 3-day and a 2-day results CSV ended in a "mismatched day counts"
-    traceback with status 1; now status 2, one error line, nothing on
-    stdout and no summary written. Only that ValueError is turned into an
-    error line: any other fault of the aggregation stays a traceback."""
+    traceback with status 1, and a CSV of days 1, 2, 1 was reported as a
+    3-day season; now each gives status 2, one error line, nothing on
+    stdout and no summary written. Only a ValueError of the aggregation
+    is turned into an error line: any other fault stays a traceback."""
     directory = tmp_path / "results"
     directory.mkdir()
     lines = (workspace[1] / "fixed_seed0.csv").read_text().splitlines(keepends=True)
     (directory / "fixed_seed0.csv").write_text("".join(lines))
-    (directory / "scbo_seed0.csv").write_text("".join(lines[:3]))
+    scbo = lines[:3] if case == "different lengths" else [*lines[:3], lines[1]]  # lines[1] is day 1
+    (directory / "scbo_seed0.csv").write_text("".join(scbo))
     assert main(["report", "--dir", str(directory)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: results directory {directory}: mismatched day counts across runs: [2, 3]\n"
+    detail = {
+        "different lengths": "mismatched day counts across runs: [2, 3]",
+        "repeated day": "a scbo run of seed 0 does not hold days 1..3 once each",
+    }[case]
+    assert captured.err == f"error: results directory {directory}: {detail}\n"
     assert not (directory / "summary.json").exists()
 
     def faulty(results):

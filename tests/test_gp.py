@@ -656,6 +656,139 @@ def test_a_pooled_fit_cut_short_raises_and_leaves_no_worker(fault, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+_TEMPLATE = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
+
+
+def batch_fits(n, specs, data_seed):
+    """Inputs and one (targets, basis flag, start seed) per fit, for fits
+    that share their inputs as a calibration's do; ``specs`` holds
+    (constant targets, basis flag, start seed) per fit."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    fits = []
+    for i, (constant, with_basis, seed) in enumerate(specs):
+        noise = 0.1 * rng.normal(size=n)
+        y = np.full(n, 0.25 * i) if constant else np.sin((2 + i) * x[:, 0]) + x[:, 2] + noise
+        fits.append((y, with_basis, seed))
+    return x, fits
+
+
+def queued_fits(x, fits, *, queued=None, order=None):
+    """Queue the starts of ``queued`` (default: every fit) on one pool,
+    then fit in ``order`` (default: fit order); the FitResults in fit order."""
+    queued = range(len(fits)) if queued is None else queued
+    order = range(len(fits)) if order is None else order
+    results = {}
+    with StartPool() as pool:
+        pool.queue([gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in (fits[i] for i in queued)])
+        for i in order:
+            y, b, s = fits[i]
+            results[i] = fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)
+    return [repr(results[i]) for i in range(len(fits))]
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    n=st.integers(10, 16),
+    specs=st.lists(
+        st.tuples(st.booleans(), st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=7
+    ),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_queued_batch_of_fits_equals_the_fits_without_a_pool(n, specs, data_seed):
+    """However many CPUs the pool sees, the starts of 1-7 fits queued at
+    once and split round-robin over the batch give every fit the bits of
+    its fit without a pool; a fit with constant targets needs no start
+    and is passed over by the queue. No worker is left after the block."""
+    x, fits = batch_fits(n, specs, data_seed)
+    want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits]
+    for cpus in (1, 2, 3):
+        with mock.patch.object(gp, "_cpu_count", lambda: cpus):
+            assert queued_fits(x, fits) == want
+        assert multiprocessing.active_children() == []
+
+
+def test_a_fit_asked_for_out_of_queue_order_equals_its_fit_without_a_pool(monkeypatch):
+    """A fit that is not at the head of the queue, or was never queued,
+    runs as a batch of one; the queued fits are still served in turn."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    x, fits = batch_fits(20, [(False, i % 2 == 0, 7 + i) for i in range(4)], 11)
+    want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits]
+    assert queued_fits(x, fits, order=[2, 0, 3, 1]) == want
+    assert queued_fits(x, fits, queued=[0, 1], order=[3, 0, 2, 1]) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_a_start_that_raises_inside_a_batch_raises_at_its_own_fit(monkeypatch):
+    """A fit whose starts raise, in the worker and in the caller alike,
+    raises when it is asked for, and not before; the fits queued around
+    it still equal their fits without a pool."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    x, fits = batch_fits(20, [(False, True, 1), (False, False, 2), (False, True, 3)], 5)
+    fits[1] = (np.where(np.arange(20) == 3, np.nan, fits[1][0]), False, 2)
+    want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in (fits[0], fits[2])]
+    with StartPool() as pool:
+        pool.queue([gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits])
+        got = [repr(fit_hyperparameters(_TEMPLATE, x, fits[0][0], with_basis=True, seed=1, pool=pool))]
+        with pytest.raises(ValueError, match="non-finite target"):
+            fit_hyperparameters(_TEMPLATE, x, fits[1][0], seed=2, pool=pool)
+        got.append(repr(fit_hyperparameters(_TEMPLATE, x, fits[2][0], with_basis=True, seed=3, pool=pool)))
+    assert got == want
+    assert multiprocessing.active_children() == []
+
+
+def test_leaving_the_block_with_fits_queued_cancels_them_and_leaves_no_worker(monkeypatch):
+    """An exception after the first of seven queued fits leaves the block:
+    every queued share is then finished or cancelled, no worker is left,
+    and the pool entered again has an empty queue, so the other six fits
+    run afresh instead of collecting the cancelled shares."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    x, fits = batch_fits(20, [(False, i < 4, 30 + i) for i in range(7)], 9)
+    plans = [gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
+    pool = StartPool()
+    with pytest.raises(RuntimeError, match="leaving the block"):
+        with pool:
+            pool.queue(plans)
+            futures = [future for entry in pool._queue for future in entry[2]]
+            fit_hyperparameters(_TEMPLATE, x, fits[0][0], with_basis=True, seed=30, pool=pool)
+            raise RuntimeError("leaving the block")
+    assert len(futures) == 7 and all(future.done() for future in futures)
+    assert multiprocessing.active_children() == []
+    with pool:
+        got = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)) for y, b, s in fits[1:]]
+    assert got == [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits[1:]]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_callers_share_of_a_batch_repeats_from_run_to_run(monkeypatch):
+    """The batch is split statically: at two processes the caller runs
+    the odd-numbered starts of the batch, counted in fit order, so its
+    likelihood calls are those of exactly those starts, in every run."""
+    monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
+    x, fits = batch_fits(20, [(i == 2, i < 4, 50 + i) for i in range(7)], 13)
+    plans = [gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
+    caller = os.getpid()
+    calls = []
+    lml = gp.log_marginal_likelihood
+
+    def counted(*args, **kwargs):
+        if os.getpid() == caller:
+            calls.append(None)
+        return lml(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "log_marginal_likelihood", counted)
+    starts = [plan for plan in plans if isinstance(plan, gp.FitStarts)]
+    assert len(starts) == 6  # the constant fit is passed over
+    for first, plan in zip(range(0, 30, 5), starts):
+        gp._run_starts(*plan[:-1], [plan.starts[i] for i in range(5) if (first + i) % 2 == 1])
+    want = len(calls)
+    for _ in range(3):
+        calls.clear()
+        queued_fits(x, fits)
+        assert len(calls) == want
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods() or not hasattr(ctypes.CDLL(None), "prctl"),
     reason="needs fork and prctl",

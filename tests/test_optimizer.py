@@ -501,17 +501,20 @@ def _logged_json(method=METHOD_SCBO):
     return json.loads(state_to_json(state))
 
 
-@pytest.mark.parametrize("days", [(1, 2, 3, 200, 5, 6), (1, 2, 3, 3, 5, 6), (1, 2, 3, 2, 5, 6)])
+@pytest.mark.parametrize(
+    "days", [(1, 2, 3, 200, 5, 6), (1, 2, 3, 3, 5, 6), (1, 2, 3, 2, 5, 6), (True, 2, 3, 4, 5, 6)]
+)
 def test_a_state_rejects_days_that_do_not_strictly_increase(days):
     """state_at_day truncates by day, so a log out of day order would lose
     an observation from its middle: day 200 at position 4 of 6 would leave
-    day 100 with 5 observations that were never a log."""
+    day 100 with 5 observations that were never a log. A first day of
+    ``true`` comes after no day, and is refused as no integer."""
     doc = _logged_json()
     for o, day in zip(doc["observations"], days):
         o["day"] = day
     text = json.dumps(doc)
     for day in (0, 2, 100):
-        with pytest.raises(ValueError, match=r"Observation\(day=\d+.* does not come after day"):
+        with pytest.raises(ValueError, match=r"Observation\(day=\w+.* does not come after day"):
             state_at_day(state_from_json(text), day)
     logged = state_from_json(json.dumps(_logged_json())).observations
     with pytest.raises(ValueError, match="does not come after day"):
@@ -540,12 +543,16 @@ def test_a_state_rejects_a_non_finite_context(method, context):
         ("context", math.nan, "non-finite context"),
         ("costs", [0.1, math.inf, 0.3, 0.4], "non-finite context or cost"),
         ("day", 1, "does not come after day 5"),
+        ("day", 9.5, r"does not come after day 5, or its day is not an integer"),
+        ("day", True, "does not come after day 5"),
     ],
-    ids=["gain_index", "context", "costs", "day"],
+    ids=["gain_index", "context", "costs", "day", "fractional day", "boolean day"],
 )
 def test_state_at_day_on_a_restored_state_checks_the_later_entries(field, value, message):
     """safe-set --day d queries the first d days only, but a file whose
-    later entries no season could have written is still refused."""
+    later entries no season could have written is still refused. A day
+    must be an integer, as a gain_index must: a last day of 9.5 was
+    accepted, and safe-set --day 9 printed a safe set from it."""
     doc = _logged_json()
     doc["observations"][-1][field] = value
     text = json.dumps(doc)
