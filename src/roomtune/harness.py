@@ -362,16 +362,20 @@ def _fit_surrogate(
 ) -> GPModel:
     """One hyperparameter fit of the calibration, its random starts drawn
     from ``seed`` and shared with ``pool``, logged at DEBUG with its
-    fitted likelihood, how many hyperparameters sit on a bound, and its
-    wall time."""
+    fitted likelihood, how many hyperparameters sit on a bound, its
+    likelihood evaluations over every process, how many of its starts
+    did not converge, and its wall time."""
     start = time.perf_counter()
     fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=seed, pool=pool)
     logger.debug(
-        "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, %.3f s",
+        "fit %s: lml %.6f, degenerate %s, %d hyperparameter(s) on a bound, "
+        "%d likelihood evaluation(s), %d start(s) not converged, %.3f s",
         name,
         fit.log_marginal_likelihood,
         fit.degenerate,
         fit.on_bound,
+        fit.evaluations,
+        fit.unconverged,
         time.perf_counter() - start,
     )
     return fit.build()

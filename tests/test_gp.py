@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotri
@@ -32,6 +32,9 @@ from roomtune.gp import (
     _distinct_rows,
 )
 from roomtune.optimizer import GainDomain
+
+
+_TEMPLATE = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
 
 
 def random_spec(rng):
@@ -454,10 +457,80 @@ def test_fit_recovers_plausible_model_and_is_stationary():
             assert abs(grad[i]) <= tol
 
 
+def projected_fd_gradient(theta, template, x, y, with_basis, eps=1e-5):
+    """Criterion 2's central finite-difference LML gradient at theta, with
+    each component that pushes out of the box at a bound set to zero."""
+    fd = np.empty(theta.size)
+    for i in range(theta.size):
+        step = np.where(np.arange(theta.size) == i, eps, 0.0)
+        fd[i] = (
+            log_marginal_likelihood(theta + step, template, x, y, with_basis)[0]
+            - log_marginal_likelihood(theta - step, template, x, y, with_basis)[0]
+        ) / (2 * eps)
+    lo = np.log([LENGTHSCALE_BOUNDS[0]] * 3 + [VARIANCE_BOUNDS[0]] * 2)
+    hi = np.log([LENGTHSCALE_BOUNDS[1]] * 3 + [VARIANCE_BOUNDS[1]] * 2)
+    fd[(theta <= lo + 1e-8) & (fd < 0)] = 0.0
+    fd[(theta >= hi - 1e-8) & (fd > 0)] = 0.0
+    return fd
+
+
+def random_kernel_data(n, data_seed):
+    """n inputs and noisy targets drawn from a random true kernel, with a
+    random noise variance and a random constant offset."""
+    rng = np.random.default_rng(data_seed)
+    true = random_spec(rng)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    latent = np.linalg.cholesky(kernel_matrix(true, x) + 1e-10 * np.eye(n)) @ rng.normal(size=n)
+    return x, latent + math.sqrt(rng.uniform(1e-3, 0.3)) * rng.normal(size=n) + rng.normal()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(10, 60),
+    with_basis=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+    fit_seed=st.integers(0, 2**32 - 1),
+)
+# the best start stalls on a collapsed line search, far from stationary
+@example(n=42, with_basis=False, data_seed=0, fit_seed=0)
+def test_a_fit_stops_where_the_likelihood_is_stationary(n, with_basis, data_seed, fit_seed):
+    """Over data drawn from random true kernels, a fit that stops at
+    FTOL / GTOL reaches the fitted LML of one run to the tolerances
+    1e-14 / 1e-10 to within 1e-6 max(1, |LML|), and criterion 2's
+    projected finite-difference gradient bound holds at its theta."""
+    x, y = random_kernel_data(n, data_seed)
+    fit = fit_hyperparameters(_TEMPLATE, x, y, with_basis=with_basis, seed=fit_seed)
+    with mock.patch.object(gp, "FTOL", 1e-14), mock.patch.object(gp, "GTOL", 1e-10):
+        tight = fit_hyperparameters(_TEMPLATE, x, y, with_basis=with_basis, seed=fit_seed)
+    lml = tight.log_marginal_likelihood
+    assert fit.log_marginal_likelihood >= lml - 1e-6 * max(1.0, abs(lml))
+    theta = np.log([*fit.kernel.lengthscales, fit.kernel.signal_variance, fit.noise_variance])
+    proj = projected_fd_gradient(theta, _TEMPLATE, x, y, with_basis)
+    assert np.linalg.norm(proj) <= 1e-3 * max(1.0, float(np.linalg.norm(theta)))
+
+
+def test_a_start_that_stalls_off_a_stationary_point_runs_again():
+    """On this data L-BFGS-B stops the first start on a line search whose
+    step vanished, far from stationary; the start then runs again from
+    where it stopped, ends within criterion 2's bound at a higher LML,
+    and counts the evaluations of both runs."""
+    x, y = random_kernel_data(42, 0)
+    plan = gp.fit_starts(_TEMPLATE, x, y, seed=0)
+    task = (*plan[:-1], plan.starts[:1])
+    with mock.patch.object(gp, "RESTARTS", 0):
+        [stalled] = gp._run_starts(*task)
+    [restarted] = gp._run_starts(*task)
+    grad = lambda theta: -log_marginal_likelihood(theta, _TEMPLATE, x, y, False)[1]
+    assert gp._projected_gradient_norm(stalled.theta, grad(stalled.theta), plan.bounds) > 100 * gp.STATIONARY
+    assert gp._projected_gradient_norm(restarted.theta, grad(restarted.theta), plan.bounds) <= gp.STATIONARY
+    assert restarted.fun < stalled.fun - 1.0
+    assert restarted.evaluations > stalled.evaluations
+
+
 def test_fit_constant_targets_short_circuits():
     x = np.random.default_rng(0).uniform(0, 1, (15, 3))
     result = fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, np.full(15, 0.7), with_basis=True)
-    assert result.degenerate
+    assert result.degenerate and result.evaluations == 0
     assert result.basis_coefficient == pytest.approx(0.7)
 
 
@@ -598,12 +671,12 @@ def test_a_pooled_fit_equals_the_fit_without_a_pool(n, k, with_basis, data_seed,
     hi = np.log([LENGTHSCALE_BOUNDS[1]] * 3 + [VARIANCE_BOUNDS[1]] * 2)
     starts_rng = np.random.default_rng(fit_seed)
     task = (template, x, y, with_basis, list(zip(lo, hi)), [starts_rng.uniform(lo, hi) for _ in range(6)][:k])
-    want = [(fun, theta.tolist()) for fun, theta in gp._run_starts(*task)]
+    want = [outcome._replace(theta=outcome.theta.tolist()) for outcome in gp._run_starts(*task)]
     want_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed)
     for cpus in (1, 2, 3):
         with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool() as pool:
             assert pool.size == min(cpus, gp.N_STARTS)
-            got = [(fun, theta.tolist()) for fun, theta in pool.run(*task)]
+            got = [outcome._replace(theta=outcome.theta.tolist()) for outcome in pool.run(*task)]
             assert len(multiprocessing.active_children()) == (pool.size - 1 if k > 1 else 0)
             got_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed, pool=pool)
         assert got == want
@@ -656,9 +729,6 @@ def test_a_pooled_fit_cut_short_raises_and_leaves_no_worker(fault, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_TEMPLATE = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
-
-
 def batch_fits(n, specs, data_seed):
     """Inputs and one (targets, basis flag, start seed) per fit, for fits
     that share their inputs as a calibration's do; ``specs`` holds
@@ -684,7 +754,7 @@ def queued_fits(x, fits, *, queued=None, order=None):
         for i in order:
             y, b, s = fits[i]
             results[i] = fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)
-    return [repr(results[i]) for i in range(len(fits))]
+    return [results[i] for i in range(len(fits))]
 
 
 @settings(max_examples=5, deadline=None)
@@ -698,13 +768,19 @@ def queued_fits(x, fits, *, queued=None, order=None):
 def test_a_queued_batch_of_fits_equals_the_fits_without_a_pool(n, specs, data_seed):
     """However many CPUs the pool sees, the starts of 1-7 fits queued at
     once and split round-robin over the batch give every fit the bits of
-    its fit without a pool; a fit with constant targets needs no start
-    and is passed over by the queue. No worker is left after the block."""
+    its fit without a pool, and the batch's likelihood evaluations,
+    summed over every process, equal those of the fits without a pool;
+    a fit with constant targets needs no start, counts none and is
+    passed over by the queue. No worker is left after the block."""
     x, fits = batch_fits(n, specs, data_seed)
-    want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits]
+    unpooled = [fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
+    evaluations = sum(fit.evaluations for fit in unpooled)
+    assert evaluations >= sum(not fit.degenerate for fit in unpooled) * gp.N_STARTS
     for cpus in (1, 2, 3):
         with mock.patch.object(gp, "_cpu_count", lambda: cpus):
-            assert queued_fits(x, fits) == want
+            got = queued_fits(x, fits)
+        assert list(map(repr, got)) == list(map(repr, unpooled))
+        assert sum(fit.evaluations for fit in got) == evaluations
         assert multiprocessing.active_children() == []
 
 
@@ -714,8 +790,8 @@ def test_a_fit_asked_for_out_of_queue_order_equals_its_fit_without_a_pool(monkey
     monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
     x, fits = batch_fits(20, [(False, i % 2 == 0, 7 + i) for i in range(4)], 11)
     want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits]
-    assert queued_fits(x, fits, order=[2, 0, 3, 1]) == want
-    assert queued_fits(x, fits, queued=[0, 1], order=[3, 0, 2, 1]) == want
+    assert list(map(repr, queued_fits(x, fits, order=[2, 0, 3, 1]))) == want
+    assert list(map(repr, queued_fits(x, fits, queued=[0, 1], order=[3, 0, 2, 1]))) == want
     assert multiprocessing.active_children() == []
 
 

@@ -565,7 +565,8 @@ def test_persist_run_writes_csv_and_state(small_config, calibration, tmp_path):
 
 def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
     """One DEBUG record per fit: surrogate name, fitted likelihood,
-    degenerate flag, hyperparameters on a bound and wall time. The
+    degenerate flag, hyperparameters on a bound, likelihood evaluations
+    over every process, starts not converged and wall time. The
     artifact is the one built without logging."""
     with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
         logged = run_calibration(small_config, seed=0)
@@ -575,9 +576,10 @@ def test_calibration_logs_each_fit_at_debug(small_config, calibration, caplog):
     names = [r.args[0] for r in records]
     assert names == [f"cost_j{i}" for i in range(1, 5)] + [f"constraint_j{i}" for i in range(1, 4)]
     for record in records:
-        _, lml, degenerate, on_bound, seconds = record.args
+        _, lml, degenerate, on_bound, evaluations, unconverged, seconds = record.args
         assert degenerate or math.isfinite(lml)
-        assert 0 <= on_bound <= 5 and seconds >= 0.0
+        assert evaluations == 0 if degenerate else evaluations >= gp.N_STARTS
+        assert 0 <= on_bound <= 5 and 0 <= unconverged <= gp.N_STARTS and seconds >= 0.0
         assert record.args[0] in record.getMessage()
 
 
