@@ -47,11 +47,9 @@ from .optimizer import (
     DEFAULT_KI_BOUNDS,
     DEFAULT_KP_BOUNDS,
     GP_METHODS,
-    METHOD_ADA,
     METHOD_BO,
     METHOD_FIXED,
     METHOD_SCBO,
-    AdaptiveZnTuner,
     ContextScaler,
     GainDomain,
     OptimizerState,
@@ -240,7 +238,7 @@ class _ClosedLoop:
         self._carry = 0.0
         self.play(0, config.anchor_gains)
 
-    def play(self, day: int, gains: PIGains, gain_adapter=None) -> EpisodeTrace:
+    def play(self, day: int, gains: PIGains) -> EpisodeTrace:
         """Simulate day ``day`` (1-based) from where the day before left
         the room and the integrator; returns its trace."""
         config = self._config
@@ -252,7 +250,6 @@ class _ClosedLoop:
             config.schedule,
             self._room,
             np.random.default_rng(_seed_sequence(config, self._seed, self._stream, day)),
-            gain_adapter=gain_adapter,
             initial_integral_action=self._carry,
         )
         return trace
@@ -493,8 +490,7 @@ def run_season(
 ) -> SeasonRun:
     """One method over one seeded season, one episode per day.
 
-    Gains recorded per row are the ones the day started with; the
-    model-based retuner may change them intraday. Simulator divergence
+    Gains recorded per row are the ones the day ran on. Simulator divergence
     propagates: a bad day aborts the run rather than being skipped.
     Each GP day's proposal (gain index, safe-set size, whether it fell
     back to the anchor) is logged at DEBUG, and so are the season's wall
@@ -526,9 +522,8 @@ def run_season(
                 proposal.used_fallback,
             )
             gains, safe_size = proposal.gains, proposal.safe_set_size
-        adapter = AdaptiveZnTuner() if method == METHOD_ADA else None
         start = time.perf_counter()
-        trace = loop.play(day, gains, adapter)
+        trace = loop.play(day, gains)
         day_s += time.perf_counter() - start
         raw = compute_raw_costs(trace)
         normed = normalization.normalize(raw)
@@ -556,8 +551,6 @@ def run_season(
             start = time.perf_counter()
             opt_state = update(opt_state, gains, oat, normed, day=day)
             update_s += time.perf_counter() - start
-        elif adapter is not None:
-            gains = adapter.gains  # the next day starts on the gains this day's tuner ended with
     logger.debug(
         "%s seed %d: %d days, %.3f s in propose, %.3f s in update, %.3f s in the closed-loop days",
         method,

@@ -28,10 +28,9 @@ next while the nodes stay the same: a season keeps one for all its days
 and ``gain_schedule`` one for all its temperatures. The workspace is
 never part of a state, and every choice is the same without it.
 
-The model-based baseline lives here too: an in-day retuner that fits a
-first-order-plus-dead-time response by least squares (LAPACK ``gelsd``,
-the routine behind ``np.linalg.lstsq``, called directly) and applies the
-open-loop Ziegler-Nichols PI rule.
+First-order-plus-dead-time identification by least squares and the
+open-loop Ziegler-Nichols PI rule live here too. No season uses them;
+they are the model-based tuning step that criterion 10 checks.
 """
 
 from __future__ import annotations
@@ -42,21 +41,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from scipy.special import ndtri
 
 from .costs import NormalizedCosts
 from .gp import GPModel, InputIndex, KernelSpec, PRODUCT, model_from_dict, model_to_dict
 from .pid import PIGains
-from .plant import STEP_SECONDS
 
 METHOD_FIXED = "fixed"
-METHOD_ADA = "ada"
 METHOD_BO = "bo"
 METHOD_CBO = "cbo"
 METHOD_SCBO = "scbo"
 GP_METHODS = (METHOD_BO, METHOD_CBO, METHOD_SCBO)
-ALL_METHODS = (METHOD_FIXED, METHOD_ADA) + GP_METHODS
+ALL_METHODS = (METHOD_FIXED,) + GP_METHODS
 
 DEFAULT_BETA = 2.0
 DEFAULT_EPSILON = 0.05
@@ -535,7 +531,7 @@ def state_at_day(state: OptimizerState, day: int) -> OptimizerState:
 
 
 # ---------------------------------------------------------------------------
-# Model-based baseline: in-day system identification + tuning rule
+# System identification + tuning rule
 # ---------------------------------------------------------------------------
 
 
@@ -567,31 +563,18 @@ def fit_fopdt(t_room, valve, max_delay: int = 12) -> FOPDTModel | None:
     rows = n - 1 - max_delay
     if rows < 8:
         return None
-    # The design [t[k], u[k - delay], 1] over k in [max_delay, n-2] is
-    # built once; each delay only rewrites its u column. dgelsd is the
-    # LAPACK routine behind np.linalg.lstsq, called here without its
-    # per-call wrapper work and with its default rcond.
-    target = t[max_delay + 1 :]
-    design = np.empty((rows, 3))
-    design[:, 0] = t[max_delay:-1]
-    design[:, 2] = 1.0
-    work, iwork, _ = dgelsd_lwork(rows, 3, 1)
-    lwork, liwork = int(work), int(iwork)
-    rcond = np.finfo(float).eps * rows
+    ks = np.arange(max_delay, n - 1)
+    target = t[ks + 1]
     best = None
     for delay in range(max_delay + 1):
-        design[:, 1] = u[max_delay - delay : n - 1 - delay]
-        solution, _, rank, info = dgelsd(design, target, lwork, liwork, rcond)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gelsd failed with info={info}")
+        design = np.column_stack([t[ks], u[ks - delay], np.ones(rows)])
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank < 3:
             continue
-        coef = solution[:3]
         a, b, _ = coef
         if not (0.0 < a < 1.0 and b > 0.0):
             continue
-        r = design @ coef - target
-        mse = float(np.add.reduce(r * r)) / rows  # np.mean(r ** 2), bit for bit
+        mse = float(np.mean((design @ coef - target) ** 2))
         if best is None or mse < best.residual:
             best = FOPDTModel(
                 gain=float(b / (1.0 - a)),
@@ -609,26 +592,3 @@ def zn_pi_gains(model: FOPDTModel) -> PIGains:
     kp = 0.9 * model.time_constant / (model.gain * lag)
     ti = lag / 0.3
     return PIGains(kp, kp / ti)
-
-
-class AdaptiveZnTuner:
-    """In-day gain adapter: waits for two hours of samples, then refits
-    the FOPDT model hourly on the day so far and retunes. Invalid fits
-    keep the previous gains. One instance serves one day."""
-
-    warmup_samples = 7200 // STEP_SECONDS
-    refit_samples = 3600 // STEP_SECONDS
-
-    def __init__(self):
-        self._next_refit = self.warmup_samples
-        self.gains: PIGains | None = None
-
-    def __call__(self, k: int, t_room: np.ndarray, valve: np.ndarray, gains: PIGains) -> PIGains:
-        if self.gains is None:
-            self.gains = gains
-        if k >= self._next_refit:
-            self._next_refit = k + self.refit_samples
-            model = fit_fopdt(t_room, valve)
-            if model is not None:
-                self.gains = zn_pi_gains(model)
-        return self.gains

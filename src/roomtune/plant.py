@@ -224,15 +224,10 @@ def simulate_day(
     schedule: DaySchedule,
     initial_state: RoomState,
     rng: np.random.Generator,
-    gain_adapter=None,
     initial_integral_action: float = 0.0,
 ) -> tuple[EpisodeTrace, RoomState, float]:
     """Closed-loop rollout of one day; returns trace, final thermal state
     and the closing integral term of the controller (in valve units).
-
-    ``gain_adapter``, when given, is called before every control step as
-    ``adapter(k, t_room_so_far, valve_so_far, gains) -> PIGains`` and
-    lets the model-based baseline retune within the day.
 
     ``initial_integral_action`` pre-loads the integrator with ki * I in
     valve units. Feeding yesterday's closing value back in gives bumpless
@@ -260,7 +255,9 @@ def simulate_day(
     # finite; DaySchedule keeps the setpoint finite.
     t_room = np.empty(steps)
     valve = np.empty(steps)
-    kp, ki, lo, hi = _pi_constants(gains)
+    kp, ki = gains.kp, gains.ki
+    # the integrator window; with ki = 0 the integrator is unbounded
+    lo, hi = (INTEGRAL_TERM_MIN / ki, INTEGRAL_TERM_MAX / ki) if ki > 0.0 else (-math.inf, math.inf)
     integrator = 0.0
     if ki > 0.0 and initial_integral_action != 0.0:
         integrator = min(max(initial_integral_action, INTEGRAL_TERM_MIN), INTEGRAL_TERM_MAX) / ki
@@ -278,9 +275,6 @@ def simulate_day(
         noise.tolist(),
     )
     for k, (sp, oat, water_temp, solar, occupancy, eps) in enumerate(profiles):
-        if gain_adapter is not None:
-            gains = gain_adapter(k, t_room[:k], valve[:k], gains)
-            kp, ki, lo, hi = _pi_constants(gains)
         t_room[k] = t
         error = sp - t
         held = integrator
@@ -324,15 +318,6 @@ def simulate_day(
         step_index=schedule.morning_step_index,
     )
     return trace, RoomState(t, t_wall), ki * integrator
-
-
-def _pi_constants(gains: PIGains) -> tuple[float, float, float, float]:
-    """kp, ki and the integrator window of the PI update, as the per-step
-    reference in tests/reference.py has them; with ki = 0 the integrator
-    is unbounded."""
-    if gains.ki > 0.0:
-        return gains.kp, gains.ki, INTEGRAL_TERM_MIN / gains.ki, INTEGRAL_TERM_MAX / gains.ki
-    return gains.kp, gains.ki, -math.inf, math.inf
 
 
 # ---------------------------------------------------------------------------

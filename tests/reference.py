@@ -87,7 +87,7 @@ def step(
 
 
 def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
-                  gain_adapter=None, initial_integral_action=0.0):
+                  initial_integral_action=0.0):
     """simulate_day spelled out as control_step and step per sample with a
     scalar heating_curve lookup: the oracle for its inlined loop."""
     steps = weather.oat_profile.size
@@ -104,8 +104,6 @@ def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
         ctrl = ControllerState(action / gains.ki, 0.0)
     state = initial_state
     for k in range(steps):
-        if gain_adapter is not None:
-            gains = gain_adapter(k, t_room[:k], valve[:k], gains)
         t_room[k] = state.t_room
         u, ctrl = control_step(gains, ctrl, setpoints[k], state.t_room)
         valve[k] = u

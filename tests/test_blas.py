@@ -50,7 +50,7 @@ def test_no_pool_found_logs_one_debug_line(monkeypatch, caplog):
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Calibration, results CSVs and state JSON of all five methods have
+    """Calibration, results CSVs and state JSON of all four methods have
     the same bytes with OPENBLAS_NUM_THREADS unset, 1 and 2. Unpinned, a
     two-thread calibration of this size fits different hyperparameters."""
     unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -62,6 +62,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         out = tmp_path / f"threads_{threads}"
         subprocess.run([sys.executable, "-c", SEASON_SCRIPT, str(out)], env=env, timeout=300, check=True)
         artifacts[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(artifacts[None]) == 1 + 5 + 3  # calibration, CSVs, bo/cbo/scbo states
+    assert len(artifacts[None]) == 1 + 4 + 3  # calibration, CSVs, bo/cbo/scbo states
     assert artifacts["1"] == artifacts[None]
     assert artifacts["2"] == artifacts[None]

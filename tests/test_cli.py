@@ -495,10 +495,13 @@ def test_a_config_value_the_tuner_refuses_exits_with_error_before_any_write(comm
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_method_rejected_by_parser(workspace):
+@pytest.mark.parametrize("method", ["greedy", "ada"])
+def test_unknown_method_rejected_by_parser(method, workspace, capsys):
     config, _ = workspace
-    with pytest.raises(SystemExit):
-        main(["run", "--config", str(config), "--method", "greedy", "--seed", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--method", method, "--seed", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_calibrate_prints_no_log_records(tmp_path):

@@ -502,25 +502,6 @@ def test_season_is_deterministic(small_config, calibration):
     assert state_to_json(a.final_state) == state_to_json(b.final_state)
 
 
-def test_ada_starts_each_day_on_the_gains_its_last_tuner_ended_with(small_config, calibration, monkeypatch):
-    """Day 1 plays the anchor; each later day starts where the day
-    before's in-day tuner left the gains, and its row records those."""
-    tuners = []
-
-    class RecordingTuner(harness.AdaptiveZnTuner):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tuners.append(self)
-
-    monkeypatch.setattr(harness, "AdaptiveZnTuner", RecordingTuner)
-    run = run_season(small_config, "ada", seed=0, calibration=calibration)
-    anchor = small_config.anchor_gains
-    assert len(tuners) == len(run.results) == small_config.days
-    assert PIGains(run.results[0].kp, run.results[0].ki) == anchor
-    assert [PIGains(r.kp, r.ki) for r in run.results[1:]] == [t.gains for t in tuners[:-1]]
-    assert any(t.gains != anchor for t in tuners)  # the tuner did retune
-
-
 @pytest.mark.parametrize("phase", ["calibration", "season"])
 def test_one_burn_in_day_at_the_anchor_then_every_day_carries_on(small_config, monkeypatch, phase):
     """Each phase simulates days + 1 days: first a burn-in at the anchor

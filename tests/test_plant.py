@@ -174,36 +174,21 @@ def test_morning_step_index_is_where_the_setpoint_steps_up(morning, span):
         assert schedule.morning_step_index == want
 
 
-class SwitchingAdapter:
-    """Swaps in other gains at one step and records what it was shown."""
-
-    def __init__(self, at, gains):
-        self.at, self.gains, self.seen = at, gains, []
-
-    def __call__(self, k, t_room, valve, gains):
-        self.seen.append(k)
-        assert t_room.shape == valve.shape == (k,)
-        if k == self.at:
-            self.shown = (t_room.tolist(), valve.tolist())
-        return self.gains if k >= self.at else gains
-
-
-def run_both(params, weather, gains, schedule, initial, noise_seed, carry, switch=None):
+def run_both(params, weather, gains, schedule, initial, noise_seed, carry):
     """Run simulate_day and the reference on the same inputs; each result
-    is the returned tuple, or the exception raised, plus the adapter. No
-    ``noise_seed`` runs a noise-free day."""
+    is the returned tuple, or the exception raised. No ``noise_seed`` runs
+    a noise-free day."""
     if noise_seed is None:
         params, noise_seed = replace(params, noise_sigma=0.0), 0
     out = []
     for fn in (simulate_day, reference_day):
         rng = np.random.default_rng(noise_seed)
-        adapter = None if switch is None else SwitchingAdapter(*switch)
         try:
             result = fn(params, DEFAULT_COMPENSATION, weather, gains, schedule, initial, rng,
-                        gain_adapter=adapter, initial_integral_action=carry)
+                        initial_integral_action=carry)
         except (ValueError, SimulationDivergedError) as exc:
             result = exc
-        out.append((result, adapter))
+        out.append(result)
     return out
 
 
@@ -229,10 +214,9 @@ _CARRY = st.one_of(
     noise_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     exo_seed=st.integers(0, 2**32 - 1),
     morning=st.floats(0.0, 3.0),
-    switch=st.one_of(st.none(), st.tuples(st.integers(0, 299), st.builds(PIGains, _GAIN, _GAIN))),
 )
 def test_simulate_day_matches_reference_loop(
-    steps, gains, initial, carry, oat_ends, warming, noise_seed, exo_seed, morning, switch,
+    steps, gains, initial, carry, oat_ends, warming, noise_seed, exo_seed, morning,
 ):
     # OAT sweeps past both end breakpoints and through the -3 degC slope
     # break, which it also hits exactly
@@ -241,9 +225,7 @@ def test_simulate_day_matches_reference_loop(
     exo = np.random.default_rng(exo_seed)
     weather = WeatherDay(oat, exo.uniform(0.0, 0.35, steps), exo.choice([0.0, 0.01], steps))
     schedule = DaySchedule(morning_hour=morning, evening_hour=morning + 2.0)
-    (lean, lean_adapter), (ref, ref_adapter) = run_both(
-        PlantParams(), weather, gains, schedule, initial, noise_seed, carry, switch,
-    )
+    lean, ref = run_both(PlantParams(), weather, gains, schedule, initial, noise_seed, carry)
     if isinstance(ref, Exception):
         assert type(lean) is type(ref) and str(lean) == str(ref)
     else:
@@ -256,10 +238,6 @@ def test_simulate_day_matches_reference_loop(
         assert same_float(state.t_room, ref_state.t_room)
         assert same_float(state.t_wall, ref_state.t_wall)
         assert same_float(closing, ref_closing)
-    if switch is not None:
-        assert lean_adapter.seen == ref_adapter.seen
-        if switch[0] < steps:
-            assert lean_adapter.shown == ref_adapter.shown
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,13 +248,11 @@ def test_simulate_day_matches_reference_loop(
 )
 def test_diverging_day_raises_at_the_reference_step(oat, gains, noise_seed):
     weather = quiet_day(oat=oat, steps=200)
-    never = (10**6, gains)  # records every step, never switches
-    (lean, lean_adapter), (ref, ref_adapter) = run_both(
-        PlantParams(), weather, gains, DaySchedule(), RoomState(20.0, 20.0), noise_seed, 0.0, never,
+    lean, ref = run_both(
+        PlantParams(), weather, gains, DaySchedule(), RoomState(20.0, 20.0), noise_seed, 0.0,
     )
     assert isinstance(ref, SimulationDivergedError)
     assert isinstance(lean, SimulationDivergedError) and str(lean) == str(ref)
-    assert lean_adapter.seen == ref_adapter.seen
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -284,7 +260,7 @@ def test_nan_valve_command_raises_like_the_reference():
     # ki this small overflows the preloaded integrator to +inf, so with a
     # room above the setpoint kp * error + ki * integrator is -inf + inf
     gains = PIGains(1e308, 5e-324)
-    (lean, _), (ref, _) = run_both(
+    lean, ref = run_both(
         PlantParams(), quiet_day(steps=5), gains, DaySchedule(), RoomState(30.0, 30.0), None, 2.0,
     )
     assert type(ref) is ValueError and "valve" in str(ref)
