@@ -740,6 +740,25 @@ def test_compare_report_rejects_mismatched_day_counts(tmp_path):
         compare_report(collect_results(tmp_path))
 
 
+def test_collect_results_ignores_csvs_of_unknown_methods(tmp_path):
+    """A results CSV whose method is not one of ALL_METHODS, such as one
+    left by a deleted method, is skipped like any other unmatched file;
+    alone it is no results at all."""
+    write_results_csv(tmp_path / "greedy_seed0.csv", [result_row(0, 1, 3.0), result_row(0, 2, 3.0)])
+    with pytest.raises(ValueError, match="no results CSVs found"):
+        collect_results(tmp_path)
+    write_results_csv(tmp_path / "fixed_seed0.csv", [result_row(0, 1, 1.0), result_row(0, 2, 1.0)])
+    grouped = collect_results(tmp_path)
+    assert list(grouped) == ["fixed"]
+    assert list(compare_report(grouped).final_median) == ["fixed"]
+
+
+@pytest.mark.parametrize("method", ["greedy", "Fixed"])
+def test_run_season_refuses_an_unknown_method(small_config, calibration, method):
+    with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+        run_season(small_config, method, seed=0, calibration=calibration)
+
+
 def test_collect_results_requires_files(tmp_path):
     with pytest.raises(ValueError):
         collect_results(tmp_path)

@@ -930,6 +930,27 @@ def test_fit_fopdt_refuses_uninformative_data():
     assert fit_fopdt(np.zeros(15), np.zeros(15)) is None
 
 
+@pytest.mark.parametrize("max_delay", [0, 5, 12])
+def test_fit_fopdt_needs_eight_regression_rows(max_delay):
+    """Seven rows in the common window are refused; eight fit a noise-free
+    plant exactly, at its own delay."""
+    rng = np.random.default_rng(11)
+    delay = max_delay // 2
+    for rows, fitted in ((7, False), (8, True)):
+        n = rows + 1 + max_delay
+        u = rng.uniform(0.0, 1.0, n)
+        t = 18.0 + simulate_fopdt(0.9, 0.2, delay, 0.01, u, n)
+        model = fit_fopdt(t, u, max_delay)
+        if not fitted:
+            assert model is None
+            continue
+        assert model is not None
+        assert model.delay == delay
+        assert model.gain == pytest.approx(2.0)
+        assert model.time_constant == pytest.approx(-1.0 / math.log(0.9))
+        assert model.residual < 1e-12
+
+
 @pytest.mark.parametrize("bad", ["t_room", "valve"])
 def test_fit_fopdt_rejects_non_finite_samples_before_lapack(bad, capfd):
     rng = np.random.default_rng(5)
