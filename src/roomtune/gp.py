@@ -180,17 +180,24 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], index
 
 
-def _quadratic_rows(g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-wise quadratic forms g_i M g_i^T.
-
-    numpy sends a one-row product to gemv, which rounds differently from
-    gemm, so a single row is multiplied as two copies of itself. A row
-    then gets the same bits in a batch of any size, which lets the tuner
-    query only the gains it can still choose.
+def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b by gemm, each row of the product with the same bits in a batch
+    of any size, which lets the tuner query only the gains it can still
+    choose. numpy sends a one-row product to gemv, which rounds differently
+    from gemm, so a single row is multiplied as two copies of itself. And
+    OpenBLAS's x86-64 kernels round a row of 16 or more terms differently
+    in batches of different sizes unless the product has a multiple of 8
+    columns (OpenBLAS 0.3.31 with AVX-512, a 1600-row batch against
+    subsets of it, at 1 to 74 terms), so b must have such a count; see
+    :func:`_wide`.
     """
-    rows = g.shape[0]
-    gm = (g if rows > 1 else np.repeat(g, 2, axis=0)) @ m
-    return np.sum(gm[:rows] * g, axis=1)
+    return ((a if a.shape[0] > 1 else np.repeat(a, 2, axis=0)) @ b)[: a.shape[0]]
+
+
+def _wide(rows: int, cols: int) -> np.ndarray:
+    """Zeros of ``rows`` x (``cols`` rounded up to a multiple of 8), for
+    the right operand of :func:`_gemm_rows`."""
+    return np.zeros((rows, -(-cols // 8) * 8))
 
 
 def _factor_in_place(gram: np.ndarray) -> np.ndarray:
@@ -235,16 +242,45 @@ class InputIndex:
     unscaled context differences x_i - x_j (n, n). The models conditioned
     on one observation log differ only in their hyperparameters and
     targets, so they can share one index; each model scales it by its
-    own lengthscales when it factors its Gram matrix.
+    own lengthscales when it builds its Gram matrix. :meth:`extend` grows
+    an index by a few rows at the cost of those rows.
     """
 
     def __init__(self, inputs):
         x = _observed_points(inputs, 3)  # two gain dims and one context dim, as KernelSpec requires
-        if x.size and not np.all(np.isfinite(x)):
-            raise ValueError("non-finite input values rejected")
+        _check_finite_inputs(x)
         self.inputs = x
         self.nodes, self.node_of = _distinct_rows(x[:, :2])
         self.context_diffs = np.subtract(x[:, 2, None], x[None, :, 2])
+
+    def extend(self, rows) -> "InputIndex":
+        """The index of these inputs followed by ``rows``, equal bit for bit
+        to ``InputIndex`` of the joined inputs. The context differences
+        are copied and only the new rows and columns computed; the nodes
+        are derived again only when a row brings a gain row that is not
+        yet a node. The new index shares no array with this one."""
+        new = _observed_points(rows, 3)
+        _check_finite_inputs(new)
+        m = self.inputs.shape[0]
+        x = np.vstack([self.inputs, new])
+        n = x.shape[0]
+        grown = object.__new__(InputIndex)
+        grown.inputs = x
+        known = np.all(new[:, None, :2] == self.nodes[None, :, :], axis=2)  # (rows, u)
+        if self.nodes.size and known.any(axis=1).all():
+            grown.nodes, grown.node_of = self.nodes.copy(), np.concatenate([self.node_of, known.argmax(axis=1)])
+        else:
+            grown.nodes, grown.node_of = _distinct_rows(x[:, :2])
+        diffs = grown.context_diffs = np.empty((n, n))
+        diffs[:m, :m] = self.context_diffs
+        np.subtract(x[m:, 2, None], x[None, :, 2], out=diffs[m:])
+        np.subtract(x[:m, 2, None], x[None, m:, 2], out=diffs[:m, m:])
+        return grown
+
+
+def _check_finite_inputs(x: np.ndarray) -> None:
+    if x.size and not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input values rejected")
 
 
 @dataclass(frozen=True)
@@ -307,22 +343,56 @@ class GPModel:
             raise ValueError("non-finite target values rejected")
         return replace(self, index=index, targets=y)
 
-    @cached_property
-    def gram_factor(self) -> np.ndarray:
-        """The Gram matrix built through the nodes (the u x u Matern block
-        gathered to n x n, times the context factor and s2 in the order of
-        :func:`kernel_matrix`, so bit for bit that matrix), factored by
-        LAPACK ``potrf``; ``LinAlgError`` if it is not positive definite."""
+    def gram(self, head: np.ndarray | None = None) -> np.ndarray:
+        """K + (noise_variance + jitter) I over the inputs, unfactored.
+
+        Built through the nodes: the Matern factor on the node pairs,
+        gathered to the inputs, times the context factor and s2 in the
+        order of :func:`kernel_matrix`, so bit for bit that matrix plus
+        the diagonal. ``head``, when given, is this matrix over the first
+        m inputs, as a model on them built it; it is copied, and only rows
+        m..n are computed and mirrored into columns m..n. Each entry
+        depends only on its pair of inputs, and the matrix is exactly
+        symmetric, so the result is the same bit for bit as with no head.
+        """
         index = self.index
+        n = index.inputs.shape[0]
+        m = 0 if head is None else head.shape[0]
         ell = self.kernel.lengthscales
         s2 = self.kernel.signal_variance
-        node_sq = _scaled_sq_dists(ell[:2], index.nodes, index.nodes)
-        node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))  # (u, u)
-        ctx_sq = (index.context_diffs / ell[2]) ** 2  # as _scaled_sq_dists rounds it
-        gram = node_corr[index.node_of][:, index.node_of] * np.exp(-0.5 * ctx_sq)
-        gram *= s2
-        gram[np.diag_indices_from(gram)] += self.noise_variance + JITTER * s2
-        return _factor_in_place(gram)
+        gram = np.empty((n, n))
+        if m:
+            gram[:m, :m] = head
+        rows = gram[m:]
+        # The Matern factor between the new rows' nodes and every node:
+        # each node pair once for a whole build, one row per new input else.
+        node_sq = _scaled_sq_dists(ell[:2], index.nodes[index.node_of[m:]] if m else index.nodes, index.nodes)
+        node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))
+        if not m:
+            node_corr = node_corr[index.node_of]
+        ctx_sq = (index.context_diffs[m:] / ell[2]) ** 2  # as _scaled_sq_dists rounds it
+        np.multiply(node_corr[:, index.node_of], np.exp(-0.5 * ctx_sq), out=rows)
+        rows *= s2
+        gram.reshape(-1)[m * (n + 1) :: n + 1] += self.noise_variance + JITTER * s2  # the new rows' diagonal
+        gram[:m, m:] = rows[:, :m].T
+        return gram
+
+    @cached_property
+    def gram_factor(self) -> np.ndarray:
+        """The lower Cholesky factor of :meth:`gram`, by LAPACK ``potrf``;
+        ``LinAlgError`` if the matrix is not positive definite."""
+        return _factor_in_place(self.gram())
+
+    def factor(self, head: np.ndarray | None = None) -> np.ndarray | None:
+        """Compute ``gram_factor`` now, from :meth:`gram` on ``head``, and
+        return the unfactored matrix, which a caller may carry to a model
+        on more inputs; ``None`` when ``gram_factor`` was computed already,
+        since a model factors once."""
+        if "gram_factor" in self.__dict__:
+            return None
+        gram = self.gram(head)
+        self.__dict__["gram_factor"] = _factor_in_place(gram.copy())
+        return gram
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -336,13 +406,15 @@ class GPModel:
         new_y = np.append(self.targets, float(y))
         return self.with_data(new_x, new_y)
 
-    def gain_covariance(self, gains) -> np.ndarray:
+    def gain_covariance(self, gains, nodes=None) -> np.ndarray:
         """The (m, u) block s2 * m(gains, nodes): the Matern gain factor
-        of the covariance between gain rows and this model's nodes,
-        times the signal variance. Each entry depends only on its gain
-        row and node, so the rows of a block computed for a whole grid
-        equal, bit for bit, a block computed for some of its rows."""
-        sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), self.index.nodes)
+        of the covariance between gain rows and this model's nodes (or the
+        given node rows), times the signal variance. Each entry depends
+        only on its gain row and node, so a block computed for a whole
+        grid equals, bit for bit, blocks computed for some of its rows or
+        some of its nodes."""
+        nodes = self.index.nodes if nodes is None else nodes
+        sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), nodes)
         return self.kernel.signal_variance * _matern_profile(np.sqrt(sq[0] + sq[1]))
 
     def posterior_batch(self, x, gain_cov=None) -> tuple[np.ndarray, np.ndarray]:
@@ -402,8 +474,12 @@ class GPModel:
             w, info = dtrtrs(self.gram_factor, node_indicator * corr[:, None], lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
-            mean[rows] += np.sum(g * node_weights, axis=1)
-            var[rows] -= _quadratic_rows(g, w.T @ w)
+            a_m = _wide(u, 1 + u)
+            a_m[:, 0] = node_weights
+            a_m[:, 1 : 1 + u] = w.T @ w
+            ga_gm = _gemm_rows(g, a_m)  # G a, then G M
+            mean[rows] += ga_gm[:, 0]
+            var[rows] -= np.einsum("ij,ij->i", ga_gm[:, 1 : 1 + u], g)  # one row at a time
         return mean, np.maximum(var, 0.0)
 
 

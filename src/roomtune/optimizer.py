@@ -35,6 +35,7 @@ they are the model-based tuning step that criterion 10 checks.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -289,13 +290,13 @@ def check_confidence(beta: float, epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
 
 
-def _check_observations(domain: GainDomain, observations) -> None:
+def _check_observations(domain: GainDomain, observations, previous: float = -math.inf) -> None:
     """Reject a log no season could have written: a gain off the grid, a
     non-finite context (``bo`` never reads it, but writes it back) or
-    cost, or days that are not integers or do not strictly increase
-    (``state_at_day`` truncates by day, so the days must order the log)."""
+    cost, or days that are not integers or do not strictly increase from
+    the ``previous`` day (``state_at_day`` truncates by day, so the days
+    must order the log)."""
     size = domain.size
-    previous = -math.inf
     for o in observations:
         if type(o.gain_index) is not int or not 0 <= o.gain_index < size:
             raise ValueError(f"{o} has a gain_index off the {size}-point grid")
@@ -322,35 +323,70 @@ def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
 
 
 class QueryWorkspace:
-    """Full-grid gain blocks reused by the queries of successive states.
+    """What the queries of successive states carry from one to the next.
 
-    A surrogate's block ``gain_covariance(grid)`` depends only on its
-    kernel, its nodes and the grid, and a season's nodes change on few
-    days. The workspace keeps one block per kernel and rebuilds it when
-    the model's nodes or the grid differ from the ones it was built for;
-    queries then take the candidates' rows of it. One workspace serves
-    one season or one ``gain_schedule`` call and never enters a state.
+    A season's states differ from day to day by one observation, so each
+    keeps, per surrogate prior (kernel and noise), the unfactored Gram
+    matrix of the last inputs it factored, and per kernel the full-grid
+    gain block ``gain_covariance(grid)`` of the last nodes. A surrogate
+    whose inputs extend the carried ones computes only the new rows of
+    its Gram matrix (``GPModel.gram``), and potrf factors the whole; a
+    block whose nodes gain a few computes only their columns. Any other
+    surrogate or grid is built in full. Every posterior, and so every
+    choice, is the same bit for bit without a workspace. One workspace
+    serves one season or one ``gain_schedule`` call and never enters a
+    state.
     """
 
     def __init__(self):
-        self._blocks: dict[KernelSpec, tuple[np.ndarray, bytes, np.ndarray]] = {}
+        self._grams: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[KernelSpec, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def factor(self, model: GPModel) -> None:
+        """Have ``model`` factor its Gram matrix, on the carried matrix of
+        its prior when the carried inputs are a prefix of its own, and
+        carry its matrix on; nothing when it has factored already."""
+        if not model.num_observations:
+            return
+        key = (model.kernel, model.noise_variance)
+        inputs = model.index.inputs
+        head = None
+        if key in self._grams:
+            done, gram = self._grams[key]
+            if len(done) <= len(inputs) and np.array_equal(inputs[: len(done)], done):
+                head = gram
+        gram = model.factor(head)
+        if gram is not None:
+            self._grams[key] = (inputs, gram)
 
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
         """``model.gain_covariance`` over every grid gain of ``state``."""
         grid = state.domain.unit_points
-        nodes = model.index.nodes.tobytes()
+        nodes = model.index.nodes
         cached = self._blocks.get(model.kernel)
-        if cached is None or cached[0] is not grid or cached[1] != nodes:
-            cached = self._blocks[model.kernel] = (grid, nodes, model.gain_covariance(grid))
-        return cached[2]
+        if cached is not None and cached[0] is grid:
+            if np.array_equal(cached[1], nodes):
+                return cached[2]
+            same = np.all(nodes[:, None, :] == cached[1][None, :, :], axis=2)  # (new nodes, carried nodes)
+            if same.any(axis=0).all():  # every carried node is still a node: add the new ones' columns
+                block = np.empty((grid.shape[0], nodes.shape[0]))
+                block[:, same.argmax(axis=0)] = cached[2]
+                fresh = ~same.any(axis=1)
+                block[:, fresh] = model.gain_covariance(grid, nodes[fresh])
+                self._blocks[model.kernel] = (grid, nodes, block)
+                return block
+        block = model.gain_covariance(grid)
+        self._blocks[model.kernel] = (grid, nodes, block)
+        return block
 
 
 def _posterior(state, model, x, rows, workspace):
     """``model``'s posterior at ``x``, the grid inputs at the ascending
-    grid indices ``rows``, with the gain block taken from ``workspace``
-    when there is one."""
+    grid indices ``rows``, with the Gram matrix and the gain block taken
+    from ``workspace`` when there is one."""
     gain_cov = None
     if workspace is not None:
+        workspace.factor(model)
         block = workspace.gain_covariance(state, model)
         gain_cov = block if len(rows) == len(block) else block[rows]  # ascending: all rows are the whole grid
     return model.posterior_batch(x, gain_cov)
@@ -463,14 +499,31 @@ def update(
     costs: NormalizedCosts,
     day: int | None = None,
 ) -> OptimizerState:
-    """Condition all surrogates on one evaluated day; returns new state.
-    The new state's log check rejects non-finite costs."""
+    """Condition all surrogates on one evaluated day; returns a new state.
+
+    The new state is grown from ``state``: only the new observation is
+    checked (a gain on the grid, a finite context and costs, an integer
+    day after the last logged one), and one row is appended to the
+    surrogates' shared index and to their targets. It equals, bit for
+    bit, the state built on the whole log, and holds no reference to
+    ``state``."""
     values = (costs.j1, costs.j2, costs.j3, costs.j4)
     index = state.domain.index_of(gains)
     if day is None:
         day = len(state.observations) + 1
     obs = Observation(int(day), float(oat), index, tuple(float(v) for v in values))
-    return replace(state, observations=state.observations + (obs,))
+    _check_observations(state.domain, (obs,), state.observations[-1].day if state.observations else -math.inf)
+    x, y = surrogate_data(
+        state.domain.unit_points[[index]], [_unit_context(state, obs.context)], [obs.costs], state.thresholds
+    )
+    models = state.cost_models + state.constraint_models
+    grown = models[0].index.extend(x)
+    models = [m.with_data(grown.inputs, np.append(m.targets, y[0, i]), index=grown) for i, m in enumerate(models)]
+    new = copy.copy(state)  # the constructor would check and bind the whole log again
+    object.__setattr__(new, "observations", state.observations + (obs,))
+    object.__setattr__(new, "cost_models", tuple(models[:4]))
+    object.__setattr__(new, "constraint_models", tuple(models[4:]))
+    return new
 
 
 def gain_schedule(state: OptimizerState, oats) -> list[tuple[float, PIGains]]:

@@ -149,16 +149,18 @@ def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    u=st.integers(1, 13),
-    n=st.integers(1, 60),
+    u=st.integers(1, 70),
+    n=st.integers(1, 150),
     with_basis=st.booleans(),
     data_seed=st.integers(0, 2**32 - 1),
 )
 def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
-    """A query row gets the same bits in batches of 1, 2, 3 and 1600 rows,
-    as the tuner relies on when it queries only the gains it can choose,
-    and the same bits again when the batch's gain block is passed in as
-    rows of one block computed for the whole grid."""
+    """A query row gets the same bits in batches of 1, 2, 3, some drawn
+    size and 1600 rows, as the tuner relies on when it queries only the
+    gains it can choose, and the same bits again when the batch's gain
+    block is passed in as rows of one block computed for the whole grid.
+    Seasons reach 68 nodes; the row sums go through gemm, whose kernels
+    must give a row the same bits in any batch at every node count."""
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
     spec = random_spec(rng)
@@ -170,7 +172,7 @@ def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     mean, var = model.posterior_batch(query)
     block = model.gain_covariance(grid)
     np.testing.assert_array_equal(model.posterior_batch(query, block), (mean, var))
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, int(rng.integers(4, grid.shape[0]))):
         rows = rng.choice(grid.shape[0], size, replace=False)
         sub_mean, sub_var = model.posterior_batch(query[rows])
         np.testing.assert_array_equal(sub_mean, mean[rows])
@@ -219,6 +221,44 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
     with pytest.raises(ValueError, match="other inputs"):
         GPModel.empty(spec, noise, basis).with_data(x + 1.0, y, index=index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    data=st.data(),
+    shared_context=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_context, data_seed):
+    """The Gram matrix of n inputs built on the unfactored matrix of their
+    first m (as a season carries it from one day to the next, one row a
+    day, or several rows when a surrogate was not queried for some days)
+    equals, bit for bit, the matrix built on all n, and so does its
+    factor; the later rows may bring gain rows that are new nodes, which
+    moves the node order. The index grown by those rows equals the index
+    built on all n."""
+    m = data.draw(st.integers(0, n), label="m")
+    rng = np.random.default_rng(data_seed)
+    grid = GainDomain.build().unit_points
+    spec = random_spec(rng)
+    noise = float(rng.uniform(1e-4, 0.1))
+    nodes = grid[rng.choice(grid.shape[0], int(rng.integers(1, n + 1)), replace=False)]
+    contexts = np.full(n, rng.uniform()) if shared_context else rng.uniform(0.0, 1.0, n)
+    x = np.column_stack([nodes[rng.integers(0, len(nodes), n)], contexts])
+    y = rng.normal(size=n)
+    prior = GPModel.empty(spec, noise)
+    head = prior.with_data(x[:m], y[:m]).gram()
+    grown_index = InputIndex(x[:m]).extend(x[m:])
+    whole = prior.with_data(x, y)
+    for name in ("inputs", "nodes", "node_of", "context_diffs"):
+        assert np.array_equal(getattr(grown_index, name), getattr(whole.index, name)), name
+    grown = prior.with_data(x, y, index=grown_index)
+    gram = grown.factor(head)
+    assert np.array_equal(gram, whole.gram())
+    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(grown.gram_factor, whole.gram_factor)
+    assert grown.factor(gram) is None  # a model factors once
 
 
 @pytest.mark.parametrize("routine", ["dpotrf", "dtrtrs"])

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -370,11 +372,20 @@ def test_update_appends_observation_and_retrains():
 
 
 def test_update_rejects_bad_inputs():
+    """update checks only the new observation, and must refuse what the
+    whole-log check refuses: a gain off the grid, a non-finite cost or
+    outside temperature, and a day that does not come after the last."""
     state = make_state(METHOD_CBO)
     with pytest.raises(ValueError):
         update(state, PIGains(1.234, 0.01), 0.0, costs_of(0.5))
     with pytest.raises(ValueError):
         update(state, state.anchor_gains, 0.0, costs_of(math.inf))
+    with pytest.raises(ValueError, match="non-finite context"):
+        update(state, state.anchor_gains, math.nan, costs_of(0.5))
+    logged = update(state, state.anchor_gains, 0.0, costs_of(0.5), day=4)
+    for day in (4, 3):  # the last logged day, and a day before it
+        with pytest.raises(ValueError, match="does not come after day 4"):
+            update(logged, state.anchor_gains, 0.0, costs_of(0.5), day=day)
 
 
 def test_gain_schedule_is_pure_exploitation_over_the_safe_set():
@@ -441,6 +452,21 @@ _REORDERING_LOG = [
 ]
 
 
+# Logs on the 5 x 5 grid whose days skip some dates and whose gains come
+# from a drawn handful, so that new nodes appear mid-log, before and
+# after the nodes seen so far.
+_GAPPED_LOGS = st.lists(
+    st.tuples(
+        st.integers(1, 3),
+        st.integers(0, small_domain().size - 1),
+        st.floats(-20.0, 20.0, allow_nan=False),
+        st.tuples(*[st.floats(0.0, 2.0, allow_nan=False)] * 4),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
 def assert_same_posteriors(a, b):
     x = np.column_stack([a.domain.unit_points, np.full(a.domain.size, 0.5)])
     for ma, mb in zip(a.cost_models + a.constraint_models, b.cost_models + b.constraint_models, strict=True):
@@ -473,6 +499,49 @@ def test_state_json_round_trip_preserves_posteriors(method, log, oat, day):
 
     truncated = state_at_day(state, day)
     assert_same_posteriors(truncated, state_from_json(state_to_json(truncated)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from([METHOD_BO, METHOD_CBO, METHOD_SCBO]), log=_GAPPED_LOGS)
+@example(method=METHOD_SCBO, log=[(1, index, oat, costs) for index, oat, costs in _REORDERING_LOG])
+def test_a_grown_state_equals_the_state_rebuilt_from_its_log(method, log):
+    """update grows a state from its parent, checking and indexing only
+    the new day; on every day the grown state must equal, bit for bit,
+    the state restored from its JSON, which checks and indexes the whole
+    log: the inputs, the nodes and each input's node, the context
+    differences, every surrogate's targets and its grid posteriors."""
+    state = make_state(method, noise=0.02)
+    day = 0
+    for gap, index, oat, (j1, j2, j3, j4) in log:
+        day += gap
+        state = update(state, state.domain.gains_at(index), oat, costs_of(j1, j2, j3, j4), day=day)
+        rebuilt = state_from_json(state_to_json(state))
+        assert rebuilt.observations == state.observations
+        models = state.cost_models + state.constraint_models
+        for grown, built in zip(models, rebuilt.cost_models + rebuilt.constraint_models, strict=True):
+            assert grown.index is models[0].index  # one index for the whole state
+            for name in ("inputs", "nodes", "node_of", "context_diffs"):
+                assert np.array_equal(getattr(grown.index, name), getattr(built.index, name)), name
+            assert np.array_equal(grown.targets, built.targets)
+        assert_same_posteriors(state, rebuilt)
+
+
+def test_a_grown_state_holds_neither_its_parent_nor_an_unfactored_gram():
+    """perfbench and the CLI keep states, so whatever a state holds is
+    memory: a grown state must not keep its parent, its parent's models
+    or index alive, and a queried model holds its factor, never the
+    unfactored Gram matrix that the season's workspace carries."""
+    state = observe_grid(make_state(METHOD_SCBO, noise=0.02), np.linspace(-0.5, 0.1, 6))
+    parent_refs = [weakref.ref(state), weakref.ref(state.cost_models[0]), weakref.ref(state.cost_models[0].index)]
+    workspace = QueryWorkspace()
+    propose(state, 0.0, workspace)
+    child = update(state, state.domain.gains_at(7), 1.0, costs_of(0.4), day=7)
+    propose(child, 0.0, workspace)
+    del state, workspace
+    gc.collect()
+    assert [ref() for ref in parent_refs] == [None, None, None]
+    for model in child.cost_models + child.constraint_models:
+        assert set(vars(model)) <= {"kernel", "noise_variance", "basis_coefficient", "index", "targets", "gram_factor", "alpha"}
 
 
 def test_a_state_replaced_onto_an_empty_log_queries_the_priors():
@@ -689,6 +758,74 @@ def test_pruned_queries_match_full_grid_queries(log, oat, subset):
     assert acquire(other, oat, workspace=workspace) == acquire(other, oat)
 
 
+def grid_log(seed, days):
+    """A season-like log on the 40 x 40 grid: gains drawn from a handful
+    that grows as the days go, so new nodes keep appearing."""
+    rng = np.random.default_rng(seed)
+    gains = rng.choice(1600, days, replace=False)
+    return [
+        (int(gains[rng.integers(0, day // 2 + 1)]), float(rng.uniform(-10.0, 10.0)), tuple(rng.uniform(0.2, 1.4, 4)))
+        for day in range(days)
+    ]
+
+
+def grid_states(log, prior):
+    states = [prior]
+    for day, (index, oat, (j1, j2, j3, j4)) in enumerate(log, start=1):
+        states.append(update(states[-1], prior.domain.gains_at(index), oat, costs_of(j1, j2, j3, j4), day=day))
+    return states
+
+
+def test_a_workspace_carries_gram_matrices_and_gain_blocks_bit_for_bit():
+    """A season's workspace carries each surrogate's Gram matrix and gain
+    block from day to day and computes only the new rows and the new
+    nodes' columns; both must equal the full builds bit for bit on every
+    day, on the 40 x 40 grid. Each surrogate is queried on some days
+    only, as scbo's later constraint surrogates are, so the carried
+    matrix may be several rows behind."""
+    prior = with_distinct_kernels(make_state(METHOD_SCBO, domain=GainDomain.build(), noise=0.02))
+    workspace = QueryWorkspace()
+    rng = np.random.default_rng(3)
+    for day, state in enumerate(grid_states(grid_log(0, 30), prior)):
+        for model in state.cost_models + state.constraint_models:
+            if day and rng.uniform() < 0.4:
+                continue  # not queried today
+            fresh = dataclasses.replace(model)  # the same model, unfactored
+            workspace.factor(model)
+            np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
+            np.testing.assert_array_equal(
+                workspace.gain_covariance(state, model), fresh.gain_covariance(state.domain.unit_points)
+            )
+
+
+def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
+    """A workspace may be handed any state: an earlier day of the same
+    season, or another season's state of as many days or more. Their
+    inputs do not extend the carried ones, so each surrogate must build
+    its Gram matrix in full; a posterior, a safe set or a choice made
+    through the workspace must equal, bit for bit, one made without."""
+    prior = make_state(METHOD_SCBO, domain=GainDomain.build(), noise=0.02)
+    season = grid_states(grid_log(1, 12), prior)
+    workspace = QueryWorkspace()
+    for state in season:
+        propose(state, 0.0, workspace)
+        safe_set(state, 0.0, 0.45, workspace=workspace)  # queries every constraint surrogate
+    final = season[-1]
+    others = [state_at_day(final, 9), state_at_day(final, 3), grid_states(grid_log(2, 14), prior)[-1]]
+    for other in others:
+        restored = state_from_json(state_to_json(other))
+        x = np.column_stack([other.domain.unit_points, np.full(other.domain.size, other.scaler.normalize(1.0))])
+        for model, fresh in zip(other.cost_models + other.constraint_models, restored.cost_models + restored.constraint_models):
+            workspace.factor(model)
+            np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
+            np.testing.assert_array_equal(
+                model.posterior_batch(x, workspace.gain_covariance(other, model)), fresh.posterior_batch(x)
+            )
+        for eps in (0.05, 0.45):
+            assert np.array_equal(safe_set(other, 1.0, eps, workspace=workspace), safe_set(restored, 1.0, eps))
+        assert propose(other, 1.0, workspace) == propose(restored, 1.0)
+
+
 # Weights whose float64 square differs from their product with themselves
 # in the last bit: a combination that squared them by multiplication would
 # score them differently.
@@ -890,6 +1027,22 @@ def test_only_a_query_factors_and_each_surrogate_factors_once(monkeypatch):
     assert 1 <= queried <= 3
     np.testing.assert_array_equal(safe_set(state, 0.0), want)
     assert len(shapes) == 1 + queried
+
+    # gain_schedule queries one state at many temperatures through one
+    # workspace: each surrogate it queries factors once, however many
+    # temperatures query it
+    restored = state_at_day(state_from_json(state_to_json(state)), 4)
+    seen, posterior_batch = set(), GPModel.posterior_batch
+
+    def recording_posterior_batch(model, *args, **kwargs):
+        seen.add(id(model))
+        return posterior_batch(model, *args, **kwargs)
+
+    monkeypatch.setattr(GPModel, "posterior_batch", recording_posterior_batch)
+    shapes.clear()
+    gain_schedule(restored, np.linspace(-10.0, 15.0, 26))
+    assert 4 <= len(seen) <= 7
+    assert shapes == [(4, 4)] * len(seen)
 
 
 # ---------------------------------------------------------------------------
