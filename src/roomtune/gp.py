@@ -7,8 +7,12 @@ maximum-likelihood hyperparameter fitting with analytic gradients.
 
 Models are values: ``add_observation`` returns a new model, and a query
 changes nothing a caller can see. Observation counts stay small (one per
-heating day), so a model is rebuilt on every update instead of rank-1
-patched.
+heating day), so every model factors its whole Gram matrix instead of
+patching its parent's factor by rank 1: a bordered Cholesky update would
+round differently. What a model on one more day need not redo is
+building that matrix: :meth:`GPModel.gram` takes the unfactored matrix
+of a prefix of the inputs and computes only the new rows, and
+:meth:`InputIndex.extend` grows an index by its new rows alone.
 
 The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
@@ -23,15 +27,21 @@ the unscaled context differences) is an :class:`InputIndex`, which the
 models conditioned on one input set can share. Building a model only
 checks and binds its data; the model factors the Gram matrix and solves
 alpha = K^-1 (y - mu0) at its first query, once, and keeps both, so a
-model that is never queried never pays for them. Later queries reuse
-them: the tuner queries grid gains at one context, so the query
-cross-covariance has rank at most u, and the variance of m queries costs
-m·u² + n²·u operations instead of the n²·m of a dense solve; see
+model that is never queried never pays for them. A caller that carries
+the unfactored Gram matrix of an earlier model on a prefix of the inputs
+has the model factor on it (:meth:`GPModel.factor`): the new rows cost
+(n - m)·n kernel entries instead of n², and potrf n³/3 as before.
+Later queries reuse the factor: the tuner queries grid gains at one
+context, so the query cross-covariance has rank at most u, and the
+variance of m queries costs m·u² + n²·u operations instead of the n²·m
+of a dense solve; the per-row sums of the mean and the variance are
+gemm and einsum calls, not one numpy reduction per row; see
 :meth:`GPModel.posterior_batch`.
 The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
 formula, :meth:`GPModel.gain_covariance`. It depends on neither the
 targets nor the context, so a caller whose nodes stay the same from one
-query to the next may compute it once and pass the queried rows.
+query to the next may compute it once and pass the queried rows, and a
+caller whose nodes gain a few may compute only their columns.
 
 :meth:`GPModel.with_data` is the one routine that conditions a GP, the
 fit's basis coefficient included, and one helper factors every Gram
@@ -434,8 +444,9 @@ class GPModel:
         at the first query on data. These are the dense-solve formulas
         regrouped, not an approximation. A query costs m u kernel
         entries, an n^2 u triangular solve (LAPACK ``trtrs``), an n u^2
-        product for M and an m u^2 product for the variance, against m n
-        entries and an n^2 m solve for k* itself. Queries are grouped by
+        product for M and one m u (u + 1) gemm for G a and G M, whose
+        rows einsum then multiplies by G and sums, against m n entries
+        and an n^2 m solve for k* itself. Queries are grouped by
         context and each of the c groups takes its own solve. The tuner
         queries one context at a time (c = 1); the worst case, u = n with
         every query at its own context, costs an n^3 solve per query
@@ -447,7 +458,8 @@ class GPModel:
         kernel entries; ``None`` computes the queried rows only.
 
         Each row's mean and variance depend only on that row and the
-        model, bit for bit, whatever else the batch holds.
+        model, bit for bit, whatever else the batch holds (see
+        :func:`_gemm_rows`).
         """
         pts = _as_points(x, self.kernel.input_dim)
         mean = np.full(pts.shape[0], self._prior_mean())

@@ -15,18 +15,23 @@ Three GP-backed selectors share one state type:
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
 A state binds its surrogates to its own log at construction, so
-``update``, checkpoint restore and day truncation only build a state.
-The log is indexed once (its distinct gains and context differences)
-and every surrogate of the state is built on that one index; each
-surrogate factors its Gram matrix at its first query, so a state pays
-only for the surrogates that are queried.
+checkpoint restore and day truncation only build a state, checking and
+indexing the whole log (its distinct gains and context differences)
+once; every surrogate of the state is built on that one index. ``update``
+grows the new state from its parent instead, at the cost of one day: it
+checks the new observation and appends one row to the index and the
+targets. Each surrogate factors its Gram matrix at its first query, so a
+state pays only for the surrogates that are queried.
 Only the gains that can still be chosen are queried: ``scbo`` checks each
 constraint surrogate on the gains the previous ones certified, and scores
 the acquisition on its safe candidates alone. A ``QueryWorkspace``
-carries each surrogate's grid-to-node gain block from one query to the
-next while the nodes stay the same: a season keeps one for all its days
-and ``gain_schedule`` one for all its temperatures. The workspace is
-never part of a state, and every choice is the same without it.
+carries what the queries of one state leave for the next: each
+surrogate's unfactored Gram matrix, so that the next day's surrogate
+computes only its new row before potrf factors the whole, and each
+kernel's grid-to-node gain block, so that only a new node's column is
+computed. A season keeps one workspace for all its days and
+``gain_schedule`` one for all its temperatures. The workspace is never
+part of a state, and every choice is the same without it.
 
 First-order-plus-dead-time identification by least squares and the
 open-loop Ziegler-Nichols PI rule live here too. No season uses them;
@@ -420,7 +425,8 @@ def safe_set(
     # certify; posterior rows do not depend on the rest of the batch.
     certified = np.arange(state.domain.size)
     for model in state.constraint_models:
-        mean, var = _posterior(state, model, x[certified], certified, workspace)
+        queried = x if certified.size == x.shape[0] else x[certified]
+        mean, var = _posterior(state, model, queried, certified, workspace)
         certified = certified[mean + q * np.sqrt(var) <= 0.0]
         if not certified.size:
             break
@@ -444,7 +450,9 @@ def acquire(
     cost surrogates are independent: the weighted sum has mean sum w_i m_i
     and variance sum w_i^2 v_i. ``workspace`` is as for ``safe_set``."""
     candidates = np.arange(state.domain.size) if safe_mask is None else np.flatnonzero(safe_mask)
-    x = _grid_inputs(state, oat)[candidates]
+    x = _grid_inputs(state, oat)
+    if safe_mask is not None:
+        x = x[candidates]
     mean = var = 0.0
     for w, model in zip(np.asarray(state.weights, dtype=float), state.cost_models):
         m, v = _posterior(state, model, x, candidates, workspace)
