@@ -198,16 +198,9 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     OpenBLAS's x86-64 kernels round a row of 16 or more terms differently
     in batches of different sizes unless the product has a multiple of 8
     columns (OpenBLAS 0.3.31 with AVX-512, a 1600-row batch against
-    subsets of it, at 1 to 74 terms), so b must have such a count; see
-    :func:`_wide`.
+    subsets of it, at 1 to 74 terms), so b must have such a count.
     """
     return ((a if a.shape[0] > 1 else np.repeat(a, 2, axis=0)) @ b)[: a.shape[0]]
-
-
-def _wide(rows: int, cols: int) -> np.ndarray:
-    """Zeros of ``rows`` x (``cols`` rounded up to a multiple of 8), for
-    the right operand of :func:`_gemm_rows`."""
-    return np.zeros((rows, -(-cols // 8) * 8))
 
 
 def _factor_in_place(gram: np.ndarray) -> np.ndarray:
@@ -410,11 +403,10 @@ class GPModel:
         return _solve_factored(self.gram_factor, self.targets - self._prior_mean())
 
     def add_observation(self, x, y: float) -> "GPModel":
-        """Condition on one more (input, target) pair; returns a new model."""
-        pt = _as_points([np.ravel(x)], self.kernel.input_dim)
-        new_x = np.vstack([self.index.inputs, pt])
-        new_y = np.append(self.targets, float(y))
-        return self.with_data(new_x, new_y)
+        """Condition on one more (input, target) pair; returns a new model,
+        on this model's index grown by one row."""
+        index = self.index.extend([np.ravel(x)])
+        return self.with_data(index.inputs, np.append(self.targets, float(y)), index=index)
 
     def gain_covariance(self, gains, nodes=None) -> np.ndarray:
         """The (m, u) block s2 * m(gains, nodes): the Matern gain factor
@@ -486,7 +478,7 @@ class GPModel:
             w, info = dtrtrs(self.gram_factor, node_indicator * corr[:, None], lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
-            a_m = _wide(u, 1 + u)
+            a_m = np.zeros((u, -(-(1 + u) // 8) * 8))  # [a | M], zero columns up to a multiple of 8
             a_m[:, 0] = node_weights
             a_m[:, 1 : 1 + u] = w.T @ w
             ga_gm = _gemm_rows(g, a_m)  # G a, then G M

@@ -369,20 +369,29 @@ class QueryWorkspace:
         grid = state.domain.unit_points
         nodes = model.index.nodes
         cached = self._blocks.get(model.kernel)
-        if cached is not None and cached[0] is grid:
-            if np.array_equal(cached[1], nodes):
-                return cached[2]
-            same = np.all(nodes[:, None, :] == cached[1][None, :, :], axis=2)  # (new nodes, carried nodes)
-            if same.any(axis=0).all():  # every carried node is still a node: add the new ones' columns
-                block = np.empty((grid.shape[0], nodes.shape[0]))
-                block[:, same.argmax(axis=0)] = cached[2]
-                fresh = ~same.any(axis=1)
-                block[:, fresh] = model.gain_covariance(grid, nodes[fresh])
-                self._blocks[model.kernel] = (grid, nodes, block)
-                return block
-        block = model.gain_covariance(grid)
+        if cached is None or cached[0] is not grid:
+            block = model.gain_covariance(grid)
+        elif np.array_equal(cached[1], nodes):
+            return cached[2]
+        else:
+            block = _with_new_columns(model, grid, nodes, cached[1], cached[2])
         self._blocks[model.kernel] = (grid, nodes, block)
         return block
+
+
+def _with_new_columns(model: GPModel, grid, nodes, carried_nodes, carried_block) -> np.ndarray:
+    """``model.gain_covariance(grid)`` on ``nodes`` from the block of the
+    ``carried_nodes``: their columns move to their places among the nodes
+    and only the new nodes' columns are computed. Built in full when a
+    carried node is no longer a node."""
+    same = np.all(nodes[:, None, :] == carried_nodes[None, :, :], axis=2)  # (nodes, carried nodes)
+    if not same.any(axis=0).all():
+        return model.gain_covariance(grid)
+    block = np.empty((grid.shape[0], nodes.shape[0]))
+    block[:, same.argmax(axis=0)] = carried_block
+    new = ~same.any(axis=1)
+    block[:, new] = model.gain_covariance(grid, nodes[new])
+    return block
 
 
 def _posterior(state, model, x, rows, workspace):
