@@ -8,11 +8,9 @@ maximum-likelihood hyperparameter fitting with analytic gradients.
 Models are values: ``add_observation`` returns a new model, and a query
 changes nothing a caller can see. Observation counts stay small (one per
 heating day), so every model factors its whole Gram matrix instead of
-patching its parent's factor by rank 1: a bordered Cholesky update would
-round differently. What a model on one more day need not redo is
-building that matrix: :meth:`GPModel.gram` takes the unfactored matrix
-of a prefix of the inputs and computes only the new rows, and
-:meth:`InputIndex.extend` grows an index by its new rows alone.
+patching its parent's factor by rank 1, which would round differently;
+what it may reuse is the unfactored matrix and the index of a prefix of
+its inputs (:meth:`GPModel.gram`, :meth:`InputIndex.extend`).
 
 The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
@@ -28,14 +26,12 @@ models conditioned on one input set can share. Building a model only
 checks and binds its data; the model factors the Gram matrix and solves
 alpha = K^-1 (y - mu0) at its first query, once, and keeps both, so a
 model that is never queried never pays for them. A caller that carries
-the unfactored Gram matrix of an earlier model on a prefix of the inputs
-has the model factor on it (:meth:`GPModel.factor`): the new rows cost
-(n - m)·n kernel entries instead of n², and potrf n³/3 as before.
-Later queries reuse the factor: the tuner queries grid gains at one
-context, so the query cross-covariance has rank at most u, and the
-variance of m queries costs m·u² + n²·u operations instead of the n²·m
-of a dense solve; the per-row sums of the mean and the variance are
-gemm and einsum calls, not one numpy reduction per row; see
+the unfactored Gram matrix of a model on the first m inputs has the
+model factor on it (:meth:`GPModel.factor`): the new rows cost (n - m)·n
+kernel entries instead of n², and potrf n³/3 as before. Later queries
+reuse the factor: the tuner queries grid gains at one context, so the
+query cross-covariance has rank at most u, and the variance of m queries
+costs m·u² + n²·u operations instead of the n²·m of a dense solve; see
 :meth:`GPModel.posterior_batch`.
 The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
 formula, :meth:`GPModel.gain_covariance`. It depends on neither the
