@@ -189,14 +189,23 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b by gemm, each row of the product with the same bits in a batch
     of any size, which lets the tuner query only the gains it can still
-    choose. numpy sends a one-row product to gemv, which rounds differently
-    from gemm, so a single row is multiplied as two copies of itself. And
-    OpenBLAS's x86-64 kernels round a row of 16 or more terms differently
-    in batches of different sizes unless the product has a multiple of 8
-    columns (OpenBLAS 0.3.31 with AVX-512, a 1600-row batch against
-    subsets of it, at 1 to 74 terms), so b must have such a count.
+    choose. OpenBLAS picks its kernels by the product's shape, and the
+    kernels for the rows and columns left over from its blocks round
+    differently: numpy sends a one-row product to gemv, the x86-64
+    Haswell kernels give a row other bits when a batch leaves an odd row
+    over, and the AVX-512 ones when the product has 16 or more terms and
+    a column count that is not a multiple of 8. So ``a`` gets zero rows up
+    to a multiple of 16 and ``b`` zero columns up to a multiple of 8; with
+    them a row's bits did not depend on its batch under any x86-64 core
+    type that OpenBLAS 0.3.31 selects (1 to 74 terms, batches of 1 to
+    1600 rows).
     """
-    return ((a if a.shape[0] > 1 else np.repeat(a, 2, axis=0)) @ b)[: a.shape[0]]
+    rows, cols = a.shape[0], b.shape[1]
+    if rows % 16:
+        a = np.concatenate([a, np.zeros((16 - rows % 16, a.shape[1]))])
+    wide = np.zeros((b.shape[0], -(-cols // 8) * 8))
+    wide[:, :cols] = b
+    return (a @ wide)[:rows, :cols]
 
 
 def _factor_in_place(gram: np.ndarray) -> np.ndarray:
@@ -474,12 +483,12 @@ class GPModel:
             w, info = dtrtrs(self.gram_factor, node_indicator * corr[:, None], lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
-            a_m = np.zeros((u, -(-(1 + u) // 8) * 8))  # [a | M], zero columns up to a multiple of 8
+            a_m = np.empty((u, 1 + u))
             a_m[:, 0] = node_weights
-            a_m[:, 1 : 1 + u] = w.T @ w
+            a_m[:, 1:] = w.T @ w
             ga_gm = _gemm_rows(g, a_m)  # G a, then G M
             mean[rows] += ga_gm[:, 0]
-            var[rows] -= np.einsum("ij,ij->i", ga_gm[:, 1 : 1 + u], g)  # one row at a time
+            var[rows] -= np.einsum("ij,ij->i", ga_gm[:, 1:], g)  # one row at a time
         return mean, np.maximum(var, 0.0)
 
 
