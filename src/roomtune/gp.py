@@ -22,8 +22,9 @@ the Matern factor of the Gram matrix is evaluated on the u x u node pairs
 and gathered to n x n, bit-identical to the dense kernel matrix. What
 the build needs of the inputs alone (the nodes, each input's node and
 the unscaled context differences) is an :class:`InputIndex`, which the
-models conditioned on one input set can share. Building a model only
-checks and binds its data; the model factors the Gram matrix and solves
+models conditioned on one input set can share; its nodes keep the order
+they first appear in, so an index grows by appending. Building a model
+only checks and binds its data; the model factors the Gram matrix and solves
 alpha = K^-1 (y - mu0) at its first query, once, and keeps both, so a
 model that is never queried never pays for them. A caller that carries
 the unfactored Gram matrix of a model on the first m inputs has the
@@ -37,7 +38,7 @@ The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
 formula, :meth:`GPModel.gain_covariance`. It depends on neither the
 targets nor the context, so a caller whose nodes stay the same from one
 query to the next may compute it once and pass the queried rows, and a
-caller whose nodes gain a few may compute only their columns.
+caller whose inputs grow may append only the new nodes' columns.
 
 :meth:`GPModel.with_data` is the one routine that conditions a GP, the
 fit's basis coefficient included, and one helper factors every Gram
@@ -172,18 +173,21 @@ def _unit_kernel(sq: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D array and the index of each row among them,
-    in the lexicographic order and with the index of
-    ``np.unique(a, axis=0, return_inverse=True)``, at about a third of its cost."""
+    in the order the rows first appear: ``np.unique(a, axis=0,
+    return_index=True, return_inverse=True)`` reordered by first index."""
     if np.all(a == a[:1]):  # one shared context: skips the row sort
         return a[:1], np.zeros(a.shape[0], dtype=np.intp)
-    order = np.lexsort(a.T[::-1])  # lexsort's last key is the primary one
+    order = np.lexsort(a.T[::-1])  # stable, so each run of equal rows starts at its first
     ordered = a[order]
     starts = np.empty(a.shape[0], dtype=bool)
     starts[:1] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first = order[starts]  # each distinct row's first index, in lexicographic order
+    rank = np.empty(first.shape[0], dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
     index = np.empty(a.shape[0], dtype=np.intp)
-    index[order] = np.cumsum(starts) - 1
-    return ordered[starts], index
+    index[order] = rank[np.cumsum(starts) - 1]
+    return a[np.sort(first)], index
 
 
 def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,45 +249,57 @@ class InputIndex:
     """The part of a model build that depends on the inputs alone.
 
     Holds the finite (n, 3) ``inputs``, their u distinct gain rows
-    (``nodes``, in the lexicographic order of ``_distinct_rows``), the
-    index of each input's gain row among them (``node_of``) and the
-    unscaled context differences x_i - x_j (n, n). The models conditioned
-    on one observation log differ only in their hyperparameters and
-    targets, so they can share one index; each model scales it by its
-    own lengthscales when it builds its Gram matrix. :meth:`extend` grows
-    an index by a few rows at the cost of those rows.
+    (``nodes``, in the order they first appear), the index of each
+    input's gain row among them (``node_of``) and the unscaled context
+    differences x_i - x_j (n, n). The models conditioned on one
+    observation log differ only in their hyperparameters and targets, so
+    they can share one index; each model scales it by its own
+    lengthscales when it builds its Gram matrix.
+
+    ``InputIndex(inputs)`` is the empty index grown by ``inputs``, and
+    :meth:`extend` grows an index by a few rows at their cost; a grown
+    index holds its parent's arrays as its leading entries.
     """
 
-    def __init__(self, inputs):
-        x = _observed_points(inputs, 3)  # two gain dims and one context dim, as KernelSpec requires
-        _check_finite_inputs(x)
-        self.inputs = x
-        self.nodes, self.node_of = _distinct_rows(x[:, :2])
-        self.context_diffs = np.subtract(x[:, 2, None], x[None, :, 2])
+    def __init__(self, inputs=()):
+        self.inputs, self.nodes = np.empty((0, 3)), np.empty((0, 2))  # 2 gain dims + 1 context dim
+        self.node_of, self.context_diffs = np.empty(0, dtype=np.intp), np.empty((0, 0))
+        if len(inputs):
+            self._grow(self, inputs)
 
     def extend(self, rows) -> "InputIndex":
         """The index of these inputs followed by ``rows``, equal bit for bit
-        to ``InputIndex`` of the joined inputs. The context differences
-        are copied and only the new rows and columns computed; the nodes
-        are derived again only when a row brings a gain row that is not
-        yet a node. The new index shares no array with this one."""
+        to ``InputIndex`` of the joined inputs. The new index shares no
+        array with this one."""
+        grown = object.__new__(InputIndex)
+        grown._grow(self, rows)
+        return grown
+
+    def _grow(self, base: "InputIndex", rows) -> None:
+        """Make this ``base`` grown by ``rows``: only the new context
+        differences are computed, and only the new rows' gains looked up."""
         new = _observed_points(rows, 3)
         _check_finite_inputs(new)
-        m = self.inputs.shape[0]
-        x = np.vstack([self.inputs, new])
+        m = base.inputs.shape[0]
+        x = np.vstack([base.inputs, new])
         n = x.shape[0]
-        grown = object.__new__(InputIndex)
-        grown.inputs = x
-        known = np.all(new[:, None, :2] == self.nodes[None, :, :], axis=2)  # (rows, u)
-        if self.nodes.size and known.any(axis=1).all():
-            grown.nodes, grown.node_of = self.nodes.copy(), np.concatenate([self.node_of, known.argmax(axis=1)])
-        else:
-            grown.nodes, grown.node_of = _distinct_rows(x[:, :2])
-        diffs = grown.context_diffs = np.empty((n, n))
-        diffs[:m, :m] = self.context_diffs
+        seen, node = np.nonzero(np.all(new[:, None, :2] == base.nodes[None, :, :], axis=2))  # (rows, u)
+        node_of = np.empty(new.shape[0], dtype=np.intp)
+        node_of[seen] = node
+        nodes = base.nodes.copy()
+        if seen.size < new.shape[0]:  # new nodes follow, in the order they first appear
+            fresh = np.ones(new.shape[0], dtype=bool)
+            fresh[seen] = False
+            fresh_nodes, fresh_of = _distinct_rows(new[fresh, :2])
+            node_of[fresh] = nodes.shape[0] + fresh_of
+            nodes = np.vstack([nodes, fresh_nodes])
+        node_of = np.concatenate([base.node_of, node_of])
+        diffs = np.empty((n, n))
+        diffs[:m, :m] = base.context_diffs
         np.subtract(x[m:, 2, None], x[None, :, 2], out=diffs[m:])
         np.subtract(x[:m, 2, None], x[None, m:, 2], out=diffs[:m, m:])
-        return grown
+        # base is self when __init__ grows the empty index, so every read of base comes first
+        self.inputs, self.nodes, self.node_of, self.context_diffs = x, nodes, node_of, diffs
 
 
 def _check_finite_inputs(x: np.ndarray) -> None:
@@ -571,7 +587,9 @@ class LikelihoodWorkspace:
         for i in range(d):
             np.subtract(x[:, i, None], x[None, :, i], out=self.diffs[i])
         self.sq = np.empty((d, n, n))
-        self.gram, self.decay, self.dprof, self.cov, self.w = np.empty((5, n, n))
+        # Not views of one (5, n, n) block: the AVX (Sandybridge) gemv sums
+        # sq[:2] @ dprof in an order that follows dprof's alignment.
+        self.gram, self.decay, self.dprof, self.cov, self.w = (np.empty((n, n)) for _ in range(5))
         self.cov_diagonal = self.cov.reshape(-1)[:: n + 1]  # writable view
         self.finite = np.empty((n, n), dtype=bool)
 

@@ -14,24 +14,22 @@ Three GP-backed selectors share one state type:
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
-A state binds its surrogates to its own log at construction, so
-checkpoint restore and day truncation only build a state, checking and
-indexing the whole log (its distinct gains and context differences)
-once; every surrogate of the state is built on that one index. ``update``
-grows the new state from its parent instead, at the cost of one day: it
-checks the new observation and appends one row to the index and the
-targets. Each surrogate factors its Gram matrix at its first query, so a
-state pays only for the surrogates that are queried.
+One routine conditions a state's surrogates, on one shared index:
+construction appends the whole log to an empty index, so checkpoint
+restore and day truncation check and index the whole log once, and
+``update`` checks the new observation and appends its row to the
+parent's index. Each surrogate factors its Gram matrix at its first
+query, so a state pays only for the surrogates that are queried.
 Only the gains that can still be chosen are queried: ``scbo`` checks each
 constraint surrogate on the gains the previous ones certified, and scores
 the acquisition on its safe candidates alone. A ``QueryWorkspace``
-carries what the queries of one state leave for the next: each
-surrogate's unfactored Gram matrix, so that the next day's surrogate
-computes only its new row before potrf factors the whole, and each
-kernel's grid-to-node gain block, so that only a new node's column is
-computed. A season keeps one workspace for all its days and
-``gain_schedule`` one for all its temperatures. The workspace is never
-part of a state, and every choice is the same without it.
+carries, per surrogate prior, what the queries of one state leave for
+the next: the unfactored Gram matrix, so that the next day's surrogate
+computes only its new row before potrf factors the whole, and the grid
+gain block, so that only a new node's column is computed. A season keeps
+one workspace for all its days and ``gain_schedule`` one for all its
+temperatures. The workspace is never part of a state, and every choice
+is the same without it.
 
 First-order-plus-dead-time identification by least squares and the
 open-loop Ziegler-Nichols PI rule live here too. No season uses them;
@@ -267,18 +265,7 @@ class OptimizerState:
         _check_observations(self.domain, self.observations)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
-        x, y = surrogate_data(
-            self.domain.unit_points[[o.gain_index for o in self.observations]],
-            [_unit_context(self, o.context) for o in self.observations],
-            [o.costs for o in self.observations],
-            self.thresholds,
-        )
-        index = InputIndex(x)  # one node index and one set of context differences for the whole log
-        models = [
-            m.with_data(x, y[:, i], index=index) for i, m in enumerate(self.cost_models + self.constraint_models)
-        ]
-        object.__setattr__(self, "cost_models", tuple(models[:4]))
-        object.__setattr__(self, "constraint_models", tuple(models[4:]))
+        _condition(self, InputIndex(), [()] * 7, self.observations)  # from no inputs and no targets
 
     @property
     def anchor_gains(self) -> PIGains:
@@ -312,6 +299,24 @@ def _check_observations(domain: GainDomain, observations, previous: float = -mat
         previous = o.day
 
 
+def _condition(state: OptimizerState, index: InputIndex, targets, observations) -> None:
+    """Bind the surrogates of ``state`` to ``index`` grown by the inputs of
+    ``observations``, each with its ``targets`` grown by theirs."""
+    x, y = surrogate_data(
+        state.domain.unit_points[[o.gain_index for o in observations]],
+        [_unit_context(state, o.context) for o in observations],
+        [o.costs for o in observations],
+        state.thresholds,
+    )
+    grown = index.extend(x)
+    models = [
+        m.with_data(grown.inputs, np.concatenate((t, y[:, i])), index=grown)
+        for i, (m, t) in enumerate(zip(state.cost_models + state.constraint_models, targets))
+    ]
+    object.__setattr__(state, "cost_models", tuple(models[:4]))
+    object.__setattr__(state, "constraint_models", tuple(models[4:]))
+
+
 def _unit_context(state: OptimizerState, oat: float) -> float:
     """Context input of the surrogates: the scaled outside temperature,
     or 0.0 for ``bo``, which carries no scaler and so ignores the weather."""
@@ -330,68 +335,39 @@ def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
 class QueryWorkspace:
     """What the queries of successive states carry from one to the next.
 
-    A season's states differ from day to day by one observation, so each
-    keeps, per surrogate prior (kernel and noise), the unfactored Gram
-    matrix of the last inputs it factored, and per kernel the full-grid
-    gain block ``gain_covariance(grid)`` of the last nodes. A surrogate
-    whose inputs extend the carried ones computes only the new rows of
-    its Gram matrix (``GPModel.gram``), and potrf factors the whole; a
-    block whose nodes gain a few computes only their columns. Any other
-    surrogate or grid is built in full. Every posterior, and so every
-    choice, is the same bit for bit without a workspace. One workspace
-    serves one season or one ``gain_schedule`` call and never enters a
-    state.
+    A season's states differ from day to day by one observation, so the
+    workspace keeps one entry per surrogate prior (kernel and noise): the
+    grid, the last inputs factored, their unfactored Gram matrix and the
+    grid gain block over their nodes. A model on that grid whose inputs
+    extend the carried ones computes only its new Gram rows
+    (``GPModel.gram``) before potrf factors the whole; its nodes extend
+    the carried ones too (first-seen order), so the block grows by the
+    new nodes' columns. Any other model starts afresh. Every posterior,
+    and so every choice, is the same bit for bit without a workspace. One
+    workspace serves one season or one ``gain_schedule`` call and never
+    enters a state.
     """
 
     def __init__(self):
-        self._grams: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}
-        self._blocks: dict[KernelSpec, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def factor(self, model: GPModel) -> None:
-        """Have ``model`` factor its Gram matrix, on the carried matrix of
-        its prior when the carried inputs are a prefix of its own, and
-        carry its matrix on; nothing when it has factored already."""
-        if not model.num_observations:
-            return
-        key = (model.kernel, model.noise_variance)
-        inputs = model.index.inputs
-        head = None
-        if key in self._grams:
-            done, gram = self._grams[key]
-            if len(done) <= len(inputs) and np.array_equal(inputs[: len(done)], done):
-                head = gram
-        gram = model.factor(head)
-        if gram is not None:
-            self._grams[key] = (inputs, gram)
+        self._carry: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
-        """``model.gain_covariance`` over every grid gain of ``state``."""
-        grid = state.domain.unit_points
-        nodes = model.index.nodes
-        cached = self._blocks.get(model.kernel)
-        if cached is None or cached[0] is not grid:
-            block = model.gain_covariance(grid)
-        elif np.array_equal(cached[1], nodes):
-            return cached[2]
-        else:
-            block = _with_new_columns(model, grid, nodes, cached[1], cached[2])
-        self._blocks[model.kernel] = (grid, nodes, block)
+        """``model.gain_covariance`` over every grid gain of ``state``, with
+        ``model`` factored on the carry of its prior. A model that has
+        factored already gets its block but leaves the carry as it is."""
+        grid, inputs, nodes = state.domain.unit_points, model.index.inputs, model.index.nodes
+        key = (model.kernel, model.noise_variance)
+        head, block = None, np.empty((grid.shape[0], 0))
+        if key in self._carry:
+            carried_grid, done, gram, carried_block = self._carry[key]
+            if carried_grid is grid and len(done) <= len(inputs) and np.array_equal(inputs[: len(done)], done):
+                head, block = gram, carried_block
+        if block.shape[1] < nodes.shape[0]:
+            block = np.hstack([block, model.gain_covariance(grid, nodes[block.shape[1] :])])
+        gram = model.factor(head) if model.num_observations else None
+        if gram is not None:
+            self._carry[key] = (grid, inputs, gram, block)
         return block
-
-
-def _with_new_columns(model: GPModel, grid, nodes, carried_nodes, carried_block) -> np.ndarray:
-    """``model.gain_covariance(grid)`` on ``nodes`` from the block of the
-    ``carried_nodes``: their columns move to their places among the nodes
-    and only the new nodes' columns are computed. Built in full when a
-    carried node is no longer a node."""
-    same = np.all(nodes[:, None, :] == carried_nodes[None, :, :], axis=2)  # (nodes, carried nodes)
-    if not same.any(axis=0).all():
-        return model.gain_covariance(grid)
-    block = np.empty((grid.shape[0], nodes.shape[0]))
-    block[:, same.argmax(axis=0)] = carried_block
-    new = ~same.any(axis=1)
-    block[:, new] = model.gain_covariance(grid, nodes[new])
-    return block
 
 
 def _posterior(state, model, x, rows, workspace):
@@ -400,7 +376,6 @@ def _posterior(state, model, x, rows, workspace):
     from ``workspace`` when there is one."""
     gain_cov = None
     if workspace is not None:
-        workspace.factor(model)
         block = workspace.gain_covariance(state, model)
         gain_cov = block if len(rows) == len(block) else block[rows]  # ascending: all rows are the whole grid
     return model.posterior_batch(x, gain_cov)
@@ -520,26 +495,19 @@ def update(
 
     The new state is grown from ``state``: only the new observation is
     checked (a gain on the grid, a finite context and costs, an integer
-    day after the last logged one), and one row is appended to the
-    surrogates' shared index and to their targets. It equals, bit for
-    bit, the state built on the whole log, and holds no reference to
-    ``state``."""
+    day after the last logged one; a fractional or boolean day raises
+    ``ValueError``), and one row is appended to the surrogates' shared
+    index and to their targets. It equals, bit for bit, the state built
+    on the whole log, and holds no reference to ``state``."""
     values = (costs.j1, costs.j2, costs.j3, costs.j4)
-    index = state.domain.index_of(gains)
     if day is None:
         day = len(state.observations) + 1
-    obs = Observation(int(day), float(oat), index, tuple(float(v) for v in values))
+    obs = Observation(day, float(oat), state.domain.index_of(gains), tuple(float(v) for v in values))
     _check_observations(state.domain, (obs,), state.observations[-1].day if state.observations else -math.inf)
-    x, y = surrogate_data(
-        state.domain.unit_points[[index]], [_unit_context(state, obs.context)], [obs.costs], state.thresholds
-    )
     models = state.cost_models + state.constraint_models
-    grown = models[0].index.extend(x)
-    models = [m.with_data(grown.inputs, np.append(m.targets, y[0, i]), index=grown) for i, m in enumerate(models)]
     new = copy.copy(state)  # the constructor would check and bind the whole log again
     object.__setattr__(new, "observations", state.observations + (obs,))
-    object.__setattr__(new, "cost_models", tuple(models[:4]))
-    object.__setattr__(new, "constraint_models", tuple(models[4:]))
+    _condition(new, models[0].index, [m.targets for m in models], (obs,))
     return new
 
 

@@ -49,6 +49,16 @@ def gain_matern52(spec, a, b=None):
     return spec.signal_variance * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r**2) * np.exp(-math.sqrt(5.0) * r)
 
 
+def first_seen(rows):
+    """The distinct rows in the order they first appear and the index of
+    each row among them, by a plain dict."""
+    seen = {}
+    for row in map(tuple, rows.tolist()):
+        seen.setdefault(row, len(seen))
+    index = np.array([seen[tuple(row)] for row in rows.tolist()])
+    return np.array(list(seen), dtype=float).reshape(-1, rows.shape[1]), index
+
+
 def dense_posterior(spec, noise, basis, train_x, train_y, query, kernel=kernel_matrix):
     """Naive full-matrix posterior, the oracle the incremental path must match."""
     mean_prior = 0.0 if basis is None else basis
@@ -132,9 +142,10 @@ def test_grid_node_posterior_matches_dense_solve():
     data_seed=st.integers(0, 2**32 - 1),
 )
 def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
-    """Same distinct rows, in the same order, and the same index as
-    np.unique(axis=0); rows drawn from a small pool repeat, and pools on
-    a coarse lattice share some of their columns."""
+    """The distinct rows of np.unique(axis=0) and its index, reordered by
+    each row's first index, so in the order the rows first appear; rows
+    drawn from a small pool repeat, and pools on a coarse lattice share
+    some of their columns."""
     rng = np.random.default_rng(data_seed)
     if rng.uniform() < 0.5:
         values = rng.integers(0, 3, (pool, dim)) / 2.0
@@ -142,9 +153,13 @@ def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
         values = rng.uniform(0.0, 1.0, (pool, dim))
     a = values[rng.integers(0, pool, n)]
     distinct, index = _distinct_rows(a)
-    want, want_index = np.unique(a, axis=0, return_inverse=True)
-    np.testing.assert_array_equal(distinct, want)
-    np.testing.assert_array_equal(index, want_index.ravel())
+    unique, first, inverse = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    np.testing.assert_array_equal(distinct, unique[order])
+    np.testing.assert_array_equal(index, rank[inverse.ravel()])
+    np.testing.assert_array_equal(distinct[index], a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,9 +228,9 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     factor = cholesky(kernel_matrix(spec, x) + (noise + JITTER * spec.signal_variance) * np.eye(n), lower=True)
     assert np.array_equal(model.gram_factor, factor)
     assert np.array_equal(model.alpha, cho_solve((factor, True), y - (0.0 if basis is None else basis)))
-    want_nodes, want_node_of = np.unique(gains, axis=0, return_inverse=True)
+    want_nodes, want_node_of = first_seen(gains)
     assert np.array_equal(model.index.nodes, want_nodes)
-    assert np.array_equal(model.index.node_of, want_node_of.ravel())
+    assert np.array_equal(model.index.node_of, want_node_of)
     index = InputIndex(x.copy())
     shared = GPModel.empty(spec, noise, basis).with_data(x, y, index=index)
     assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
@@ -235,9 +250,8 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
     first m (as a season carries it from one day to the next, one row a
     day, or several rows when a surrogate was not queried for some days)
     equals, bit for bit, the matrix built on all n, and so does its
-    factor; the later rows may bring gain rows that are new nodes, which
-    moves the node order. The index grown by those rows equals the index
-    built on all n."""
+    factor; the later rows may bring gain rows that are new nodes. The
+    index grown by those rows equals the index built on all n."""
     m = data.draw(st.integers(0, n), label="m")
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
@@ -259,6 +273,36 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
     assert np.array_equal(gram, gram.T)
     assert np.array_equal(grown.gram_factor, whole.gram_factor)
     assert grown.factor(gram) is None  # a model factors once
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), data_seed=st.integers(0, 2**32 - 1))
+def test_an_index_grown_row_by_row_keeps_its_parents_nodes_first(n, data_seed):
+    """An index grown one row at a time, as a season grows it, with new
+    gain rows appearing mid-log before and after the nodes seen so far on
+    the kp-major grid: each grown index holds its parent's inputs, nodes,
+    node indices and context differences as its leading entries, shares
+    no array with it, and equals the index built on the joined inputs,
+    whose nodes are in the order they first appear."""
+    rng = np.random.default_rng(data_seed)
+    grid = GainDomain.build().unit_points
+    pool = grid[rng.choice(grid.shape[0], int(rng.integers(1, n + 1)), replace=False)]
+    x = np.column_stack([pool[rng.integers(0, len(pool), n)], rng.uniform(0.0, 1.0, n)])
+    index = InputIndex(x[:0])
+    for i in range(n):
+        grown = index.extend(x[i : i + 1])
+        u = index.nodes.shape[0]
+        assert np.array_equal(grown.nodes[:u], index.nodes)
+        assert np.array_equal(grown.node_of[:i], index.node_of)
+        assert np.array_equal(grown.context_diffs[:i, :i], index.context_diffs)
+        for name in ("inputs", "nodes", "node_of", "context_diffs"):
+            assert not np.shares_memory(getattr(grown, name), getattr(index, name)), name
+        whole = InputIndex(x[: i + 1])
+        for name in ("inputs", "nodes", "node_of", "context_diffs"):
+            assert np.array_equal(getattr(grown, name), getattr(whole, name)), name
+        want_nodes, want_node_of = first_seen(x[: i + 1, :2])
+        assert np.array_equal(grown.nodes, want_nodes) and np.array_equal(grown.node_of, want_node_of)
+        index = grown
 
 
 @pytest.mark.parametrize("routine", ["dpotrf", "dtrtrs"])

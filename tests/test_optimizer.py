@@ -374,7 +374,8 @@ def test_update_appends_observation_and_retrains():
 def test_update_rejects_bad_inputs():
     """update checks only the new observation, and must refuse what the
     whole-log check refuses: a gain off the grid, a non-finite cost or
-    outside temperature, and a day that does not come after the last."""
+    outside temperature, a day that does not come after the last, and a
+    day that is not an integer."""
     state = make_state(METHOD_CBO)
     with pytest.raises(ValueError):
         update(state, PIGains(1.234, 0.01), 0.0, costs_of(0.5))
@@ -386,6 +387,10 @@ def test_update_rejects_bad_inputs():
     for day in (4, 3):  # the last logged day, and a day before it
         with pytest.raises(ValueError, match="does not come after day 4"):
             update(logged, state.anchor_gains, 0.0, costs_of(0.5), day=day)
+    for parent in (state, logged):
+        for day in (9.5, True):  # refused, not truncated to day 9 or read as day 1
+            with pytest.raises(ValueError, match="its day is not an integer"):
+                update(parent, state.anchor_gains, 0.0, costs_of(0.5), day=day)
 
 
 def test_gain_schedule_is_pure_exploitation_over_the_safe_set():
@@ -442,7 +447,8 @@ def logged_state(method, log, noise=0.02):
 
 
 # A log whose later gains sort before the nodes logged so far (the grid
-# is kp-major), so the node order, and with it every gain block, changes.
+# is kp-major): the nodes keep the order they first appear in, so these
+# gains become the last nodes, not the first.
 _REORDERING_LOG = [
     (20, 0.0, (0.5, 0.6, 0.4, 0.3)),
     (14, 2.0, (0.7, 0.5, 0.6, 0.2)),
@@ -791,11 +797,9 @@ def test_a_workspace_carries_gram_matrices_and_gain_blocks_bit_for_bit():
             if day and rng.uniform() < 0.4:
                 continue  # not queried today
             fresh = dataclasses.replace(model)  # the same model, unfactored
-            workspace.factor(model)
+            block = workspace.gain_covariance(state, model)
             np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
-            np.testing.assert_array_equal(
-                workspace.gain_covariance(state, model), fresh.gain_covariance(state.domain.unit_points)
-            )
+            np.testing.assert_array_equal(block, fresh.gain_covariance(state.domain.unit_points))
 
 
 def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
@@ -816,14 +820,51 @@ def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
         restored = state_from_json(state_to_json(other))
         x = np.column_stack([other.domain.unit_points, np.full(other.domain.size, other.scaler.normalize(1.0))])
         for model, fresh in zip(other.cost_models + other.constraint_models, restored.cost_models + restored.constraint_models):
-            workspace.factor(model)
+            block = workspace.gain_covariance(other, model)
             np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
-            np.testing.assert_array_equal(
-                model.posterior_batch(x, workspace.gain_covariance(other, model)), fresh.posterior_batch(x)
-            )
+            np.testing.assert_array_equal(model.posterior_batch(x, block), fresh.posterior_batch(x))
         for eps in (0.05, 0.45):
             assert np.array_equal(safe_set(other, 1.0, eps, workspace=workspace), safe_set(restored, 1.0, eps))
         assert propose(other, 1.0, workspace) == propose(restored, 1.0)
+
+
+def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_the_carry(monkeypatch):
+    """A model that has factored already, as a state queried without the
+    workspace has, still gets its grid block from the carried one, grown
+    by the new nodes' columns only, and leaves the carry as it was: the
+    next model that extends the carried inputs builds only its own new
+    Gram rows on it."""
+    prior = make_state(METHOD_CBO, domain=GainDomain.build(), noise=0.02)
+    rng = np.random.default_rng(4)
+    log = [(int(g), float(rng.uniform(-10.0, 10.0)), (0.5, 0.6, 0.4, 0.3)) for g in rng.choice(1600, 10, replace=False)]
+    states = grid_states(log, prior)  # a new node every day
+    workspace = QueryWorkspace()
+    for state in states[:8]:
+        workspace.gain_covariance(state, state.cost_models[0])
+    early = states[10].cost_models[0]
+    factor = early.gram_factor  # factored before the workspace sees it
+    heads, columns = [], []
+    gram, gain_covariance = GPModel.gram, GPModel.gain_covariance
+
+    def recording_gram(model, head=None):
+        heads.append(0 if head is None else head.shape[0])
+        return gram(model, head)
+
+    def recording_gain_covariance(model, gains, nodes=None):
+        columns.append((model.index.nodes if nodes is None else nodes).shape[0])
+        return gain_covariance(model, gains, nodes)
+
+    monkeypatch.setattr(GPModel, "gram", recording_gram)
+    monkeypatch.setattr(GPModel, "gain_covariance", recording_gain_covariance)
+    grid = prior.domain.unit_points
+    block = workspace.gain_covariance(states[10], early)
+    assert (heads, columns) == ([], [3]) and early.gram_factor is factor
+    np.testing.assert_array_equal(block, gain_covariance(early, grid))
+    later = states[9].cost_models[0]
+    block = workspace.gain_covariance(states[9], later)
+    assert (heads, columns) == ([7], [3, 2])  # on day 7's carry, not day 10's
+    np.testing.assert_array_equal(block, gain_covariance(later, grid))
+    np.testing.assert_array_equal(later.gram_factor, dataclasses.replace(later).gram_factor)
 
 
 # Weights whose float64 square differs from their product with themselves
@@ -864,7 +905,7 @@ def test_surrogates_regress_the_costs_then_the_headrooms(method, log, oat):
         np.testing.assert_array_equal(got_y, np.column_stack([y, headroom]))
         context = 0.0 if state.scaler is None else state.scaler.normalize(oat)
         grid = np.column_stack([state.domain.unit_points, np.full(state.domain.size, context)])
-        node_rows = state.domain.unit_points[np.unique(indices)]  # the nodes are the logged grid gains, in grid order
+        node_rows = state.domain.unit_points[list(dict.fromkeys(indices.tolist()))]  # logged gains, first seen first
         for model, reference in zip(state.cost_models + state.constraint_models, want, strict=True):
             np.testing.assert_array_equal(model.index.nodes, node_rows)
             posterior = reference.posterior_batch(grid)
