@@ -53,24 +53,25 @@ with a gradient above criterion 2's bound runs again (see
 fewer likelihood evaluations than the former 1e-14 / 1e-10, moves no
 hyperparameter by more than 2.6e-6 relative, and leaves every results
 CSV byte-identical. :func:`fit_starts` checks a fit's data and
-draws its seeded starts before any of them runs. Passed a
-:class:`StartPool`, a fit splits its starts statically between the
-caller and the P - 1 worker processes of a
+draws its seeded starts before any of them runs. A fit runs its starts
+in the caller, or, passed a :class:`StartPool`, splits them statically
+between the caller and the P - 1 worker processes of a
 ``concurrent.futures.ProcessPoolExecutor``, P = min(CPUs this process
-may run on, starts). A caller with several fits to make on one pool
-queues all of their starts first, and they are split as one batch:
-start g of the batch, counted in fit order, goes to process g mod P,
-and the caller is process P - 1. A fit that was not queued is a batch of
-one. Each process runs its share of a fit on one likelihood workspace
-and one BLAS thread and returns only the final value, theta,
-likelihood evaluations and convergence flag of each start; the caller
-puts them back in start order and keeps the first best, so a fit, its
-evaluation count included, is bit-identical at any P, queued or not,
-and without a pool. The pool forks only (spawn or forkserver would
-import numpy and scipy again in every worker), and the executor forks
-every worker before it starts its own threads. The pool has no setting:
-the CPU count alone decides P, and at one CPU, or on a host that cannot
-fork, it starts no process.
+may run on, ``N_STARTS``, starts in the batch). A pool is opened on the
+whole batch of fits it will serve, in the order they will be asked
+for, and submits every worker's share when its block is entered: start
+g of the batch, counted in fit order, goes to process g mod P, and the
+caller is process P - 1. It serves only the next fit of that batch and
+refuses any other. Each
+process runs its share of a fit on one likelihood workspace and one
+BLAS thread and returns only the final value, theta, likelihood
+evaluations and convergence flag of each start; the caller puts them
+back in start order and keeps the first best, so a fit, its evaluation
+count included, is bit-identical at any P and without a pool. The pool
+forks only (spawn or forkserver would import numpy and scipy again in
+every worker), and the executor forks every worker before it starts its
+own threads. The pool has no setting: the CPU count alone decides P,
+and at one CPU, or on a host that cannot fork, it starts no process.
 """
 
 from __future__ import annotations
@@ -256,50 +257,42 @@ class InputIndex:
     they can share one index; each model scales it by its own
     lengthscales when it builds its Gram matrix.
 
-    ``InputIndex(inputs)`` is the empty index grown by ``inputs``, and
-    :meth:`extend` grows an index by a few rows at their cost; a grown
-    index holds its parent's arrays as its leading entries.
+    ``InputIndex()`` is the empty index, and :meth:`extend` is the one
+    way to grow an index, by a few rows at their cost; a grown index
+    holds its parent's arrays as its leading entries.
     """
 
-    def __init__(self, inputs=()):
+    def __init__(self):
         self.inputs, self.nodes = np.empty((0, 3)), np.empty((0, 2))  # 2 gain dims + 1 context dim
         self.node_of, self.context_diffs = np.empty(0, dtype=np.intp), np.empty((0, 0))
-        if len(inputs):
-            self._grow(self, inputs)
 
     def extend(self, rows) -> "InputIndex":
-        """The index of these inputs followed by ``rows``, equal bit for bit
-        to ``InputIndex`` of the joined inputs. The new index shares no
-        array with this one."""
-        grown = object.__new__(InputIndex)
-        grown._grow(self, rows)
-        return grown
-
-    def _grow(self, base: "InputIndex", rows) -> None:
-        """Make this ``base`` grown by ``rows``: only the new context
-        differences are computed, and only the new rows' gains looked up."""
+        """The index of these inputs followed by ``rows``: only the new
+        context differences are computed, and only the new rows' gains
+        looked up. The new index shares no array with this one."""
         new = _observed_points(rows, 3)
         _check_finite_inputs(new)
-        m = base.inputs.shape[0]
-        x = np.vstack([base.inputs, new])
+        m = self.inputs.shape[0]
+        x = np.vstack([self.inputs, new])
         n = x.shape[0]
-        seen, node = np.nonzero(np.all(new[:, None, :2] == base.nodes[None, :, :], axis=2))  # (rows, u)
+        seen, node = np.nonzero(np.all(new[:, None, :2] == self.nodes[None, :, :], axis=2))  # (rows, u)
         node_of = np.empty(new.shape[0], dtype=np.intp)
         node_of[seen] = node
-        nodes = base.nodes.copy()
+        nodes = self.nodes.copy()
         if seen.size < new.shape[0]:  # new nodes follow, in the order they first appear
             fresh = np.ones(new.shape[0], dtype=bool)
             fresh[seen] = False
             fresh_nodes, fresh_of = _distinct_rows(new[fresh, :2])
             node_of[fresh] = nodes.shape[0] + fresh_of
             nodes = np.vstack([nodes, fresh_nodes])
-        node_of = np.concatenate([base.node_of, node_of])
         diffs = np.empty((n, n))
-        diffs[:m, :m] = base.context_diffs
+        diffs[:m, :m] = self.context_diffs
         np.subtract(x[m:, 2, None], x[None, :, 2], out=diffs[m:])
         np.subtract(x[:m, 2, None], x[None, m:, 2], out=diffs[:m, m:])
-        # base is self when __init__ grows the empty index, so every read of base comes first
-        self.inputs, self.nodes, self.node_of, self.context_diffs = x, nodes, node_of, diffs
+        grown = InputIndex()
+        grown.inputs, grown.nodes, grown.context_diffs = x, nodes, diffs
+        grown.node_of = np.concatenate([self.node_of, node_of])
+        return grown
 
 
 def _check_finite_inputs(x: np.ndarray) -> None:
@@ -337,7 +330,7 @@ class GPModel:
             raise ValueError("noise_variance must be positive and finite")
         if basis_coefficient is not None and not math.isfinite(basis_coefficient):
             raise ValueError("basis_coefficient must be finite")
-        return cls(kernel, noise_variance, basis_coefficient).with_data([], [])
+        return cls(kernel, noise_variance, basis_coefficient).with_data([], [], index=InputIndex())
 
     @property
     def num_observations(self) -> int:
@@ -355,7 +348,7 @@ class GPModel:
         a fresh one. Non-finite inputs or targets raise ``ValueError``.
         """
         if index is None:
-            index = InputIndex(inputs)
+            index = InputIndex().extend(inputs)
         elif inputs is not index.inputs and not np.array_equal(
             _observed_points(inputs, self.kernel.input_dim), index.inputs
         ):
@@ -797,7 +790,7 @@ class FitStarts(NamedTuple):
     """What every start of one fit runs on: the kernel template, the
     checked inputs ``x`` and targets ``y``, the basis flag, the L-BFGS-B
     bounds on theta and the seeded starts, the template's first. It
-    unpacks into the arguments of :meth:`StartPool.run`."""
+    unpacks into the arguments of :func:`_run_starts`."""
 
     template: KernelSpec
     x: np.ndarray
@@ -821,90 +814,82 @@ class FitStarts(NamedTuple):
 
 
 class StartPool:
-    """Worker processes that share the random starts of the fits run
-    inside the ``with`` block with the calling process.
+    """Worker processes that share the random starts of a batch of fits
+    with the calling process; the pool serves exactly the batch it is
+    opened on.
 
-    ``size`` is P = min(CPUs this process may run on, ``N_STARTS``): the
-    caller and a ``ProcessPoolExecutor`` of P - 1 workers; at one CPU, or
-    on a host that cannot fork, no process is started. The executor forks
-    its workers at the block's first submission, before it starts its own
-    threads, so they inherit numpy, scipy (scipy.optimize is imported
-    before the fork) and roomtune without importing them again. Forking
-    is safe there because roomtune starts no thread, and OpenBLAS, whose
-    pool is the only other one in the process, registers a fork handler
-    that stops its threads. The workers ignore SIGINT and die with the
-    caller (:func:`_start_worker`).
-
-    :meth:`queue` submits the workers' shares of a batch of fits before
-    any start runs, so the workers go from one fit's share to the next
-    while the caller runs its own; :meth:`run` then serves the fits one
-    at a time. Every exit from the block, an exception included, drops
-    the queue, cancels the shares not yet started and joins the workers.
+    ``plans`` are :func:`fit_starts` results in the order the fits will
+    be asked for; a ``FitResult`` (constant targets) needs no start and
+    is passed over. ``size`` is P = min(CPUs this process may run on,
+    ``N_STARTS``). Entering the block splits the batch statically over
+    p = min(P, starts in the batch) processes: start g of the batch,
+    counted in fit order, goes to process g mod p, the caller being
+    process p - 1, and each worker's share of every fit is submitted to
+    a ``ProcessPoolExecutor`` of p - 1 workers at once, so the workers go
+    from one fit's share to the next while the caller runs its own. At
+    one CPU, on a host that cannot fork, or for a batch of one start, no
+    process is started. The executor forks its workers at that first
+    submission, before it starts its own threads, so they inherit numpy,
+    scipy (scipy.optimize is imported before the fork) and roomtune
+    without importing them again. Forking is safe there because roomtune
+    starts no thread, and OpenBLAS, whose pool is the only other one in
+    the process, registers a fork handler that stops its threads. The
+    workers ignore SIGINT and die with the caller (:func:`_start_worker`).
+    Every exit from the block, an exception included, drops the fits not
+    yet asked for, cancels the shares not yet started and joins the
+    workers.
     """
 
-    def __init__(self):
+    def __init__(self, plans):
         self.size = max(1, min(_cpu_count(), N_STARTS))
+        self._fits = [plan for plan in plans if isinstance(plan, FitStarts)]
         self._executor = None
-        self._queue = deque()  # (fit, start indices of each process, worker futures) per queued fit
+        self._batch = deque()  # (fit, start indices of each process, worker futures) per fit not yet asked for
 
     def __enter__(self) -> "StartPool":
-        if self.size > 1:
+        p = min(self.size, sum(len(fit.starts) for fit in self._fits))
+        if p > 1:
             import scipy.optimize  # noqa: F401 -- the workers inherit it
 
             self._executor = ProcessPoolExecutor(
-                self.size - 1,
+                p - 1,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_worker,
                 initargs=(os.getpid(),),
             )
+        try:
+            first = 0
+            for fit in self._fits:
+                shares = [[i for i in range(len(fit.starts)) if (first + i) % p == q] for q in range(p)]
+                futures = [
+                    self._executor.submit(_run_starts, *fit[:-1], [fit.starts[i] for i in share])
+                    for share in shares[:-1]
+                ]
+                self._batch.append((fit, shares, futures))
+                first += len(fit.starts)
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._queue.clear()
+        self._batch.clear()
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def _submit(self, fits: list[FitStarts]) -> list[tuple[FitStarts, list, list]]:
-        """Split the starts of ``fits`` as one batch and submit the
-        workers' shares: with p = min(P, starts in the batch), start g of
-        the batch, counted in fit order, goes to process g mod p, the
-        caller being process p - 1, and each worker gets one future per
-        fit. Returns (fit, start indices of each process, worker futures)
-        per fit. Outside the ``with`` block P is 1."""
-        p = min(self.size if self._executor is not None else 1, sum(len(fit.starts) for fit in fits))
-        batch, first = [], 0
-        for fit in fits:
-            shares = [[i for i in range(len(fit.starts)) if (first + i) % p == q] for q in range(p)]
-            futures = [
-                self._executor.submit(_run_starts, *fit[:-1], [fit.starts[i] for i in share])
-                for share in shares[:-1]
-            ]
-            batch.append((fit, shares, futures))
-            first += len(fit.starts)
-        return batch
-
-    def queue(self, plans) -> None:
-        """Queue the starts of several fits as one batch, split as
-        :meth:`_submit` says; ``plans`` are :func:`fit_starts` results in
-        the order the fits will be asked for. A ``FitResult`` (constant
-        targets) needs no start and is passed over."""
-        self._queue.extend(self._submit([plan for plan in plans if isinstance(plan, FitStarts)]))
-
-    def run(self, template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: bool, bounds, starts) -> list:
-        """The outcome of each start of one fit, in start order. A fit
-        equal to the head of the queue (:meth:`FitStarts.same_fit`) takes
-        its queued split; any other fit is split and submitted as a batch
-        of one. The caller runs its own share, then collects the
+    def run(self, fit: FitStarts) -> list:
+        """The outcome of each start of ``fit``, in start order, which
+        must be the next fit of the batch (:meth:`FitStarts.same_fit`);
+        any other fit, or a fit asked for outside the block, raises
+        ``ValueError``. The caller runs its own share, then collects the
         workers': a static split, so the caller's share, and what a
         profiler sees of it, is the same from run to run. A worker that
         dies raises ``BrokenProcessPool``."""
-        fit = FitStarts(template, x, y, with_basis, bounds, starts)
-        if self._queue and self._queue[0][0].same_fit(fit):
-            _, shares, futures = self._queue.popleft()
-        else:
-            [(_, shares, futures)] = self._submit([fit])
-        mine = _run_starts(*fit[:-1], [starts[i] for i in shares[-1]])
+        if not self._batch or not self._batch[0][0].same_fit(fit):
+            raise ValueError("the fit asked for is not the next fit of the pool's batch")
+        _, shares, futures = self._batch.popleft()
+        mine = _run_starts(*fit[:-1], [fit.starts[i] for i in shares[-1]])
         done = [future.result() for future in futures] + [mine]
         # A share that raised ends at its exception, which comes before
         # the share's missing starts in start order.
@@ -962,14 +947,14 @@ def fit_hyperparameters(
     re-fits them during a season. Constant targets short-circuit to the
     template defaults with ``degenerate=True``. The starts run in the
     caller, or split between the caller and the workers of ``pool``,
-    which may have queued them; the result is the same bit for bit.
+    whose batch this fit must head; the result is the same bit for bit.
     scipy.optimize is imported only to fit: it adds about 17 MB to every
     process, and only the calibration fits.
     """
     fit = fit_starts(template, inputs, targets, with_basis=with_basis, seed=seed)
     if isinstance(fit, FitResult):
         return fit
-    outcomes = (pool or StartPool()).run(*fit)
+    outcomes = _run_starts(*fit) if pool is None else pool.run(fit)
 
     best = None
     for outcome in outcomes:  # in start order, so the first start that raised raises

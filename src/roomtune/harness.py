@@ -303,12 +303,12 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     kernel hyperparameters once. The perturbed gains double as the
     random safe inputs for maximum-likelihood fitting. BLAS runs on one
     thread, so the fits do not depend on the host's core count. The
-    season is simulated first; then every fit's random starts are drawn
-    and queued at once on one ``StartPool``, which splits them between
-    this process and a worker per further CPU, and the seven fits, each
-    bit-identical to one without the pool, collect them in turn. One
-    DEBUG line after the fits gives the seed, the pool's process count
-    and the wall seconds in the closed-loop days and in the fits."""
+    season is simulated first; then one ``StartPool`` is opened on the
+    seven fits' random starts, splits them between this process and a
+    worker per further CPU, and serves the seven fits, each bit-identical
+    to one without the pool, in turn. One DEBUG line after the fits gives
+    the seed, the pool's process count and the wall seconds in the
+    closed-loop days and in the fits."""
     loop = _ClosedLoop(config, seed, STREAM_CAL_NOISE, config.calibration_days)
     rng_gains = np.random.default_rng(_seed_sequence(config, seed, STREAM_CAL_GAINS))
     anchor = config.anchor_gains
@@ -341,8 +341,8 @@ def run_calibration(config: SeasonConfig, seed: int) -> Calibration:
     ]
     template = contextual_kernel_template()
     start = time.perf_counter()
-    with StartPool() as pool:
-        pool.queue([fit_starts(template, x, targets, with_basis=basis, seed=s) for _, targets, basis, s in fits])
+    plans = [fit_starts(template, x, targets, with_basis=basis, seed=s) for _, targets, basis, s in fits]
+    with StartPool(plans) as pool:
         models = tuple(_fit_surrogate(pool, template, x, *fit) for fit in fits)
     logger.debug(
         "calibration seed %d: %d process(es), %.3f s in the closed-loop days, %.3f s in the fits",
@@ -358,7 +358,7 @@ def _fit_surrogate(
     pool: StartPool, template: KernelSpec, x: np.ndarray, name: str, y: np.ndarray, with_basis: bool, seed: int
 ) -> GPModel:
     """One hyperparameter fit of the calibration, its random starts drawn
-    from ``seed`` and shared with ``pool``, logged at DEBUG with its
+    from ``seed`` and served by ``pool``, logged at DEBUG with its
     fitted likelihood, how many hyperparameters sit on a bound, its
     likelihood evaluations over every process, how many of its starts
     did not converge, and its wall time."""

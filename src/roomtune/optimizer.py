@@ -337,10 +337,12 @@ class QueryWorkspace:
 
     A season's states differ from day to day by one observation, so the
     workspace keeps one entry per surrogate prior (kernel and noise): the
-    grid, the last inputs factored, their unfactored Gram matrix and the
-    grid gain block over their nodes. A model on that grid whose inputs
-    extend the carried ones computes only its new Gram rows
-    (``GPModel.gram``) before potrf factors the whole; its nodes extend
+    grid, the last inputs queried, the grid gain block over their nodes
+    and the unfactored Gram matrix of those inputs, or of a prefix of
+    them when that model had factored before the workspace saw it (none
+    if nothing was carried then). A model on that grid whose inputs
+    extend the carried ones computes only the Gram rows past the carried
+    matrix (``GPModel.gram``) before potrf factors the whole; its nodes extend
     the carried ones too (first-seen order), so the block grows by the
     new nodes' columns. Any other model starts afresh. Every posterior,
     and so every choice, is the same bit for bit without a workspace. One
@@ -349,12 +351,13 @@ class QueryWorkspace:
     """
 
     def __init__(self):
-        self._carry: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._carry: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]] = {}
 
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
         """``model.gain_covariance`` over every grid gain of ``state``, with
         ``model`` factored on the carry of its prior. A model that has
-        factored already gets its block but leaves the carry as it is."""
+        factored already carries its block on the Gram matrix it found,
+        which then covers a prefix of its inputs."""
         grid, inputs, nodes = state.domain.unit_points, model.index.inputs, model.index.nodes
         key = (model.kernel, model.noise_variance)
         head, block = None, np.empty((grid.shape[0], 0))
@@ -364,9 +367,9 @@ class QueryWorkspace:
                 head, block = gram, carried_block
         if block.shape[1] < nodes.shape[0]:
             block = np.hstack([block, model.gain_covariance(grid, nodes[block.shape[1] :])])
-        gram = model.factor(head) if model.num_observations else None
-        if gram is not None:
-            self._carry[key] = (grid, inputs, gram, block)
+        if model.num_observations:
+            gram = model.factor(head)
+            self._carry[key] = (grid, inputs, head if gram is None else gram, block)
         return block
 
 

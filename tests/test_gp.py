@@ -231,7 +231,7 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     want_nodes, want_node_of = first_seen(gains)
     assert np.array_equal(model.index.nodes, want_nodes)
     assert np.array_equal(model.index.node_of, want_node_of)
-    index = InputIndex(x.copy())
+    index = InputIndex().extend(x.copy())
     shared = GPModel.empty(spec, noise, basis).with_data(x, y, index=index)
     assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
     with pytest.raises(ValueError, match="other inputs"):
@@ -263,7 +263,7 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
     y = rng.normal(size=n)
     prior = GPModel.empty(spec, noise)
     head = prior.with_data(x[:m], y[:m]).gram()
-    grown_index = InputIndex(x[:m]).extend(x[m:])
+    grown_index = InputIndex().extend(x[:m]).extend(x[m:])
     whole = prior.with_data(x, y)
     for name in ("inputs", "nodes", "node_of", "context_diffs"):
         assert np.array_equal(getattr(grown_index, name), getattr(whole.index, name)), name
@@ -288,7 +288,7 @@ def test_an_index_grown_row_by_row_keeps_its_parents_nodes_first(n, data_seed):
     grid = GainDomain.build().unit_points
     pool = grid[rng.choice(grid.shape[0], int(rng.integers(1, n + 1)), replace=False)]
     x = np.column_stack([pool[rng.integers(0, len(pool), n)], rng.uniform(0.0, 1.0, n)])
-    index = InputIndex(x[:0])
+    index = InputIndex()
     for i in range(n):
         grown = index.extend(x[i : i + 1])
         u = index.nodes.shape[0]
@@ -297,7 +297,7 @@ def test_an_index_grown_row_by_row_keeps_its_parents_nodes_first(n, data_seed):
         assert np.array_equal(grown.context_diffs[:i, :i], index.context_diffs)
         for name in ("inputs", "nodes", "node_of", "context_diffs"):
             assert not np.shares_memory(getattr(grown, name), getattr(index, name)), name
-        whole = InputIndex(x[: i + 1])
+        whole = InputIndex().extend(x[: i + 1])
         for name in ("inputs", "nodes", "node_of", "context_diffs"):
             assert np.array_equal(getattr(grown, name), getattr(whole, name)), name
         want_nodes, want_node_of = first_seen(x[: i + 1, :2])
@@ -744,9 +744,9 @@ def test_a_pooled_fit_equals_the_fit_without_a_pool(n, k, with_basis, data_seed,
     split between this process and its workers, the pool gives each of
     the first k of six starts the outcome it has when every start runs
     here, and a pooled fit is the same FitResult as the one without a
-    pool. The workers start at the first pooled run of more than one
-    start; one CPU, or a run of one start, starts none, and none is left
-    after the block."""
+    pool. A pool opened on a batch of more than one start starts a
+    worker per further process it splits the batch over; one CPU, or a
+    batch of one start, starts none, and none is left after the block."""
     rng = np.random.default_rng(data_seed)
     x = rng.uniform(0.0, 1.0, (n, 3))
     y = np.sin(4 * x[:, 0]) + x[:, 2] + 0.1 * rng.normal(size=n)
@@ -754,14 +754,18 @@ def test_a_pooled_fit_equals_the_fit_without_a_pool(n, k, with_basis, data_seed,
     lo = np.log([LENGTHSCALE_BOUNDS[0]] * 3 + [VARIANCE_BOUNDS[0]] * 2)
     hi = np.log([LENGTHSCALE_BOUNDS[1]] * 3 + [VARIANCE_BOUNDS[1]] * 2)
     starts_rng = np.random.default_rng(fit_seed)
-    task = (template, x, y, with_basis, list(zip(lo, hi)), [starts_rng.uniform(lo, hi) for _ in range(6)][:k])
+    task = gp.FitStarts(
+        template, x, y, with_basis, list(zip(lo, hi)), [starts_rng.uniform(lo, hi) for _ in range(6)][:k]
+    )
     want = [outcome._replace(theta=outcome.theta.tolist()) for outcome in gp._run_starts(*task)]
+    plan = gp.fit_starts(template, x, y, with_basis=with_basis, seed=fit_seed)
     want_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed)
     for cpus in (1, 2, 3):
-        with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool() as pool:
+        with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool([task]) as pool:
             assert pool.size == min(cpus, gp.N_STARTS)
-            got = [outcome._replace(theta=outcome.theta.tolist()) for outcome in pool.run(*task)]
-            assert len(multiprocessing.active_children()) == (pool.size - 1 if k > 1 else 0)
+            got = [outcome._replace(theta=outcome.theta.tolist()) for outcome in pool.run(task)]
+            assert len(multiprocessing.active_children()) == min(pool.size, k) - 1
+        with mock.patch.object(gp, "_cpu_count", lambda: cpus), StartPool([plan]) as pool:
             got_fit = fit_hyperparameters(template, x, y, with_basis=with_basis, seed=fit_seed, pool=pool)
         assert got == want
         assert got_fit == want_fit
@@ -776,11 +780,12 @@ def test_a_fit_that_raises_in_a_pool_leaves_the_pool_usable_and_no_worker_behind
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (20, 3))
     y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=20)
+    bad = np.where(np.arange(20) == 3, np.nan, y)
     template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
     with pytest.raises(RuntimeError, match="leaving the block"):
-        with StartPool() as pool:
+        with StartPool([gp.fit_starts(template, x, bad), gp.fit_starts(template, x, y)]) as pool:
             with pytest.raises(ValueError, match="non-finite target"):  # start 0 runs in the worker
-                fit_hyperparameters(template, x, np.where(np.arange(20) == 3, np.nan, y), pool=pool)
+                fit_hyperparameters(template, x, bad, pool=pool)
             assert len(multiprocessing.active_children()) == 1
             assert fit_hyperparameters(template, x, y, pool=pool) == fit_hyperparameters(template, x, y)
             raise RuntimeError("leaving the block")
@@ -807,9 +812,10 @@ def test_a_pooled_fit_cut_short_raises_and_leaves_no_worker(fault, monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, (20, 3))
     y = np.sin(4 * x[:, 0]) + 0.1 * rng.normal(size=20)
+    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
     with pytest.raises(fault):
-        with StartPool() as pool:
-            fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, y, pool=pool)
+        with StartPool([gp.fit_starts(template, x, y)]) as pool:
+            fit_hyperparameters(template, x, y, pool=pool)
     assert multiprocessing.active_children() == []
 
 
@@ -827,18 +833,17 @@ def batch_fits(n, specs, data_seed):
     return x, fits
 
 
-def queued_fits(x, fits, *, queued=None, order=None):
-    """Queue the starts of ``queued`` (default: every fit) on one pool,
-    then fit in ``order`` (default: fit order); the FitResults in fit order."""
-    queued = range(len(fits)) if queued is None else queued
-    order = range(len(fits)) if order is None else order
-    results = {}
-    with StartPool() as pool:
-        pool.queue([gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in (fits[i] for i in queued)])
-        for i in order:
-            y, b, s = fits[i]
-            results[i] = fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)
-    return [results[i] for i in range(len(fits))]
+def pool_plans(x, fits):
+    """The :func:`fit_starts` result of each fit, the batch a pool for
+    ``fits`` is opened on."""
+    return [gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
+
+
+def pooled_fits(x, fits):
+    """The FitResults of ``fits``, asked in turn of one pool opened on
+    all of them."""
+    with StartPool(pool_plans(x, fits)) as pool:
+        return [fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool) for y, b, s in fits]
 
 
 @settings(max_examples=5, deadline=None)
@@ -850,45 +855,56 @@ def queued_fits(x, fits, *, queued=None, order=None):
     data_seed=st.integers(0, 2**32 - 1),
 )
 def test_a_queued_batch_of_fits_equals_the_fits_without_a_pool(n, specs, data_seed):
-    """However many CPUs the pool sees, the starts of 1-7 fits queued at
-    once and split round-robin over the batch give every fit the bits of
-    its fit without a pool, and the batch's likelihood evaluations,
-    summed over every process, equal those of the fits without a pool;
-    a fit with constant targets needs no start, counts none and is
-    passed over by the queue. No worker is left after the block."""
+    """However many CPUs the pool sees, the starts of the 1-7 fits a pool
+    is opened on, split round-robin over the batch, give every fit the
+    bits of its fit without a pool, and the batch's likelihood
+    evaluations, summed over every process, equal those of the fits
+    without a pool; a fit with constant targets needs no start, counts
+    none and is passed over by the pool. No worker is left after the
+    block."""
     x, fits = batch_fits(n, specs, data_seed)
     unpooled = [fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
     evaluations = sum(fit.evaluations for fit in unpooled)
     assert evaluations >= sum(not fit.degenerate for fit in unpooled) * gp.N_STARTS
     for cpus in (1, 2, 3):
         with mock.patch.object(gp, "_cpu_count", lambda: cpus):
-            got = queued_fits(x, fits)
+            got = pooled_fits(x, fits)
         assert list(map(repr, got)) == list(map(repr, unpooled))
         assert sum(fit.evaluations for fit in got) == evaluations
         assert multiprocessing.active_children() == []
 
 
-def test_a_fit_asked_for_out_of_queue_order_equals_its_fit_without_a_pool(monkeypatch):
-    """A fit that is not at the head of the queue, or was never queued,
-    runs as a batch of one; the queued fits are still served in turn."""
+@pytest.mark.parametrize("asked", [1, 3], ids=["out_of_turn", "not_in_the_batch"])
+def test_a_fit_other_than_the_next_of_the_batch_is_refused(monkeypatch, asked):
+    """A pool serves only the next fit of the batch it was opened on: the
+    batch's second fit asked for first, or a fit that is not in the
+    batch, raises ValueError. Leaving the block by that error joins every
+    worker, and the pool then serves no fit at all, not even the one
+    that headed its batch."""
     monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
     x, fits = batch_fits(20, [(False, i % 2 == 0, 7 + i) for i in range(4)], 11)
-    want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits]
-    assert list(map(repr, queued_fits(x, fits, order=[2, 0, 3, 1]))) == want
-    assert list(map(repr, queued_fits(x, fits, queued=[0, 1], order=[3, 0, 2, 1]))) == want
+    pool = StartPool(pool_plans(x, fits[:3]))
+    with pytest.raises(ValueError, match="next fit of the pool's batch"):
+        with pool:
+            assert len(multiprocessing.active_children()) == 1
+            y, b, s = fits[asked]
+            fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)
+    assert multiprocessing.active_children() == []
+    y, b, s = fits[0]
+    with pytest.raises(ValueError, match="next fit of the pool's batch"):
+        fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)
     assert multiprocessing.active_children() == []
 
 
 def test_a_start_that_raises_inside_a_batch_raises_at_its_own_fit(monkeypatch):
     """A fit whose starts raise, in the worker and in the caller alike,
-    raises when it is asked for, and not before; the fits queued around
-    it still equal their fits without a pool."""
+    raises when it is asked for, and not before; the fits of the batch
+    around it still equal their fits without a pool."""
     monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
     x, fits = batch_fits(20, [(False, True, 1), (False, False, 2), (False, True, 3)], 5)
     fits[1] = (np.where(np.arange(20) == 3, np.nan, fits[1][0]), False, 2)
     want = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in (fits[0], fits[2])]
-    with StartPool() as pool:
-        pool.queue([gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits])
+    with StartPool(pool_plans(x, fits)) as pool:
         got = [repr(fit_hyperparameters(_TEMPLATE, x, fits[0][0], with_basis=True, seed=1, pool=pool))]
         with pytest.raises(ValueError, match="non-finite target"):
             fit_hyperparameters(_TEMPLATE, x, fits[1][0], seed=2, pool=pool)
@@ -898,25 +914,17 @@ def test_a_start_that_raises_inside_a_batch_raises_at_its_own_fit(monkeypatch):
 
 
 def test_leaving_the_block_with_fits_queued_cancels_them_and_leaves_no_worker(monkeypatch):
-    """An exception after the first of seven queued fits leaves the block:
-    every queued share is then finished or cancelled, no worker is left,
-    and the pool entered again has an empty queue, so the other six fits
-    run afresh instead of collecting the cancelled shares."""
+    """An exception after the first of the seven fits a pool was opened
+    on leaves the block: every worker share of the batch is then
+    finished or cancelled, and no worker is left."""
     monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
     x, fits = batch_fits(20, [(False, i < 4, 30 + i) for i in range(7)], 9)
-    plans = [gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
-    pool = StartPool()
     with pytest.raises(RuntimeError, match="leaving the block"):
-        with pool:
-            pool.queue(plans)
-            futures = [future for entry in pool._queue for future in entry[2]]
+        with StartPool(pool_plans(x, fits)) as pool:
+            futures = [future for entry in pool._batch for future in entry[2]]
             fit_hyperparameters(_TEMPLATE, x, fits[0][0], with_basis=True, seed=30, pool=pool)
             raise RuntimeError("leaving the block")
     assert len(futures) == 7 and all(future.done() for future in futures)
-    assert multiprocessing.active_children() == []
-    with pool:
-        got = [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s, pool=pool)) for y, b, s in fits[1:]]
-    assert got == [repr(fit_hyperparameters(_TEMPLATE, x, y, with_basis=b, seed=s)) for y, b, s in fits[1:]]
     assert multiprocessing.active_children() == []
 
 
@@ -926,7 +934,7 @@ def test_the_callers_share_of_a_batch_repeats_from_run_to_run(monkeypatch):
     likelihood calls are those of exactly those starts, in every run."""
     monkeypatch.setattr(gp, "_cpu_count", lambda: 2)
     x, fits = batch_fits(20, [(i == 2, i < 4, 50 + i) for i in range(7)], 13)
-    plans = [gp.fit_starts(_TEMPLATE, x, y, with_basis=b, seed=s) for y, b, s in fits]
+    plans = pool_plans(x, fits)
     caller = os.getpid()
     calls = []
     lml = gp.log_marginal_likelihood
@@ -944,7 +952,7 @@ def test_the_callers_share_of_a_batch_repeats_from_run_to_run(monkeypatch):
     want = len(calls)
     for _ in range(3):
         calls.clear()
-        queued_fits(x, fits)
+        pooled_fits(x, fits)
         assert len(calls) == want
     assert multiprocessing.active_children() == []
 

@@ -384,7 +384,7 @@ def test_a_host_that_cannot_fork_or_tell_its_cpus_calibrates_in_one_process(
         methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
         monkeypatch.setattr(gp.multiprocessing, "get_all_start_methods", lambda: methods)
         monkeypatch.setattr(gp.multiprocessing, "get_context", None)  # a fork attempt would raise
-    assert gp.StartPool().size == 1
+    assert gp.StartPool([]).size == 1
     assert run_calibration(small_config, seed=0).to_json() == calibration.to_json()
     assert multiprocessing.active_children() == []
 

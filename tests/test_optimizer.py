@@ -831,9 +831,9 @@ def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
 def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_the_carry(monkeypatch):
     """A model that has factored already, as a state queried without the
     workspace has, still gets its grid block from the carried one, grown
-    by the new nodes' columns only, and leaves the carry as it was: the
-    next model that extends the carried inputs builds only its own new
-    Gram rows on it."""
+    by the new nodes' columns only, and carries that block on the Gram
+    matrix it found: the next model, which extends its inputs, builds
+    only its Gram rows past that matrix and its own new node's column."""
     prior = make_state(METHOD_CBO, domain=GainDomain.build(), noise=0.02)
     rng = np.random.default_rng(4)
     log = [(int(g), float(rng.uniform(-10.0, 10.0)), (0.5, 0.6, 0.4, 0.3)) for g in rng.choice(1600, 10, replace=False)]
@@ -841,7 +841,7 @@ def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_
     workspace = QueryWorkspace()
     for state in states[:8]:
         workspace.gain_covariance(state, state.cost_models[0])
-    early = states[10].cost_models[0]
+    early = states[9].cost_models[0]
     factor = early.gram_factor  # factored before the workspace sees it
     heads, columns = [], []
     gram, gain_covariance = GPModel.gram, GPModel.gain_covariance
@@ -857,14 +857,45 @@ def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_
     monkeypatch.setattr(GPModel, "gram", recording_gram)
     monkeypatch.setattr(GPModel, "gain_covariance", recording_gain_covariance)
     grid = prior.domain.unit_points
-    block = workspace.gain_covariance(states[10], early)
-    assert (heads, columns) == ([], [3]) and early.gram_factor is factor
+    block = workspace.gain_covariance(states[9], early)
+    assert (heads, columns) == ([], [2]) and early.gram_factor is factor
     np.testing.assert_array_equal(block, gain_covariance(early, grid))
-    later = states[9].cost_models[0]
-    block = workspace.gain_covariance(states[9], later)
-    assert (heads, columns) == ([7], [3, 2])  # on day 7's carry, not day 10's
+    later = states[10].cost_models[0]
+    block = workspace.gain_covariance(states[10], later)
+    assert (heads, columns) == ([7], [2, 1])  # day 7's Gram matrix, day 9's block
     np.testing.assert_array_equal(block, gain_covariance(later, grid))
     np.testing.assert_array_equal(later.gram_factor, dataclasses.replace(later).gram_factor)
+
+
+def test_repeated_queries_of_models_factored_before_the_workspace_saw_them_build_each_block_once(monkeypatch):
+    """The surrogates of a state queried without the workspace have all
+    factored when the workspace first sees them, as a restored state's
+    have after one command queried them. Each gets its grid block built
+    on the first call only: later rounds of calls compute no block
+    column and return the same block."""
+    prior = with_distinct_kernels(make_state(METHOD_SCBO, domain=GainDomain.build(), noise=0.02))
+    state = grid_states(grid_log(5, 12), prior)[-1]
+    models = state.cost_models + state.constraint_models
+    for model in models:
+        model.gram_factor  # factored before the workspace sees it
+    columns = []
+    gain_covariance = GPModel.gain_covariance
+
+    def recording_gain_covariance(model, gains, nodes=None):
+        columns.append((model.index.nodes if nodes is None else nodes).shape[0])
+        return gain_covariance(model, gains, nodes)
+
+    monkeypatch.setattr(GPModel, "gain_covariance", recording_gain_covariance)
+    workspace = QueryWorkspace()
+    blocks = [workspace.gain_covariance(state, model) for model in models]
+    u = models[0].index.nodes.shape[0]
+    assert columns == [u] * len(models)
+    for _ in range(3):
+        for model, block in zip(models, blocks):
+            np.testing.assert_array_equal(workspace.gain_covariance(state, model), block)
+    assert columns == [u] * len(models)
+    for model, block in zip(models, blocks):
+        np.testing.assert_array_equal(block, gain_covariance(model, state.domain.unit_points))
 
 
 # Weights whose float64 square differs from their product with themselves
