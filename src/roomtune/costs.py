@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,10 @@ class EpisodeTrace:
         n = self.setpoint.size
         if self.t_room.size != n or self.valve.size != n:
             raise ValueError("trace arrays must have equal lengths")
-        if np.any(self.valve < 0) or np.any(self.valve > 1):
+        if not (np.isfinite(self.setpoint).all() and np.isfinite(self.t_room).all()):
+            raise ValueError("setpoint and room temperature samples must be finite")
+        # a NaN extreme fails both comparisons, and so refuses a NaN sample
+        if n and not (self.valve.min() >= 0.0 and self.valve.max() <= 1.0):
             raise ValueError("valve commands must lie in [0, 1]")
 
     @property
@@ -110,14 +114,18 @@ def rise_time_10_90(trace: EpisodeTrace) -> float:
 
 
 def _first_crossing(trace: EpisodeTrace, start: int, level: float) -> float | None:
+    """Seconds from sample ``start`` until the room first reaches
+    ``level``, interpolated between the two samples that bracket it;
+    None if it never does."""
     temps = trace.t_room
     if temps[start] >= level:
         return 0.0
-    for k in range(start + 1, trace.num_steps):
-        if temps[k] >= level:
-            frac = (level - temps[k - 1]) / (temps[k] - temps[k - 1])
-            return (k - 1 + frac - start) * trace.step_seconds
-    return None
+    reached = np.flatnonzero(temps[start + 1 :] >= level)
+    if not reached.size:
+        return None
+    k = start + 1 + int(reached[0])
+    below, above = float(temps[k - 1]), float(temps[k])
+    return (k - 1 + (level - below) / (above - below) - start) * trace.step_seconds
 
 
 def overshoot(trace: EpisodeTrace) -> float:
@@ -129,24 +137,22 @@ def overshoot(trace: EpisodeTrace) -> float:
     """
     s = _check_step_index(trace)
     sp = float(trace.setpoint[s])
-    end = trace.num_steps
-    for k in range(s + 1, trace.num_steps):
-        if trace.setpoint[k] != sp:
-            end = k
-            break
-    return max(0.0, float(np.max(trace.t_room[s:end]) - sp))
+    changed = np.flatnonzero(trace.setpoint[s + 1 :] != sp)
+    end = s + 1 + int(changed[0]) if changed.size else trace.num_steps
+    return max(0.0, float(trace.t_room[s:end].max() - sp))
 
 
 def output_derivative_l2(trace: EpisodeTrace) -> float:
     if trace.num_steps < 2:
         raise ValueError("need at least 2 samples for the output derivative")
-    return float(np.sqrt(np.sum(np.diff(trace.valve) ** 2)))
+    du = trace.valve[1:] - trace.valve[:-1]
+    return math.sqrt((du * du).sum())
 
 
 def output_l2(trace: EpisodeTrace) -> float:
     if trace.num_steps < 1:
         raise ValueError("need at least 1 sample")
-    return float(np.sqrt(np.sum(trace.valve**2)))
+    return math.sqrt((trace.valve * trace.valve).sum())
 
 
 def compute_raw_costs(trace: EpisodeTrace) -> RawCosts:
@@ -178,13 +184,21 @@ class CostNormalization:
             raise ValueError("thresholds must be positive and finite")
         check_weights(self.weights)
 
+    @cached_property  # normalize runs every day
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        scales, weights = np.asarray(self.scales, dtype=float), np.asarray(self.weights, dtype=float)
+        scales.flags.writeable = weights.flags.writeable = False
+        return scales, weights
+
     def normalize(self, raw: RawCosts) -> NormalizedCosts:
-        vals = raw.as_array() / np.asarray(self.scales)
-        return NormalizedCosts(*vals, total=float(np.dot(vals, np.asarray(self.weights, dtype=float))))
+        scales, weights = self._arrays
+        vals = raw.as_array() / scales
+        return NormalizedCosts(*vals, total=float(np.dot(vals, weights)))
 
     def is_violation(self, costs: NormalizedCosts) -> bool:
         """Any constrained index (1-3) above its safety threshold."""
-        return bool(np.any(costs.as_array()[:3] > np.asarray(self.thresholds)))
+        c1, c2, c3 = self.thresholds
+        return bool(costs.j1 > c1 or costs.j2 > c2 or costs.j3 > c3)
 
     def to_dict(self) -> dict:
         return {"scales": list(self.scales), "thresholds": list(self.thresholds), "weights": list(self.weights)}

@@ -21,6 +21,7 @@ import re
 import secrets
 import time
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,7 @@ def _parse_flag(text: str) -> bool:
 # Results-CSV columns, in DailyResult field order; bools are stored as 0/1
 # and floats are finite; the reader rejects anything else.
 RESULTS_FIELDS = _field_names(DailyResult)
+_result_values = attrgetter(*RESULTS_FIELDS)
 _RESULTS_PARSERS = tuple(
     {"int": int, "float": _parse_finite, "bool": _parse_flag}[f.type] for f in fields(DailyResult)
 )
@@ -494,7 +496,9 @@ def run_season(
     propagates: a bad day aborts the run rather than being skipped.
     Each GP day's proposal (gain index, safe-set size, whether it fell
     back to the anchor) is logged at DEBUG, and so are the season's wall
-    seconds in ``propose``, in ``update`` and in the closed-loop days.
+    seconds in ``propose``, in ``update`` and in the closed-loop days,
+    the closed loop's microseconds per simulated step, and the seconds
+    in the day's costs and result row.
     The proposals share one ``QueryWorkspace``. BLAS runs on one thread.
     """
     if method not in ALL_METHODS:
@@ -507,7 +511,8 @@ def run_season(
     workspace = QueryWorkspace()
     gains, safe_size = config.anchor_gains, 1
     rows = []
-    propose_s = update_s = day_s = 0.0
+    propose_s = update_s = day_s = row_s = 0.0
+    steps = 0
     for day, oat in enumerate(loop.morning_oats, start=1):
         if opt_state is not None:
             start = time.perf_counter()
@@ -524,7 +529,9 @@ def run_season(
             gains, safe_size = proposal.gains, proposal.safe_set_size
         start = time.perf_counter()
         trace = loop.play(day, gains)
-        day_s += time.perf_counter() - start
+        played = time.perf_counter()
+        day_s += played - start
+        steps += trace.num_steps
         raw = compute_raw_costs(trace)
         normed = normalization.normalize(raw)
         rows.append(
@@ -547,18 +554,22 @@ def run_season(
                 violation=normalization.is_violation(normed),
             )
         )
+        row_s += time.perf_counter() - played
         if opt_state is not None:
             start = time.perf_counter()
             opt_state = update(opt_state, gains, oat, normed, day=day)
             update_s += time.perf_counter() - start
     logger.debug(
-        "%s seed %d: %d days, %.3f s in propose, %.3f s in update, %.3f s in the closed-loop days",
+        "%s seed %d: %d days, %.3f s in propose, %.3f s in update, %.3f s in the closed-loop days "
+        "(%.2f us per step), %.3f s in the costs and rows",
         method,
         seed,
         len(rows),
         propose_s,
         update_s,
         day_s,
+        1e6 * day_s / steps,
+        row_s,
     )
     return SeasonRun(method, seed, tuple(rows), opt_state)
 
@@ -575,8 +586,7 @@ def write_results_csv(path, results) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(RESULTS_FIELDS)
-    for r in results:
-        values = (getattr(r, name) for name in RESULTS_FIELDS)
+    for values in map(_result_values, results):
         writer.writerow(int(v) if isinstance(v, bool) else v for v in values)
     write_atomically(path, buffer.getvalue())
 

@@ -183,6 +183,21 @@ class DaySchedule:
     def setpoints(self, steps: int) -> np.ndarray:
         return np.where(self._comfort(steps), self.comfort_setpoint, self.night_setpoint)
 
+    @cached_property
+    def _sampled(self) -> dict[int, tuple[np.ndarray, list[float]]]:
+        return {}
+
+    def sampled_setpoints(self, steps: int) -> tuple[np.ndarray, list[float]]:
+        """``setpoints(steps)``, read-only, and the same values as a
+        list; built once per schedule and length, as simulate_day asks
+        every day."""
+        sampled = self._sampled.get(steps)
+        if sampled is None:
+            array = self.setpoints(steps)
+            array.flags.writeable = False
+            sampled = self._sampled[steps] = (array, array.tolist())
+        return sampled
+
     @cached_property  # simulate_day asks every day
     def morning_step_index(self) -> int:
         """The first comfort sample of a day, where ``setpoints`` steps
@@ -207,12 +222,13 @@ class WeatherDay:
     occupancy_profile: np.ndarray
 
     def __post_init__(self):
-        profiles = [np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)]
-        for f, arr in zip(fields(self), profiles):
-            object.__setattr__(self, f.name, arr)
+        names = self.__dataclass_fields__  # as fields(), at a fraction of its cost per day
+        profiles = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        for name, arr in zip(names, profiles):
+            object.__setattr__(self, name, arr)
         if len({arr.size for arr in profiles}) != 1:
             raise ValueError("weather profiles must share one length")
-        if not all(np.all(np.isfinite(arr)) for arr in profiles):
+        if not all(np.isfinite(arr).all() for arr in profiles):
             raise ValueError("weather profiles must be finite")
 
 
@@ -236,10 +252,10 @@ def simulate_day(
     whole day re-learning the standing heat demand.
     """
     steps = weather.oat_profile.size
-    setpoints = schedule.setpoints(steps)
+    setpoints, setpoint_list = schedule.sampled_setpoints(steps)
     if params.noise_sigma > 0:
         sigma = params.noise_sigma
-        noise = np.clip(rng.normal(0.0, sigma, steps), -3.0 * sigma, 3.0 * sigma)
+        noise = rng.normal(0.0, sigma, steps).clip(-3.0 * sigma, 3.0 * sigma)
     else:
         noise = np.zeros(steps)
     water = heating_curve(comp, weather.oat_profile)
@@ -249,12 +265,15 @@ def simulate_day(
     # accumulation while the raw output is saturated in the error's
     # direction), then the window that keeps ki * integrator within
     # [INTEGRAL_TERM_MIN, INTEGRAL_TERM_MAX]; the valve saturates to
-    # [0, 1]. tests/reference.py spells the loop out per step, every
-    # operation in the same order, and the two stay bit-identical. The
-    # valid initial state and the range check keep the measurement
-    # finite; DaySchedule keeps the setpoint finite.
-    t_room = np.empty(steps)
-    valve = np.empty(steps)
+    # [0, 1]. The output is recomputed only when one of the two moved the
+    # integrator; a held integrator is already inside the window.
+    # tests/reference.py spells the loop out per step, every operation in
+    # the same order, and the two stay bit-identical. The valid initial
+    # state and the range check keep the measurement finite; DaySchedule
+    # keeps the setpoint finite.
+    t_room: list[float] = []
+    valve: list[float] = []
+    record_t, record_u = t_room.append, valve.append
     kp, ki = gains.kp, gains.ki
     # the integrator window; with ki = 0 the integrator is unbounded
     lo, hi = (INTEGRAL_TERM_MIN / ki, INTEGRAL_TERM_MAX / ki) if ki > 0.0 else (-math.inf, math.inf)
@@ -266,34 +285,37 @@ def simulate_day(
     heat_gain = params.input_gain * params.radiator_ua
     wall_leak = 1.0 - wall_pole
     t, t_wall = initial_state.t_room, initial_state.t_wall
+    t_min, t_max = ROOM_TEMP_MIN, ROOM_TEMP_MAX
     profiles = zip(
-        setpoints.tolist(),
+        setpoint_list,
         weather.oat_profile.tolist(),
         water.tolist(),
         weather.solar_profile.tolist(),
         weather.occupancy_profile.tolist(),
         noise.tolist(),
     )
-    for k, (sp, oat, water_temp, solar, occupancy, eps) in enumerate(profiles):
-        t_room[k] = t
+    for sp, oat, water_temp, solar, occupancy, eps in profiles:
+        record_t(t)
         error = sp - t
         held = integrator
         integrator = held + error
-        raw = kp * error + ki * integrator
-        if (raw > 1.0 and error > 0.0) or (raw < 0.0 and error < 0.0):
+        u = kp * error + ki * integrator
+        if (u > 1.0 and error > 0.0) or (u < 0.0 and error < 0.0):
             integrator = held
-        if integrator < lo:
+            u = kp * error + ki * integrator
+        elif integrator < lo:
             integrator = lo
+            u = kp * error + ki * integrator
         elif integrator > hi:
             integrator = hi
-        u = kp * error + ki * integrator
+            u = kp * error + ki * integrator
         if u < 0.0:
             u = 0.0
         elif u > 1.0:
             u = 1.0
-        if not 0.0 <= u <= 1.0:
+        elif u != u:  # NaN, from an overflowed integrator
             raise ValueError("valve command must lie in [0, 1]")
-        valve[k] = u
+        record_u(u)
         drive = water_temp - t
         if drive < 0.0:
             drive = 0.0
@@ -308,12 +330,12 @@ def simulate_day(
         )
         t_wall = wall_pole * t_wall + wall_leak * t
         t = t_next
-        if not ROOM_TEMP_MIN <= t <= ROOM_TEMP_MAX:
+        if not t_min <= t <= t_max:
             raise SimulationDivergedError(f"room temperature {t:.2f} degC outside sanity range")
     trace = EpisodeTrace(
         setpoint=setpoints,
-        t_room=t_room,
-        valve=valve,
+        t_room=np.fromiter(t_room, float, steps),
+        valve=np.fromiter(valve, float, steps),
         step_seconds=STEP_SECONDS,
         step_index=schedule.morning_step_index,
     )

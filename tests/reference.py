@@ -1,7 +1,10 @@
 """Per-step references for the closed loop that ``plant.simulate_day``
 runs inlined: one PI controller update, one plant update, and a whole
 day spelled out with the two. The tests use them as oracles;
-``simulate_day`` must stay bit-identical to ``reference_day``.
+``simulate_day`` must stay bit-identical to ``reference_day``. The same
+holds for the day's costs: ``reference_raw_costs`` scans the trace one
+sample at a time where ``costs.compute_raw_costs`` searches whole arrays,
+and the two must agree bit for bit.
 
 The controller is a discrete positional PI: its output saturates to the
 valve range [0, 1], and its integrator uses conditional integration as
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from roomtune.costs import EpisodeTrace, RawCosts
 from roomtune.pid import INTEGRAL_TERM_MAX, INTEGRAL_TERM_MIN, PIGains
 from roomtune.plant import (
     ROOM_TEMP_MAX,
@@ -113,3 +117,48 @@ def reference_day(params, comp, weather, gains, schedule, initial_state, rng,
             weather.solar_profile[k], weather.occupancy_profile[k], noise[k],
         )
     return setpoints, t_room, valve, state, gains.ki * ctrl.integrator
+
+
+def first_crossing(trace: EpisodeTrace, start: int, level: float) -> float | None:
+    """Seconds from sample ``start`` until the room first reaches
+    ``level``, interpolated between the bracketing samples; None if it
+    never does."""
+    temps = trace.t_room
+    if temps[start] >= level:
+        return 0.0
+    for k in range(start + 1, trace.num_steps):
+        if temps[k] >= level:
+            frac = (level - temps[k - 1]) / (temps[k] - temps[k - 1])
+            return (k - 1 + frac - start) * trace.step_seconds
+    return None
+
+
+def overshoot(trace: EpisodeTrace) -> float:
+    """Peak excursion above the step's setpoint while that setpoint holds."""
+    s = trace.step_index
+    sp = float(trace.setpoint[s])
+    end = trace.num_steps
+    for k in range(s + 1, trace.num_steps):
+        if trace.setpoint[k] != sp:
+            end = k
+            break
+    return max(0.0, float(np.max(trace.t_room[s:end]) - sp))
+
+
+def reference_raw_costs(trace: EpisodeTrace) -> RawCosts:
+    """compute_raw_costs with the crossing and setback searches run one
+    sample at a time: the oracle for its array searches."""
+    s = trace.step_index
+    base = float(trace.t_room[s])
+    amplitude = float(trace.setpoint[s]) - base
+    rise = 0.0
+    if amplitude > 0.0:
+        t10 = first_crossing(trace, s, base + 0.1 * amplitude)
+        t90 = first_crossing(trace, s, base + 0.9 * amplitude)
+        rise = trace.day_seconds if t90 is None or t10 is None else t90 - t10
+    return RawCosts(
+        j1_rise_s=rise,
+        j2_overshoot_c=overshoot(trace),
+        j3_du_l2=float(np.sqrt(np.sum(np.diff(trace.valve) ** 2))),
+        j4_u_l2=float(np.sqrt(np.sum(trace.valve**2))),
+    )

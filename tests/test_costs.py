@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_raw_costs
 from roomtune.costs import (
     CalibrationError,
     CostNormalization,
@@ -200,3 +201,68 @@ def test_trace_validation():
         EpisodeTrace(np.zeros(5), np.zeros(4), np.zeros(5), STEP, 0)
     with pytest.raises(ValueError):
         EpisodeTrace(np.zeros(5), np.zeros(5), np.full(5, 1.5), STEP, 0)
+    EpisodeTrace(np.full(5, 21.0), np.full(5, 20.0), np.array([0.0, 0.5, 1.0, 1.0, 0.0]), STEP, 0)
+    # NaN passes every range check, so each array is refused one non-finite sample
+    for field in ("setpoint", "t_room", "valve"):
+        for bad in (math.nan, math.inf, -math.inf):
+            arrays = {"setpoint": np.full(5, 21.0), "t_room": np.full(5, 20.0), "valve": np.full(5, 0.5)}
+            arrays[field][2] = bad
+            with pytest.raises(ValueError, match="finite" if field != "valve" else r"\[0, 1\]"):
+                EpisodeTrace(**arrays, step_seconds=STEP, step_index=0)
+
+
+def assert_costs_match_reference(trace):
+    got, want = compute_raw_costs(trace), reference_raw_costs(trace)
+    for name in ("j1_rise_s", "j2_overshoot_c", "j3_du_l2", "j4_u_l2"):
+        assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+
+
+_ONE_ULP_UP = float(np.nextafter(20.0, math.inf))
+
+
+@pytest.mark.parametrize(
+    "setpoint, t_room, step_index",
+    [
+        # one ulp of amplitude: the 10 % level rounds onto the step sample itself
+        ([17.0, _ONE_ULP_UP, _ONE_ULP_UP, 17.0], [20.0, 20.0, 21.0, 21.0], 1),
+        # both levels reached between samples, then the evening setback
+        ([17.0, 21.0, 21.0, 21.0, 17.0, 17.0], [17.0, 17.0, 18.0, 21.5, 23.0, 22.0], 1),
+        # the 10 % level reached exactly on a sample
+        ([17.0, 21.0, 21.0, 21.0], [17.0, 17.0, 17.0 + 0.1 * 4.0, 21.0], 1),
+        # the 90 % level never reached: the day-length sentinel
+        ([17.0, 21.0, 21.0, 21.0], [17.0, 17.0, 18.0, 19.0], 1),
+        # a setpoint that never steps back
+        ([17.0, 17.0, 21.0, 21.0, 21.0], [16.0, 16.5, 17.0, 20.0, 21.3], 2),
+        # the step at the last sample
+        ([17.0, 17.0, 17.0, 21.0], [16.0, 16.5, 17.0, 17.2], 3),
+    ],
+)
+def test_compute_raw_costs_matches_the_per_sample_scans(setpoint, t_room, step_index):
+    valve = np.linspace(0.0, 1.0, len(setpoint))
+    assert_costs_match_reference(make_trace(setpoint, t_room, valve, step_index))
+
+
+@st.composite
+def step_traces(draw):
+    """A night-to-comfort step at a drawn sample, with an optional step
+    back, and room samples drawn from both sides of the 10 % and 90 %
+    levels, some exactly on them."""
+    n = draw(st.integers(2, 40))
+    s = draw(st.integers(0, n - 1))
+    back = draw(st.one_of(st.none(), st.integers(s + 1, n)))
+    night, base = draw(st.floats(10.0, 20.0)), draw(st.floats(10.0, 25.0))
+    comfort = draw(st.one_of(st.floats(15.0, 25.0), st.just(float(np.nextafter(base, math.inf)))))
+    end = n if back is None else back
+    setpoint = [night] * s + [comfort] * (end - s) + [night] * (n - end)
+    amplitude = comfort - base
+    fractions = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(-0.5, 1.5))
+    t_room = [base + f * amplitude for f in draw(st.lists(fractions, min_size=n, max_size=n))]
+    t_room[s] = base
+    valve = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return make_trace(setpoint, t_room, valve, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_traces())
+def test_compute_raw_costs_equals_the_per_sample_scans_on_generated_traces(trace):
+    assert_costs_match_reference(trace)

@@ -33,7 +33,7 @@ from roomtune.harness import (
 from roomtune.gp import model_to_dict
 from roomtune.optimizer import ALL_METHODS, state_to_json
 from roomtune.pid import PIGains
-from roomtune.plant import DEFAULT_COMPENSATION, DaySchedule, WeatherConfig
+from roomtune.plant import DEFAULT_COMPENSATION, STEPS_PER_DAY, DaySchedule, WeatherConfig
 
 
 @pytest.fixture(scope="module")
@@ -471,10 +471,12 @@ def test_gp_season_logs_each_proposal_at_debug(small_config, calibration, caplog
 
 
 def test_a_season_logs_its_wall_time_per_phase_at_debug(small_config, calibration, caplog, tmp_path):
-    """One DEBUG line per season, after its days: method, seed, days and
-    the wall seconds in propose, in update and in the closed-loop days.
-    Timings are not deterministic, so they stay out of the artifacts: a
-    logged run persists the same bytes as one made without logging."""
+    """One DEBUG line per season, after its days: method, seed, days,
+    the wall seconds in propose, in update and in the closed-loop days,
+    the microseconds per simulated step, and the seconds in the costs and
+    rows. Timings are not deterministic, so they stay out of the
+    artifacts: a logged run persists the same bytes as one made without
+    logging."""
     unlogged = {}
     for method in ("fixed", "scbo"):
         config = dataclasses.replace(small_config, output_dir=str(tmp_path / f"{method}_quiet"))
@@ -485,14 +487,29 @@ def test_a_season_logs_its_wall_time_per_phase_at_debug(small_config, calibratio
         with caplog.at_level(logging.DEBUG, logger="roomtune.harness"):
             run = run_season(config, method, seed=0, calibration=calibration)
         record = [r for r in caplog.records if r.name == "roomtune.harness"][-1]
-        name, seed, days, propose_s, update_s, day_s = record.args
+        name, seed, days, propose_s, update_s, day_s, step_us, row_s = record.args
         assert (name, seed, days) == (method, 0, small_config.days)
         assert day_s > 0.0 and min(propose_s, update_s) >= 0.0
+        assert step_us == pytest.approx(1e6 * day_s / (days * STEPS_PER_DAY)) and row_s > 0.0
+        assert "us per step" in record.getMessage() and "s in the costs and rows" in record.getMessage()
         assert (propose_s > 0.0) == (method == "scbo") and (update_s > 0.0) == (method == "scbo")
         assert "s in propose" in record.getMessage() and record.levelno == logging.DEBUG
         path = persist_run(config, run)
         assert path.read_bytes() == unlogged[method].read_bytes()
     assert state_path(config, "scbo", 0).read_bytes() == (tmp_path / "scbo_quiet" / "scbo_seed0_state.json").read_bytes()
+
+
+def test_season_rows_hold_python_types_and_read_back_equal(small_config, calibration, tmp_path):
+    """The CSV writes 0/1 only for a Python bool (a numpy bool would be
+    written as False or True, which the reader refuses), so every row a
+    season makes holds a bool flag and int seed, day and safe-set size."""
+    config = dataclasses.replace(small_config, output_dir=str(tmp_path))
+    for method in ALL_METHODS:
+        run = run_season(config, method, seed=0, calibration=calibration)
+        for row in run.results:
+            assert type(row.violation) is bool
+            assert type(row.seed) is int and type(row.day) is int and type(row.safe_set_size) is int
+        assert read_results_csv(persist_run(config, run)) == list(run.results)
 
 
 def test_season_is_deterministic(small_config, calibration):

@@ -136,6 +136,21 @@ def test_setpoints_keep_a_fractional_comfort_setpoint_over_an_integer_night_one(
     assert sp[0] == 17.0 and sp[72] == 21.5
 
 
+def test_a_schedule_samples_its_setpoints_once_per_length_read_only():
+    schedule = DaySchedule(morning_hour=6.5)
+    array, values = schedule.sampled_setpoints(STEPS_PER_DAY)
+    np.testing.assert_array_equal(array, schedule.setpoints(STEPS_PER_DAY))
+    assert values == array.tolist() and not array.flags.writeable
+    assert schedule.sampled_setpoints(STEPS_PER_DAY)[0] is array
+    assert schedule.sampled_setpoints(10)[0].tolist() == values[:10]
+    p, rng = PlantParams(noise_sigma=0.0), np.random.default_rng(0)
+    days = [
+        simulate_day(p, DEFAULT_COMPENSATION, quiet_day(), PIGains(0.6, 0.01), schedule, RoomState(17.0, 17.0), rng)[0]
+        for _ in range(2)
+    ]
+    assert days[0].setpoint is array and days[1].setpoint is array
+
+
 def first_comfort_sample(schedule):
     """Index of the first comfort setpoint, or None: the oracle."""
     sp = schedule.setpoints(STEPS_PER_DAY)
