@@ -193,7 +193,7 @@ class CostNormalization:
     def normalize(self, raw: RawCosts) -> NormalizedCosts:
         scales, weights = self._arrays
         vals = raw.as_array() / scales
-        return NormalizedCosts(*vals, total=float(np.dot(vals, weights)))
+        return NormalizedCosts(*vals.tolist(), total=float(np.dot(vals, weights)))  # Python floats print faster
 
     def is_violation(self, costs: NormalizedCosts) -> bool:
         """Any constrained index (1-3) above its safety threshold."""

@@ -10,7 +10,7 @@ changes nothing a caller can see. Observation counts stay small (one per
 heating day), so every model factors its whole Gram matrix instead of
 patching its parent's factor by rank 1, which would round differently;
 what it may reuse is the unfactored matrix and the index of a prefix of
-its inputs (:meth:`GPModel.gram`, :meth:`InputIndex.extend`).
+its inputs (:func:`gram_rows`, :meth:`InputIndex.extend`).
 
 The kernel is k((g, z), (g', z')) = s2 * m(g, g') * c(z, z'): a Matern
 5/2 factor m over the gain dims and a squared-exponential factor c over
@@ -20,29 +20,40 @@ The tuner only ever observes gains on a grid, so the n observations sit
 on few (u) distinct gain rows, the nodes. A model is built through them:
 the Matern factor of the Gram matrix is evaluated on the u x u node pairs
 and gathered to n x n, bit-identical to the dense kernel matrix. What
-the build needs of the inputs alone (the nodes, each input's node and
-the unscaled context differences) is an :class:`InputIndex`, which the
-models conditioned on one input set can share; its nodes keep the order
-they first appear in, so an index grows by appending. Building a model
-only checks and binds its data; the model factors the Gram matrix and solves
-alpha = K^-1 (y - mu0) at its first query, once, and keeps both, so a
-model that is never queried never pays for them. A caller that carries
-the unfactored Gram matrix of a model on the first m inputs has the
-model factor on it (:meth:`GPModel.factor`): the new rows cost (n - m)·n
-kernel entries instead of n², and potrf n³/3 as before. Later queries
-reuse the factor: the tuner queries grid gains at one context, so the
-query cross-covariance has rank at most u, and the variance of m queries
-costs m·u² + n²·u operations instead of the n²·m of a dense solve; see
-:meth:`GPModel.posterior_batch`.
+the build needs of the inputs alone (the nodes and each input's node) is
+an :class:`InputIndex`, which the models conditioned on one input set
+share; its nodes keep the order they first appear in, so an index grows
+by appending. Building a model only checks and binds its data; the model
+factors the Gram matrix and solves alpha = K^-1 (y - mu0) at its first
+query, once, and keeps both, so a model that is never queried never pays
+for them. A caller that carries the unfactored Gram matrix of a model on
+the first m inputs computes only its rows m..n (:func:`gram_rows`,
+:func:`place_rows`) and has the model factor on the completed matrix
+(:meth:`GPModel.factor`): the new rows cost (n - m)·n kernel entries
+instead of n², and potrf n³/3 as before. Later queries reuse the factor:
+the tuner queries grid gains at one context, so the query
+cross-covariance has rank at most u, and the variance of m queries costs
+m·u² + n²·u operations instead of the n²·m of a dense solve; see
+:func:`posteriors`.
 The m·u gain block s2·m(gains, nodes) of that cross-covariance has one
 formula, :meth:`GPModel.gain_covariance`. It depends on neither the
 targets nor the context, so a caller whose nodes stay the same from one
 query to the next may compute it once and pass the queried rows, and a
 caller whose inputs grow may append only the new nodes' columns.
 
-:meth:`GPModel.with_data` is the one routine that conditions a GP, the
-fit's basis coefficient included, and one helper factors every Gram
-matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in place.
+The k models of one observation log share an index, and the routines
+that bind, build and query them take all k at once, with the kernel
+work in arrays stacked over the models: :func:`bind` binds k priors to
+one index and k rows of targets with one check, :func:`gram_rows`
+computes k models' new Gram rows from one set of input differences, and
+:func:`posteriors` computes the context correlation of k models queried
+on the same rows, and D = N o corr, once. What stays per model is every
+LAPACK and BLAS call, with the shapes of a one-model query: potrf (still
+at a model's first query only), potrs, trtrs, the query gemm and the row
+einsum. :meth:`GPModel.with_data`, :meth:`GPModel.gram` and
+:meth:`GPModel.posterior_batch` are the k = 1 cases, and one helper
+factors every Gram matrix, of a model or of a likelihood call, by LAPACK
+``potrf`` in place.
 
 A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
 not depend on one another, and stops each where the likelihood is
@@ -155,15 +166,20 @@ def _matern_profile(r: np.ndarray) -> np.ndarray:
 
 
 def _scaled_sq_dists(lengthscales, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Per-dimension squared scaled distances, shape (d, n, m).
+    """Per-dimension squared scaled distances, shape (d, n, m), or
+    (d, k, n, m) for lengthscales of shape (d, k), one column per model
+    of k stacked models: each difference is taken once and scaled by
+    every model's lengthscale, with the bits of a build for one model.
 
     Filled one dimension at a time so each (n, m) slice is contiguous;
     the sums and products over slices that every caller does next run
     several times faster than over a strided (n, m, d) view.
     """
-    out = np.empty((len(lengthscales), x.shape[0], x2.shape[0]))
-    for i, ell in enumerate(lengthscales):
-        out[i] = ((x[:, i, None] - x2[None, :, i]) / ell) ** 2
+    ells = np.asarray(lengthscales, dtype=float)[..., None, None]
+    out = np.empty(ells.shape[:-2] + (x.shape[0], x2.shape[0]))
+    for i, ell in enumerate(ells):
+        np.divide(x[:, i, None] - x2[None, :, i], ell, out=out[i])
+        np.square(out[i], out=out[i])
     return out
 
 
@@ -191,26 +207,30 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[np.sort(first)], index
 
 
-def _gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b by gemm, each row of the product with the same bits in a batch
-    of any size, which lets the tuner query only the gains it can still
-    choose. OpenBLAS picks its kernels by the product's shape, and the
-    kernels for the rows and columns left over from its blocks round
-    differently: numpy sends a one-row product to gemv, the x86-64
-    Haswell kernels give a row other bits when a batch leaves an odd row
-    over, and the AVX-512 ones when the product has 16 or more terms and
-    a column count that is not a multiple of 8. So ``a`` gets zero rows up
-    to a multiple of 16 and ``b`` zero columns up to a multiple of 8; with
-    them a row's bits did not depend on its batch under any x86-64 core
-    type that OpenBLAS 0.3.31 selects (1 to 74 terms, batches of 1 to
-    1600 rows).
+def _gemm_rows(block: np.ndarray, rows, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a @ b by gemm for a = block[rows] (the whole block when ``rows`` is
+    None), each row of the product with the same bits in a batch of any
+    size, which lets the tuner query only the gains it can still choose;
+    returns the product and a. OpenBLAS picks its kernels by the
+    product's shape, and the kernels for the rows and columns left over
+    from its blocks round differently: numpy sends a one-row product to
+    gemv, the x86-64 Haswell kernels give a row other bits when a batch
+    leaves an odd row over, and the AVX-512 ones when the product has 16
+    or more terms and a column count that is not a multiple of 8. So a is
+    gathered into zero rows up to a multiple of 16, and ``b`` must come
+    with zero columns up to a multiple of 8; with them a row's bits did
+    not depend on its batch under any x86-64 core type that OpenBLAS
+    0.3.31 selects (1 to 74 terms, batches of 1 to 1600 rows).
     """
-    rows, cols = a.shape[0], b.shape[1]
-    if rows % 16:
-        a = np.concatenate([a, np.zeros((16 - rows % 16, a.shape[1]))])
-    wide = np.zeros((b.shape[0], -(-cols // 8) * 8))
-    wide[:, :cols] = b
-    return (a @ wide)[:rows, :cols]
+    size = block.shape[0] if rows is None else len(rows)
+    a = block
+    if rows is not None or size % 16:
+        a = np.zeros((-(-size // 16) * 16, block.shape[1]))
+        if rows is None:
+            a[:size] = block
+        else:
+            np.take(block, rows, axis=0, out=a[:size])
+    return (a @ b)[:size], a[:size]
 
 
 def _factor_in_place(gram: np.ndarray) -> np.ndarray:
@@ -250,12 +270,14 @@ class InputIndex:
     """The part of a model build that depends on the inputs alone.
 
     Holds the finite (n, 3) ``inputs``, their u distinct gain rows
-    (``nodes``, in the order they first appear), the index of each
-    input's gain row among them (``node_of``) and the unscaled context
-    differences x_i - x_j (n, n). The models conditioned on one
-    observation log differ only in their hyperparameters and targets, so
-    they can share one index; each model scales it by its own
-    lengthscales when it builds its Gram matrix.
+    (``nodes``, in the order they first appear) and the index of each
+    input's gain row among them (``node_of``). The models conditioned on
+    one observation log differ only in their hyperparameters and targets,
+    so they share one index; each model scales its differences by its own
+    lengthscales when it builds its Gram matrix (:func:`gram_rows`). The
+    differences themselves are not kept: the new rows of a grown Gram
+    matrix take their own, and a full build takes them once for all the
+    models it builds.
 
     ``InputIndex()`` is the empty index, and :meth:`extend` is the one
     way to grow an index, by a few rows at their cost; a grown index
@@ -264,17 +286,14 @@ class InputIndex:
 
     def __init__(self):
         self.inputs, self.nodes = np.empty((0, 3)), np.empty((0, 2))  # 2 gain dims + 1 context dim
-        self.node_of, self.context_diffs = np.empty(0, dtype=np.intp), np.empty((0, 0))
+        self.node_of = np.empty(0, dtype=np.intp)
 
     def extend(self, rows) -> "InputIndex":
         """The index of these inputs followed by ``rows``: only the new
-        context differences are computed, and only the new rows' gains
-        looked up. The new index shares no array with this one."""
+        rows' gains are looked up. The new index shares no array with
+        this one."""
         new = _observed_points(rows, 3)
         _check_finite_inputs(new)
-        m = self.inputs.shape[0]
-        x = np.vstack([self.inputs, new])
-        n = x.shape[0]
         seen, node = np.nonzero(np.all(new[:, None, :2] == self.nodes[None, :, :], axis=2))  # (rows, u)
         node_of = np.empty(new.shape[0], dtype=np.intp)
         node_of[seen] = node
@@ -285,14 +304,19 @@ class InputIndex:
             fresh_nodes, fresh_of = _distinct_rows(new[fresh, :2])
             node_of[fresh] = nodes.shape[0] + fresh_of
             nodes = np.vstack([nodes, fresh_nodes])
-        diffs = np.empty((n, n))
-        diffs[:m, :m] = self.context_diffs
-        np.subtract(x[m:, 2, None], x[None, :, 2], out=diffs[m:])
-        np.subtract(x[:m, 2, None], x[None, m:, 2], out=diffs[:m, m:])
         grown = InputIndex()
-        grown.inputs, grown.nodes, grown.context_diffs = x, nodes, diffs
+        grown.inputs, grown.nodes = np.vstack([self.inputs, new]), nodes
         grown.node_of = np.concatenate([self.node_of, node_of])
         return grown
+
+    @cached_property
+    def node_indicator(self) -> np.ndarray:
+        """The (n, u) matrix N with N[j, node_of[j]] = 1 and zeros
+        elsewhere, built at the first query on this index and shared by
+        every model on it."""
+        indicator = np.zeros((self.node_of.shape[0], self.nodes.shape[0]))
+        indicator[np.arange(self.node_of.shape[0]), self.node_of] = 1.0
+        return indicator
 
 
 def _check_finite_inputs(x: np.ndarray) -> None:
@@ -307,10 +331,10 @@ class GPModel:
     ``basis_coefficient`` is the constant explicit-basis mean; ``None``
     means a plain zero-mean GP. ``index`` is the :class:`InputIndex` of
     the training inputs and ``targets`` their values; both are bound by
-    :meth:`with_data`. ``gram_factor``, the lower Cholesky factor of
+    :func:`bind`. ``gram_factor``, the lower Cholesky factor of
     K + (noise_variance + jitter) I over the inputs, and ``alpha`` =
     (K + (noise_variance + jitter) I)^-1 (targets - mean) are computed
-    when first read, which the first :meth:`posterior_batch` on data does.
+    when first read, which the first query on data does.
     """
 
     kernel: KernelSpec
@@ -340,7 +364,7 @@ class GPModel:
         return 0.0 if self.basis_coefficient is None else float(self.basis_coefficient)
 
     def with_data(self, inputs, targets, *, index: InputIndex | None = None) -> "GPModel":
-        """A model on the full observation set.
+        """A model on the full observation set: :func:`bind` for one model.
 
         Checks the data and binds it; nothing is factored until the model
         is queried. ``index``, when given, must have been built on these
@@ -353,46 +377,12 @@ class GPModel:
             _observed_points(inputs, self.kernel.input_dim), index.inputs
         ):
             raise ValueError("index was built on other inputs")
-        y = np.asarray(targets, dtype=float).ravel()
-        if index.inputs.shape[0] != y.shape[0]:
-            raise ValueError("inputs and targets length mismatch")
-        if y.size and not np.all(np.isfinite(y)):
-            raise ValueError("non-finite target values rejected")
-        return replace(self, index=index, targets=y)
+        return bind((self,), index, np.asarray(targets, dtype=float).reshape(1, -1))[0]
 
-    def gram(self, head: np.ndarray | None = None) -> np.ndarray:
-        """K + (noise_variance + jitter) I over the inputs, unfactored.
-
-        Built through the nodes: the Matern factor on the node pairs,
-        gathered to the inputs, times the context factor and s2 in the
-        order of :func:`kernel_matrix`, so bit for bit that matrix plus
-        the diagonal. ``head``, when given, is this matrix over the first
-        m inputs, as a model on them built it; it is copied, and only rows
-        m..n are computed and mirrored into columns m..n. Each entry
-        depends only on its pair of inputs, and the matrix is exactly
-        symmetric, so the result is the same bit for bit as with no head.
-        """
-        index = self.index
-        n = index.inputs.shape[0]
-        m = 0 if head is None else head.shape[0]
-        ell = self.kernel.lengthscales
-        s2 = self.kernel.signal_variance
-        gram = np.empty((n, n))
-        if m:
-            gram[:m, :m] = head
-        rows = gram[m:]
-        # The Matern factor between the new rows' nodes and every node:
-        # each node pair once for a whole build, one row per new input else.
-        node_sq = _scaled_sq_dists(ell[:2], index.nodes[index.node_of[m:]] if m else index.nodes, index.nodes)
-        node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))
-        if not m:
-            node_corr = node_corr[index.node_of]
-        ctx_sq = (index.context_diffs[m:] / ell[2]) ** 2  # as _scaled_sq_dists rounds it
-        np.multiply(node_corr[:, index.node_of], np.exp(-0.5 * ctx_sq), out=rows)
-        rows *= s2
-        gram.reshape(-1)[m * (n + 1) :: n + 1] += self.noise_variance + JITTER * s2  # the new rows' diagonal
-        gram[:m, m:] = rows[:, :m].T
-        return gram
+    def gram(self) -> np.ndarray:
+        """K + (noise_variance + jitter) I over the inputs, unfactored:
+        :func:`gram_rows` for one model."""
+        return gram_rows((self,), 0)[0]
 
     @cached_property
     def gram_factor(self) -> np.ndarray:
@@ -400,16 +390,19 @@ class GPModel:
         ``LinAlgError`` if the matrix is not positive definite."""
         return _factor_in_place(self.gram())
 
-    def factor(self, head: np.ndarray | None = None) -> np.ndarray | None:
-        """Compute ``gram_factor`` now, from :meth:`gram` on ``head``, and
-        return the unfactored matrix, which a caller may carry to a model
-        on more inputs; ``None`` when ``gram_factor`` was computed already,
-        since a model factors once."""
-        if "gram_factor" in self.__dict__:
-            return None
-        gram = self.gram(head)
-        self.__dict__["gram_factor"] = _factor_in_place(gram.copy())
-        return gram
+    @property
+    def factored(self) -> bool:
+        """Whether ``gram_factor`` has been computed."""
+        return "gram_factor" in self.__dict__
+
+    def factor(self, gram: np.ndarray) -> None:
+        """Compute ``gram_factor`` now, by potrf on a copy of ``gram``,
+        which must be this model's :meth:`gram`, as a caller built it
+        from :func:`gram_rows`, so that the caller may keep the
+        unfactored matrix and grow it for a model on more inputs. A model
+        factors once: nothing happens when it has factored already."""
+        if not self.factored:
+            self.__dict__["gram_factor"] = _factor_in_place(gram.copy())
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -434,71 +427,141 @@ class GPModel:
         return self.kernel.signal_variance * _matern_profile(np.sqrt(sq[0] + sq[1]))
 
     def posterior_batch(self, x, gain_cov=None) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances at a batch of query points.
-
-        Exact, factored through the u distinct observed gain rows U
-        (``index.nodes``; p(j) = ``index.node_of[j]`` is the U-row of
-        observation j). For queries sharing one context z, the
-        cross-covariance is k*[i, j] = G[i, p(j)] * s_j with
-        G = s2 * m(g_query, U) of shape (m, u) and s_j = c(z, z_j). So
-        k*^T = D G^T, where D (n, u) holds s_j at [j, p(j)], and
-
-            mean = mu0 + G a,  a = bincount(p, s * alpha)
-            var  = s2 - rowsum((G M) o G),  M = W^T W,  W = L^-1 D
-
-        with L the Gram factor and alpha = K^-1 (y - mu0), both computed
-        at the first query on data. These are the dense-solve formulas
-        regrouped, not an approximation. A query costs m u kernel
-        entries, an n^2 u triangular solve (LAPACK ``trtrs``), an n u^2
-        product for M and one m u (u + 1) gemm for G a and G M, whose
-        rows einsum then multiplies by G and sums, against m n entries
-        and an n^2 m solve for k* itself. Queries are grouped by
-        context and each of the c groups takes its own solve. The tuner
-        queries one context at a time (c = 1); the worst case, u = n with
-        every query at its own context, costs an n^3 solve per query
-        instead of n^2.
+        """Posterior means and variances at a batch of query points:
+        :func:`posteriors` for one model, its queries grouped by context.
 
         G is :meth:`gain_covariance` of the queries' gains. A caller that
         holds it already, for example as rows of a block computed once
         for the whole grid, passes it as ``gain_cov`` and skips the m u
-        kernel entries; ``None`` computes the queried rows only.
+        kernel entries; ``None`` computes the queried rows only. Each of
+        the c contexts among the queries takes its own solve; the worst
+        case, u = n with every query at its own context, costs an n^3
+        solve per query instead of n^2.
 
         Each row's mean and variance depend only on that row and the
         model, bit for bit, whatever else the batch holds (see
         :func:`_gemm_rows`).
         """
         pts = _as_points(x, self.kernel.input_dim)
-        mean = np.full(pts.shape[0], self._prior_mean())
-        var = np.full(pts.shape[0], self.kernel.signal_variance)
-        index = self.index
-        u = index.nodes.shape[0]
+        u = self.index.nodes.shape[0]
         if gain_cov is not None and np.shape(gain_cov) != (pts.shape[0], u):
             raise ValueError(f"gain_cov must have shape {(pts.shape[0], u)}, got {np.shape(gain_cov)}")
-        n = self.num_observations
-        if n == 0:
-            return mean, var
         if gain_cov is None:
             gain_cov = self.gain_covariance(pts[:, :2])
-        ell = self.kernel.lengthscales
         contexts, context_of = _distinct_rows(pts[:, 2:])
-        ctx_corr = np.exp(-0.5 * _scaled_sq_dists(ell[2:], contexts, index.inputs[:, 2:])[0])  # (c, n)
-        node_indicator = np.zeros((n, u))
-        node_indicator[np.arange(n), index.node_of] = 1.0
+        if len(contexts) == 1:
+            return posteriors((self,), (gain_cov,), contexts[0, 0])[0]
+        mean, var = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+        for c, context in enumerate(contexts[:, 0]):
+            rows = np.flatnonzero(context_of == c)
+            ((mean[rows], var[rows]),) = posteriors((self,), (gain_cov,), context, rows)
+        return mean, var
 
-        for c, corr in enumerate(ctx_corr):
-            rows = slice(None) if len(contexts) == 1 else np.flatnonzero(context_of == c)
-            g = gain_cov[rows]
-            node_weights = (corr * self.alpha) @ node_indicator  # (u,)
-            w, info = dtrtrs(self.gram_factor, node_indicator * corr[:, None], lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
-            a_m = np.empty((u, 1 + u))
-            a_m[:, 0] = node_weights
-            a_m[:, 1:] = w.T @ w
-            ga_gm = _gemm_rows(g, a_m)  # G a, then G M
-            mean[rows] += ga_gm[:, 0]
-            var[rows] -= np.einsum("ij,ij->i", ga_gm[:, 1:], g)  # one row at a time
-        return mean, np.maximum(var, 0.0)
+
+def bind(models, index: InputIndex, targets) -> list[GPModel]:
+    """The priors of ``models`` bound to ``index``, model i to row i of
+    ``targets`` (k, n), one check for them all; nothing is factored.
+    Targets of another length than the inputs, or non-finite ones, raise
+    ``ValueError``."""
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape[1:] != index.inputs.shape[:1]:
+        raise ValueError("inputs and targets length mismatch")
+    if targets.size and not np.all(np.isfinite(targets)):
+        raise ValueError("non-finite target values rejected")
+    return [GPModel(m.kernel, m.noise_variance, m.basis_coefficient, index, t) for m, t in zip(models, targets)]
+
+
+def gram_rows(models, m: int) -> np.ndarray:
+    """Rows m..n of K + (noise_variance + jitter) I over the inputs of
+    each of ``models``, which share one index, stacked (k, n - m, n); at
+    m = 0 each model's whole matrix.
+
+    Built through the nodes: the Matern factor on the node pairs,
+    gathered to the inputs, times the context factor and s2 in the order
+    of :func:`kernel_matrix`, so bit for bit that matrix plus the
+    diagonal. The differences between the inputs are taken once for all
+    the models, and each model scales them by its own hyperparameters.
+    Each entry depends only on its pair of inputs and its model, so the
+    rows are the same bit for bit whatever m and whatever models are
+    stacked beside them; :func:`place_rows` completes a matrix built on
+    the first m inputs with them.
+    """
+    index = models[0].index
+    x, nodes, node_of = index.inputs, index.nodes, index.node_of
+    ell = np.array([model.kernel.lengthscales for model in models]).T  # (3, k)
+    # The Matern factor between the new rows' nodes and every node:
+    # each node pair once for a whole build, one row per new input else.
+    node_sq = _scaled_sq_dists(ell[:2], nodes[node_of[m:]] if m else nodes, nodes)
+    node_corr = _matern_profile(np.sqrt(node_sq[0] + node_sq[1]))
+    if not m:
+        node_corr = node_corr[:, node_of]
+    rows = np.take(node_corr, node_of, axis=2)
+    ctx_corr = _scaled_sq_dists(ell[2:], x[m:, 2:], x[:, 2:])[0]
+    ctx_corr *= -0.5
+    rows *= np.exp(ctx_corr, out=ctx_corr)
+    rows *= np.array([model.kernel.signal_variance for model in models])[:, None, None]
+    diagonal = [model.noise_variance + JITTER * model.kernel.signal_variance for model in models]
+    rows.reshape(len(models), -1)[:, m :: x.shape[0] + 1] += np.array(diagonal)[:, None]
+    return rows
+
+
+def place_rows(gram: np.ndarray, rows: np.ndarray) -> None:
+    """Complete ``gram`` (n, n), which holds a model's matrix over the
+    first m inputs in ``gram[:m, :m]``, with its rows m..n from
+    :func:`gram_rows` and their mirror in columns m..n. The matrix is
+    exactly symmetric, so it is the same bit for bit as the model's
+    whole matrix."""
+    m = gram.shape[0] - rows.shape[0]
+    gram[m:] = rows
+    gram[:m, m:] = rows[:, :m].T
+
+
+def posteriors(models, gain_covs, context: float, rows=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Posterior means and variances of ``models``, which share one
+    index, at one context z; query q of model i has the gain covariance
+    row ``gain_covs[i][rows[q]]`` (every row when ``rows`` is None).
+
+    Exact, factored through the u distinct observed gain rows U
+    (``index.nodes``; p(j) = ``index.node_of[j]`` is the U-row of
+    observation j). The cross-covariance is k*[q, j] = G[q, p(j)] * s_j
+    with G = s2 * m(g_query, U) of shape (m, u) and s_j = c(z, z_j). So
+    k*^T = D G^T, where D = N o s (n, u) holds s_j at [j, p(j)], N being
+    the index's node indicator, and
+
+        mean = mu0 + G a,  a = (s o alpha) N
+        var  = s2 - rowsum((G M) o G),  M = W^T W,  W = L^-1 D
+
+    with L the Gram factor and alpha = K^-1 (y - mu0), both computed
+    at the first query on data. These are the dense-solve formulas
+    regrouped, not an approximation. The context correlations s and D
+    are computed once for all the models, stacked; each model then takes
+    its own n^2 u triangular solve (LAPACK ``trtrs``), n u^2 product for
+    M, and one m u (u + 1) gemm for G a and G M, whose rows einsum then
+    multiplies by G and sums, against m n entries and an n^2 m solve
+    for k* itself.
+    """
+    index = models[0].index
+    n, u = index.inputs.shape[0], index.nodes.shape[0]
+    size = gain_covs[0].shape[0] if rows is None else len(rows)
+    out = [(np.full(size, model._prior_mean()), np.full(size, model.kernel.signal_variance)) for model in models]
+    if n == 0:
+        return out
+    ell = np.array([[model.kernel.lengthscales[2] for model in models]])  # (1, k)
+    corr = np.exp(-0.5 * _scaled_sq_dists(ell, np.array([[context]]), index.inputs[:, 2:])[0, :, 0])  # (k, n)
+    indicator = index.node_indicator
+    weighted = indicator * corr[:, :, None]  # D of each model, (k, n, u)
+    for model, s, d, gain_cov, (mean, var) in zip(models, corr, weighted, gain_covs, out):
+        w, info = dtrtrs(model.gram_factor, d, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
+        a_m = np.zeros((u, -(-(1 + u) // 8) * 8))  # zero columns up to a multiple of 8, see _gemm_rows
+        a_m[:, 0] = (s * model.alpha) @ indicator
+        a_m[:, 1 : 1 + u] = w.T @ w
+        ga_gm, g = _gemm_rows(gain_cov, rows, a_m)  # G a, then G M
+        mean += ga_gm[:, 0]
+        var -= np.einsum("ij,ij->i", ga_gm[:, 1 : 1 + u], g)  # one row at a time
+        np.maximum(var, 0.0, out=var)
+    return out
 
 
 def model_to_dict(model: GPModel) -> dict:

@@ -21,7 +21,7 @@ import re
 import secrets
 import time
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +209,20 @@ def season_weather(config: SeasonConfig, seed: int) -> list[WeatherDay]:
 
 
 def _seed_sequence(config: SeasonConfig, seed: int, *keys: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([config.master_seed, seed, *keys])
+    """``SeedSequence([config.master_seed, seed, *keys])``, built from the
+    keys' 32-bit words: SeedSequence turns a list of non-negative ints
+    into each one's words, little-endian and at least one, and takes a
+    uint32 array of them as it is, which skips most of its set-up time.
+    A negative key raises ``ValueError``, as it does there."""
+    words = []
+    for key in (config.master_seed, seed, *keys):
+        key = index(key)
+        if key < 0:
+            raise ValueError(f"expected non-negative seed keys, got {key}")
+        words.append(key & 0xFFFFFFFF)
+        while key := key >> 32:
+            words.append(key & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 class _ClosedLoop:

@@ -14,22 +14,29 @@ Three GP-backed selectors share one state type:
 
 All three evaluate the known-safe anchor gains on their first day and
 condition the surrogates on it before the acquisition loop starts.
-One routine conditions a state's surrogates, on one shared index:
-construction appends the whole log to an empty index, so checkpoint
-restore and day truncation check and index the whole log once, and
-``update`` checks the new observation and appends its row to the
-parent's index. Each surrogate factors its Gram matrix at its first
-query, so a state pays only for the surrogates that are queried.
-Only the gains that can still be chosen are queried: ``scbo`` checks each
-constraint surrogate on the gains the previous ones certified, and scores
-the acquisition on its safe candidates alone. A ``QueryWorkspace``
-carries, per surrogate prior, what the queries of one state leave for
-the next: the unfactored Gram matrix, so that the next day's surrogate
-computes only its new row before potrf factors the whole, and the grid
-gain block, so that only a new node's column is computed. A season keeps
-one workspace for all its days and ``gain_schedule`` one for all its
-temperatures. The workspace is never part of a state, and every choice
-is the same without it.
+One routine conditions a state's surrogates, on one shared index and
+with one check of all their targets (``gp.bind``): construction appends
+the whole log to an empty index, so checkpoint restore and day
+truncation check and index the whole log once, and ``update`` checks the
+new observation and appends its row to the parent's index and targets.
+Each surrogate factors its Gram matrix at its first query, so a state
+pays only for the surrogates that are queried. A query takes the
+context and the grid indices of the gains it scores, and builds no grid
+input array. Only the gains that can still be chosen are queried:
+``scbo`` checks each constraint surrogate on the gains the previous ones
+certified, and scores the acquisition on its safe candidates alone, its
+four cost surrogates in one call that computes their context
+correlations once (``gp.posteriors``). A ``QueryWorkspace`` carries, per
+surrogate prior, what the queries of one state leave for the next: the
+unfactored Gram matrix and the grid gain block. At the first query of a
+day's state it computes, once, the new Gram rows of every surrogate
+that has not factored (seven for ``scbo``, four for ``bo`` and ``cbo``)
+in arrays stacked over them, and each surrogate then factors by potrf at
+its own first query only; a new node's block column is computed when
+its surrogate is queried. Every LAPACK and BLAS call stays per
+surrogate. A season keeps one workspace for all its days and
+``gain_schedule`` one for all its temperatures. The workspace is never
+part of a state, and every choice is the same without it.
 
 First-order-plus-dead-time identification by least squares and the
 open-loop Ziegler-Nichols PI rule live here too. No season uses them;
@@ -48,7 +55,18 @@ import numpy as np
 from scipy.special import ndtri
 
 from .costs import NormalizedCosts
-from .gp import GPModel, InputIndex, KernelSpec, PRODUCT, model_from_dict, model_to_dict
+from .gp import (
+    PRODUCT,
+    GPModel,
+    InputIndex,
+    KernelSpec,
+    bind,
+    gram_rows,
+    model_from_dict,
+    model_to_dict,
+    place_rows,
+    posteriors,
+)
 from .pid import PIGains
 
 METHOD_FIXED = "fixed"
@@ -265,7 +283,7 @@ class OptimizerState:
         _check_observations(self.domain, self.observations)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
-        _condition(self, InputIndex(), [()] * 7, self.observations)  # from no inputs and no targets
+        _condition(self, InputIndex(), np.empty((7, 0)), self.observations)  # from no inputs and no targets
 
     @property
     def anchor_gains(self) -> PIGains:
@@ -299,20 +317,18 @@ def _check_observations(domain: GainDomain, observations, previous: float = -mat
         previous = o.day
 
 
-def _condition(state: OptimizerState, index: InputIndex, targets, observations) -> None:
+def _condition(state: OptimizerState, index: InputIndex, targets: np.ndarray, observations) -> None:
     """Bind the surrogates of ``state`` to ``index`` grown by the inputs of
-    ``observations``, each with its ``targets`` grown by theirs."""
+    ``observations``, surrogate i to row i of ``targets`` (7, m) grown by
+    its targets of theirs."""
     x, y = surrogate_data(
         state.domain.unit_points[[o.gain_index for o in observations]],
         [_unit_context(state, o.context) for o in observations],
         [o.costs for o in observations],
         state.thresholds,
     )
-    grown = index.extend(x)
-    models = [
-        m.with_data(grown.inputs, np.concatenate((t, y[:, i])), index=grown)
-        for i, (m, t) in enumerate(zip(state.cost_models + state.constraint_models, targets))
-    ]
+    models = state.cost_models + state.constraint_models
+    models = bind(models, index.extend(x), np.concatenate((targets[: len(models)], y.T[: len(models)]), axis=1))
     object.__setattr__(state, "cost_models", tuple(models[:4]))
     object.__setattr__(state, "constraint_models", tuple(models[4:]))
 
@@ -323,65 +339,112 @@ def _unit_context(state: OptimizerState, oat: float) -> float:
     return 0.0 if state.scaler is None else state.scaler.normalize(oat)
 
 
-def _grid_inputs(state: OptimizerState, oat: float) -> np.ndarray:
-    """Every grid gain at one outside temperature, which must be finite
-    (for ``bo`` too): a NaN would certify nothing and score all gains NaN."""
+def _query_context(state: OptimizerState, oat: float) -> float:
+    """The context input at which every grid gain is queried for one
+    outside temperature, which must be finite (for ``bo`` too): a NaN
+    would certify nothing and score all gains NaN."""
     if not math.isfinite(oat):
         raise ValueError(f"outside temperature {oat} is not finite")
-    pts = state.domain.unit_points
-    return np.column_stack([pts, np.full(pts.shape[0], _unit_context(state, oat))])
+    return _unit_context(state, oat)
+
+
+# Rows a carried Gram matrix has room for beyond its inputs: a season
+# grows it in place and moves it to a larger buffer every 32 days.
+_SPARE_ROWS = 32
 
 
 class QueryWorkspace:
     """What the queries of successive states carry from one to the next.
 
     A season's states differ from day to day by one observation, so the
-    workspace keeps one entry per surrogate prior (kernel and noise): the
-    grid, the last inputs queried, the grid gain block over their nodes
-    and the unfactored Gram matrix of those inputs, or of a prefix of
-    them when that model had factored before the workspace saw it (none
-    if nothing was carried then). A model on that grid whose inputs
-    extend the carried ones computes only the Gram rows past the carried
-    matrix (``GPModel.gram``) before potrf factors the whole; its nodes extend
-    the carried ones too (first-seen order), so the block grows by the
-    new nodes' columns. Any other model starts afresh. Every posterior,
-    and so every choice, is the same bit for bit without a workspace. One
-    workspace serves one season or one ``gain_schedule`` call and never
-    enters a state.
+    workspace keeps, per surrogate prior (kernel and noise), the
+    unfactored Gram matrix of the inputs it last covered, in a buffer
+    with room for more rows, and the grid gain block over the nodes it
+    last covered. The first query of a state builds, once, the Gram
+    matrix of every surrogate of the state that has not factored yet: a
+    surrogate with a carried matrix computes only the rows past it and
+    writes them into its buffer, any other one builds in full, and the
+    rows of all of them are computed in arrays stacked over the
+    surrogates, grouped by the carried length (``gp.gram_rows``). A
+    surrogate still factors (potrf) only at its own first query, on a
+    copy of its matrix from that build. Its nodes extend the carried ones
+    too (first-seen order), so its block grows by the new nodes' columns,
+    when it is queried. What is carried covers a prefix of the inputs of
+    the state last seen; a state whose inputs do not extend those drops
+    it all. Every posterior, and so every choice, is the same bit for bit
+    without a workspace. One workspace serves one season or one
+    ``gain_schedule`` call and never enters a state.
     """
 
     def __init__(self):
-        self._carry: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]] = {}
+        self._index = None  # the index of the state last seen
+        self._grams: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}  # inputs, Gram buffer
+        self._blocks: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}  # grid, block
+
+    def _build_grams(self, state: OptimizerState) -> None:
+        """Once per state: the Gram matrices of its surrogates that have
+        not factored, one per prior, each grown from its carried matrix."""
+        models = state.cost_models + state.constraint_models
+        index = models[0].index
+        if index is self._index:
+            return
+        if self._index is None or not _extends(index.inputs, self._index.inputs):
+            self._grams.clear()
+            self._blocks.clear()
+        self._index = index
+        n = index.inputs.shape[0]
+        groups, seen = {}, set()  # carried length -> (prior, model) pairs
+        for model in models:
+            key = (model.kernel, model.noise_variance)
+            if not model.factored and key not in seen:
+                seen.add(key)
+                carried = len(self._grams[key][0]) if key in self._grams else 0
+                groups.setdefault(carried, []).append((key, model))
+        for m, members in groups.items():
+            for (key, _), rows in zip(members, gram_rows([model for _, model in members], m)):
+                buffer = rows  # a whole matrix when m = 0
+                if m:
+                    buffer = self._grams[key][1]
+                    if buffer.shape[0] < n:
+                        buffer = np.empty((n + _SPARE_ROWS, n + _SPARE_ROWS))
+                        buffer[:m, :m] = self._grams[key][1][:m, :m]
+                    place_rows(buffer[:n, :n], rows)
+                self._grams[key] = (index.inputs, buffer)
 
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
         """``model.gain_covariance`` over every grid gain of ``state``, with
-        ``model`` factored on the carry of its prior. A model that has
-        factored already carries its block on the Gram matrix it found,
-        which then covers a prefix of its inputs."""
-        grid, inputs, nodes = state.domain.unit_points, model.index.inputs, model.index.nodes
+        ``model``, one of the surrogates of ``state``, factored."""
+        self._build_grams(state)
         key = (model.kernel, model.noise_variance)
-        head, block = None, np.empty((grid.shape[0], 0))
-        if key in self._carry:
-            carried_grid, done, gram, carried_block = self._carry[key]
-            if carried_grid is grid and len(done) <= len(inputs) and np.array_equal(inputs[: len(done)], done):
-                head, block = gram, carried_block
+        if not model.factored and model.num_observations:
+            inputs, buffer = self._grams.get(key, (None, None))
+            if inputs is not model.index.inputs:
+                raise ValueError("the model is not a surrogate of the state")
+            model.factor(buffer[: len(inputs), : len(inputs)])
+        grid, nodes = state.domain.unit_points, model.index.nodes
+        carried_grid, block = self._blocks.get(key, (None, None))
+        if carried_grid is not grid:
+            block = np.empty((grid.shape[0], 0))
         if block.shape[1] < nodes.shape[0]:
             block = np.hstack([block, model.gain_covariance(grid, nodes[block.shape[1] :])])
-        if model.num_observations:
-            gram = model.factor(head)
-            self._carry[key] = (grid, inputs, head if gram is None else gram, block)
+            self._blocks[key] = (grid, block)
         return block
 
 
-def _posterior(state, model, x, rows, workspace):
-    """``model``'s posterior at ``x``, the grid inputs at the ascending
-    grid indices ``rows``, with the Gram matrix and the gain block taken
-    from ``workspace`` when there is one."""
-    gain_cov = None
+def _extends(rows: np.ndarray, head: np.ndarray) -> bool:
+    """Whether ``head`` is a leading part of ``rows``."""
+    return len(head) <= len(rows) and np.array_equal(rows[: len(head)], head)
+
+
+def _posteriors(state, models, context, rows, workspace):
+    """The posteriors of ``models``, surrogates of ``state``, at
+    ``context`` on the grid gains at the ascending grid indices ``rows``
+    (the whole grid when None), with the Gram matrices and gain blocks
+    taken from ``workspace`` when there is one."""
     if workspace is not None:
-        block = workspace.gain_covariance(state, model)
-        gain_cov = block if len(rows) == len(block) else block[rows]  # ascending: all rows are the whole grid
-    return model.posterior_batch(x, gain_cov)
+        return posteriors(models, [workspace.gain_covariance(state, m) for m in models], context, rows)
+    gains = state.domain.unit_points if rows is None else state.domain.unit_points[rows]
+    return posteriors(models, [m.gain_covariance(gains) for m in models], context)
 
 
 def safe_set(
@@ -407,14 +470,14 @@ def safe_set(
     eps = state.epsilon if epsilon is None else epsilon
     check_confidence(state.beta, eps)
     q = ndtri(1.0 - eps)  # what scipy.stats.norm.ppf computes, without loading scipy.stats
-    x = _grid_inputs(state, oat)
+    context = _query_context(state, oat)
     # Each surrogate is queried only where the ones before it still
     # certify; posterior rows do not depend on the rest of the batch.
-    certified = np.arange(state.domain.size)
+    certified = None  # every grid gain
     for model in state.constraint_models:
-        queried = x if certified.size == x.shape[0] else x[certified]
-        mean, var = _posterior(state, model, queried, certified, workspace)
-        certified = certified[mean + q * np.sqrt(var) <= 0.0]
+        ((mean, var),) = _posteriors(state, (model,), context, certified, workspace)
+        safe = mean + q * np.sqrt(var) <= 0.0
+        certified = np.flatnonzero(safe) if certified is None else certified[safe]
         if not certified.size:
             break
     mask = np.zeros(state.domain.size, dtype=bool)
@@ -436,18 +499,15 @@ def acquire(
     Only the candidate gains are scored, so the mask must hold one. The
     cost surrogates are independent: the weighted sum has mean sum w_i m_i
     and variance sum w_i^2 v_i. ``workspace`` is as for ``safe_set``."""
-    candidates = np.arange(state.domain.size) if safe_mask is None else np.flatnonzero(safe_mask)
-    x = _grid_inputs(state, oat)
-    if safe_mask is not None:
-        x = x[candidates]
+    candidates = None if safe_mask is None else np.flatnonzero(safe_mask)
     mean = var = 0.0
-    for w, model in zip(np.asarray(state.weights, dtype=float), state.cost_models):
-        m, v = _posterior(state, model, x, candidates, workspace)
+    cost_posteriors = _posteriors(state, state.cost_models, _query_context(state, oat), candidates, workspace)
+    for w, (m, v) in zip(np.asarray(state.weights, dtype=float), cost_posteriors):
         mean = mean + w * m
         var = var + w**2 * v
     b = state.beta if beta is None else beta
-    score = mean - b * np.sqrt(var)
-    return int(candidates[np.argmin(score)])
+    best = int(np.argmin(mean - b * np.sqrt(var)))
+    return best if candidates is None else int(candidates[best])
 
 
 @dataclass(frozen=True)
@@ -510,7 +570,7 @@ def update(
     models = state.cost_models + state.constraint_models
     new = copy.copy(state)  # the constructor would check and bind the whole log again
     object.__setattr__(new, "observations", state.observations + (obs,))
-    _condition(new, models[0].index, [m.targets for m in models], (obs,))
+    _condition(new, models[0].index, np.array([m.targets for m in models]), (obs,))
     return new
 
 

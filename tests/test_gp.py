@@ -26,9 +26,13 @@ from roomtune.gp import (
     KernelSpec,
     LikelihoodWorkspace,
     StartPool,
+    bind,
     fit_hyperparameters,
+    gram_rows,
     kernel_matrix,
     log_marginal_likelihood,
+    place_rows,
+    posteriors,
     _distinct_rows,
 )
 from roomtune.optimizer import GainDomain
@@ -265,14 +269,86 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
     head = prior.with_data(x[:m], y[:m]).gram()
     grown_index = InputIndex().extend(x[:m]).extend(x[m:])
     whole = prior.with_data(x, y)
-    for name in ("inputs", "nodes", "node_of", "context_diffs"):
+    for name in ("inputs", "nodes", "node_of"):
         assert np.array_equal(getattr(grown_index, name), getattr(whole.index, name)), name
     grown = prior.with_data(x, y, index=grown_index)
-    gram = grown.factor(head)
+    gram = np.empty((n, n))
+    gram[:m, :m] = head
+    place_rows(gram, gram_rows((grown,), m)[0])
+    grown.factor(gram)
     assert np.array_equal(gram, whole.gram())
     assert np.array_equal(gram, gram.T)
-    assert np.array_equal(grown.gram_factor, whole.gram_factor)
-    assert grown.factor(gram) is None  # a model factors once
+    factor = grown.gram_factor
+    assert np.array_equal(factor, whole.gram_factor)
+    grown.factor(gram + 1.0)
+    assert grown.gram_factor is factor  # a model factors once
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 7),
+    n=st.integers(1, 40),
+    shared_context=st.booleans(),
+    lags=st.lists(st.integers(0, 3), min_size=7, max_size=7),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_gram_rows_and_posteriors_equal_each_models_own_build(k, n, shared_context, lags, data_seed):
+    """k priors with their own hyperparameters share one index grown row
+    by row, with new and repeated nodes and exact duplicate rows, at one
+    shared context or at mixed ones. On each row, surrogate j grows the
+    matrix it carries from lags[j] rows before the previous one, the
+    surrogates with the same carried length stacked in one gram_rows
+    call, as a workspace grows them: every matrix must equal the dense
+    kernel_matrix plus its diagonal bit for bit. The final models,
+    factored on those matrices and queried stacked over all k, on the
+    whole grid and on drawn rows, must give each model's own full build's
+    factor and grid posterior bit for bit."""
+    rng = np.random.default_rng(data_seed)
+    grid = GainDomain.build().unit_points
+    priors = [
+        GPModel.empty(random_spec(rng), float(rng.uniform(1e-4, 0.1)), float(rng.normal()) if rng.uniform() < 0.5 else None)
+        for _ in range(k)
+    ]
+    nodes = grid[rng.choice(grid.shape[0], int(rng.integers(1, n + 1)), replace=False)]
+    contexts = np.full(n, rng.uniform()) if shared_context else rng.uniform(0.0, 1.0, n)
+    x = np.column_stack([nodes[rng.integers(0, len(nodes), n)], contexts])
+    for j in range(1, n):
+        if rng.uniform() < 0.2:
+            x[j] = x[rng.integers(0, j)]
+    y = rng.normal(size=(k, n))
+
+    index, history = InputIndex(), [[None] for _ in range(k)]  # each model's matrix at each size
+    for size in range(1, n + 1):
+        index = index.extend(x[size - 1 : size])
+        models = bind(priors, index, y[:, :size])
+        groups = {}
+        for j, lag in enumerate(lags[:k]):
+            groups.setdefault(max(size - 1 - lag, 0), []).append(j)
+        for m, members in groups.items():
+            for j, rows in zip(members, gram_rows([models[j] for j in members], m)):
+                gram = np.empty((size, size))
+                if m:
+                    gram[:m, :m] = history[j][m]
+                place_rows(gram, rows)
+                spec = priors[j].kernel
+                want = kernel_matrix(spec, x[:size])
+                want[np.diag_indices(size)] += priors[j].noise_variance + JITTER * spec.signal_variance
+                assert np.array_equal(gram, want), (size, m, j)
+                history[j].append(gram)
+
+    final = bind(priors, index, y)
+    own = [prior.with_data(x, targets) for prior, targets in zip(priors, y)]
+    for model, reference, grams_of in zip(final, own, history):
+        model.factor(grams_of[n])
+        assert np.array_equal(model.gram_factor, reference.gram_factor)
+    context = float(rng.uniform())
+    query = np.column_stack([grid, np.full(grid.shape[0], context)])
+    rows = np.sort(rng.choice(grid.shape[0], int(rng.integers(1, grid.shape[0])), replace=False))
+    blocks = [model.gain_covariance(grid) for model in final]
+    for whole, some, reference in zip(posteriors(final, blocks, context), posteriors(final, blocks, context, rows), own):
+        mean, var = reference.posterior_batch(query)
+        np.testing.assert_array_equal(whole, (mean, var))
+        np.testing.assert_array_equal(some, (mean[rows], var[rows]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,10 +356,10 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
 def test_an_index_grown_row_by_row_keeps_its_parents_nodes_first(n, data_seed):
     """An index grown one row at a time, as a season grows it, with new
     gain rows appearing mid-log before and after the nodes seen so far on
-    the kp-major grid: each grown index holds its parent's inputs, nodes,
-    node indices and context differences as its leading entries, shares
-    no array with it, and equals the index built on the joined inputs,
-    whose nodes are in the order they first appear."""
+    the kp-major grid: each grown index holds its parent's inputs, nodes
+    and node indices as its leading entries, shares no array with it,
+    and equals the index built on the joined inputs, whose nodes are in
+    the order they first appear."""
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
     pool = grid[rng.choice(grid.shape[0], int(rng.integers(1, n + 1)), replace=False)]
@@ -294,11 +370,11 @@ def test_an_index_grown_row_by_row_keeps_its_parents_nodes_first(n, data_seed):
         u = index.nodes.shape[0]
         assert np.array_equal(grown.nodes[:u], index.nodes)
         assert np.array_equal(grown.node_of[:i], index.node_of)
-        assert np.array_equal(grown.context_diffs[:i, :i], index.context_diffs)
-        for name in ("inputs", "nodes", "node_of", "context_diffs"):
+        assert np.array_equal(grown.inputs[:i], index.inputs)
+        for name in ("inputs", "nodes", "node_of"):
             assert not np.shares_memory(getattr(grown, name), getattr(index, name)), name
         whole = InputIndex().extend(x[: i + 1])
-        for name in ("inputs", "nodes", "node_of", "context_diffs"):
+        for name in ("inputs", "nodes", "node_of"):
             assert np.array_equal(getattr(grown, name), getattr(whole, name)), name
         want_nodes, want_node_of = first_seen(x[: i + 1, :2])
         assert np.array_equal(grown.nodes, want_nodes) and np.array_equal(grown.node_of, want_node_of)

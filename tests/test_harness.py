@@ -279,6 +279,27 @@ def test_a_config_document_is_refused_when_read_or_runs_every_method(drawn, tmp_
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**64 + 5, SeasonConfig().master_seed])
+def test_the_seed_sequence_of_the_keys_words_equals_that_of_the_keys(key):
+    """The noise and every other stream are seeded by SeedSequence from
+    the keys' 32-bit words; in each position, a key of one word, of two
+    and of three words, and the default master seed, must give the
+    generator state of the list of keys itself. A negative key is
+    refused, as SeedSequence refuses it."""
+    config = SeasonConfig()
+    keys = [config.master_seed, 3, harness.STREAM_PLANT, 17]
+    for position in range(len(keys)):
+        chosen = keys[:position] + [key] + keys[position + 1 :]
+        words = harness._seed_sequence(dataclasses.replace(config, master_seed=chosen[0]), *chosen[1:])
+        reference = np.random.SeedSequence(chosen)
+        np.testing.assert_array_equal(words.generate_state(8), reference.generate_state(8))
+        np.testing.assert_array_equal(
+            np.random.default_rng(words).random(4), np.random.default_rng(np.random.SeedSequence(chosen)).random(4)
+        )
+    with pytest.raises(ValueError, match="non-negative"):
+        harness._seed_sequence(config, 0, -1)
+
+
 def test_season_weather_covers_both_phases_and_is_seeded(small_config):
     days = season_weather(small_config, seed=0)
     assert len(days) == 40  # max(days, calibration_days)

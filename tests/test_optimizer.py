@@ -514,8 +514,8 @@ def test_a_grown_state_equals_the_state_rebuilt_from_its_log(method, log):
     """update grows a state from its parent, checking and indexing only
     the new day; on every day the grown state must equal, bit for bit,
     the state restored from its JSON, which checks and indexes the whole
-    log: the inputs, the nodes and each input's node, the context
-    differences, every surrogate's targets and its grid posteriors."""
+    log: the inputs, the nodes and each input's node, every surrogate's
+    targets and its grid posteriors."""
     state = make_state(method, noise=0.02)
     day = 0
     for gap, index, oat, (j1, j2, j3, j4) in log:
@@ -526,7 +526,7 @@ def test_a_grown_state_equals_the_state_rebuilt_from_its_log(method, log):
         models = state.cost_models + state.constraint_models
         for grown, built in zip(models, rebuilt.cost_models + rebuilt.constraint_models, strict=True):
             assert grown.index is models[0].index  # one index for the whole state
-            for name in ("inputs", "nodes", "node_of", "context_diffs"):
+            for name in ("inputs", "nodes", "node_of"):
                 assert np.array_equal(getattr(grown.index, name), getattr(built.index, name)), name
             assert np.array_equal(grown.targets, built.targets)
         assert_same_posteriors(state, rebuilt)
@@ -831,10 +831,12 @@ def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
 def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_the_carry(monkeypatch):
     """A model that has factored already, as a state queried without the
     workspace has, still gets its grid block from the carried one, grown
-    by the new nodes' columns only, and carries that block on the Gram
-    matrix it found: the next model, which extends its inputs, builds
-    only its Gram rows past that matrix and its own new node's column."""
-    prior = make_state(METHOD_CBO, domain=GainDomain.build(), noise=0.02)
+    by the new nodes' columns only, and keeps the Gram matrix carried for
+    its prior: the next model, which extends its inputs, builds only its
+    Gram rows past that matrix and its own new node's column. The other
+    surrogates of each state build their rows past their own carried
+    matrices, in the same call."""
+    prior = with_distinct_kernels(make_state(METHOD_CBO, domain=GainDomain.build(), noise=0.02))
     rng = np.random.default_rng(4)
     log = [(int(g), float(rng.uniform(-10.0, 10.0)), (0.5, 0.6, 0.4, 0.3)) for g in rng.choice(1600, 10, replace=False)]
     states = grid_states(log, prior)  # a new node every day
@@ -844,25 +846,25 @@ def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_
     early = states[9].cost_models[0]
     factor = early.gram_factor  # factored before the workspace sees it
     heads, columns = [], []
-    gram, gain_covariance = GPModel.gram, GPModel.gain_covariance
+    gram_rows, gain_covariance = optimizer.gram_rows, GPModel.gain_covariance
 
-    def recording_gram(model, head=None):
-        heads.append(0 if head is None else head.shape[0])
-        return gram(model, head)
+    def recording_gram_rows(models, m):
+        heads.append((len(models), m))
+        return gram_rows(models, m)
 
     def recording_gain_covariance(model, gains, nodes=None):
         columns.append((model.index.nodes if nodes is None else nodes).shape[0])
         return gain_covariance(model, gains, nodes)
 
-    monkeypatch.setattr(GPModel, "gram", recording_gram)
+    monkeypatch.setattr(optimizer, "gram_rows", recording_gram_rows)
     monkeypatch.setattr(GPModel, "gain_covariance", recording_gain_covariance)
     grid = prior.domain.unit_points
     block = workspace.gain_covariance(states[9], early)
-    assert (heads, columns) == ([], [2]) and early.gram_factor is factor
+    assert (heads, columns) == ([(3, 7)], [2]) and early.gram_factor is factor  # the other three surrogates
     np.testing.assert_array_equal(block, gain_covariance(early, grid))
     later = states[10].cost_models[0]
     block = workspace.gain_covariance(states[10], later)
-    assert (heads, columns) == ([7], [2, 1])  # day 7's Gram matrix, day 9's block
+    assert (heads, columns) == ([(3, 7), (1, 7), (3, 9)], [2, 1])  # day 7's Gram matrix, day 9's block
     np.testing.assert_array_equal(block, gain_covariance(later, grid))
     np.testing.assert_array_equal(later.gram_factor, dataclasses.replace(later).gram_factor)
 
@@ -1104,13 +1106,13 @@ def test_only_a_query_factors_and_each_surrogate_factors_once(monkeypatch):
     # workspace: each surrogate it queries factors once, however many
     # temperatures query it
     restored = state_at_day(state_from_json(state_to_json(state)), 4)
-    seen, posterior_batch = set(), GPModel.posterior_batch
+    seen, posteriors = set(), optimizer.posteriors
 
-    def recording_posterior_batch(model, *args, **kwargs):
-        seen.add(id(model))
-        return posterior_batch(model, *args, **kwargs)
+    def recording_posteriors(models, *args, **kwargs):
+        seen.update(map(id, models))
+        return posteriors(models, *args, **kwargs)
 
-    monkeypatch.setattr(GPModel, "posterior_batch", recording_posterior_batch)
+    monkeypatch.setattr(optimizer, "posteriors", recording_posteriors)
     shapes.clear()
     gain_schedule(restored, np.linspace(-10.0, 15.0, 26))
     assert 4 <= len(seen) <= 7
