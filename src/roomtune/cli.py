@@ -20,6 +20,7 @@ from .harness import (
     run_calibration,
     run_season,
     save_calibration,
+    season_weather,
     write_atomically,
 )
 from .optimizer import (
@@ -46,8 +47,18 @@ def _read(what: str, load, path):
         raise _InputError(f"{what} {path}: {detail}") from None
 
 
+def _read_config(path):
+    """The season config at ``path``, and the weather CSV it names, if
+    any, read and checked to cover the season, so that a bad one is
+    refused before a day is simulated or a file written."""
+    config = _read("config", load_config, path)
+    if config.weather_csv is not None:
+        _read("weather CSV", lambda _: season_weather(config, 0), config.weather_csv)
+    return config
+
+
 def _cmd_calibrate(args) -> int:
-    config = _read("config", load_config, args.config)
+    config = _read_config(args.config)
     seeds = [args.seed] if args.seed is not None else list(range(config.seeds))
     for seed in seeds:
         calibration = run_calibration(config, seed)
@@ -57,7 +68,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _read("config", load_config, args.config)
+    config = _read_config(args.config)
     cal_path = Path(args.calibration) if args.calibration else calibration_path(config, args.seed)
     if not cal_path.exists():
         # every method needs one: without it a fixed run's costs stay raw

@@ -50,10 +50,11 @@ computes k models' new Gram rows from one set of input differences, and
 on the same rows, and D = N o corr, once. What stays per model is every
 LAPACK and BLAS call, with the shapes of a one-model query: potrf (still
 at a model's first query only), potrs, trtrs, the query gemm and the row
-einsum. :meth:`GPModel.with_data`, :meth:`GPModel.gram` and
-:meth:`GPModel.posterior_batch` are the k = 1 cases, and one helper
-factors every Gram matrix, of a model or of a likelihood call, by LAPACK
-``potrf`` in place.
+einsum. :meth:`GPModel.with_data` and :meth:`GPModel.posterior_batch` are
+the k = 1 cases, a model factored with no caller's matrix builds its
+whole matrix as ``gram_rows((model,), 0)``, and one helper factors every
+Gram matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in
+place.
 
 A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
 not depend on one another, and stops each where the likelihood is
@@ -354,7 +355,7 @@ class GPModel:
             raise ValueError("noise_variance must be positive and finite")
         if basis_coefficient is not None and not math.isfinite(basis_coefficient):
             raise ValueError("basis_coefficient must be finite")
-        return cls(kernel, noise_variance, basis_coefficient).with_data([], [], index=InputIndex())
+        return bind((cls(kernel, noise_variance, basis_coefficient),), InputIndex(), np.empty((1, 0)))[0]
 
     @property
     def num_observations(self) -> int:
@@ -363,45 +364,29 @@ class GPModel:
     def _prior_mean(self) -> float:
         return 0.0 if self.basis_coefficient is None else float(self.basis_coefficient)
 
-    def with_data(self, inputs, targets, *, index: InputIndex | None = None) -> "GPModel":
-        """A model on the full observation set: :func:`bind` for one model.
+    def with_data(self, inputs, targets) -> "GPModel":
+        """A model on the full observation set: :func:`bind` for one model
+        on a fresh index of ``inputs``.
 
         Checks the data and binds it; nothing is factored until the model
-        is queried. ``index``, when given, must have been built on these
-        inputs; the models of one log pass one index, and ``None`` builds
-        a fresh one. Non-finite inputs or targets raise ``ValueError``.
+        is queried. Non-finite inputs or targets raise ``ValueError``.
         """
-        if index is None:
-            index = InputIndex().extend(inputs)
-        elif inputs is not index.inputs and not np.array_equal(
-            _observed_points(inputs, self.kernel.input_dim), index.inputs
-        ):
-            raise ValueError("index was built on other inputs")
-        return bind((self,), index, np.asarray(targets, dtype=float).reshape(1, -1))[0]
-
-    def gram(self) -> np.ndarray:
-        """K + (noise_variance + jitter) I over the inputs, unfactored:
-        :func:`gram_rows` for one model."""
-        return gram_rows((self,), 0)[0]
+        return bind((self,), InputIndex().extend(inputs), np.asarray(targets, dtype=float).reshape(1, -1))[0]
 
     @cached_property
     def gram_factor(self) -> np.ndarray:
-        """The lower Cholesky factor of :meth:`gram`, by LAPACK ``potrf``;
-        ``LinAlgError`` if the matrix is not positive definite."""
-        return _factor_in_place(self.gram())
-
-    @property
-    def factored(self) -> bool:
-        """Whether ``gram_factor`` has been computed."""
-        return "gram_factor" in self.__dict__
+        """The lower Cholesky factor of K + (noise_variance + jitter) I
+        over the inputs (:func:`gram_rows` for this model alone), by LAPACK
+        ``potrf``; ``LinAlgError`` if the matrix is not positive definite."""
+        return _factor_in_place(gram_rows((self,), 0)[0])
 
     def factor(self, gram: np.ndarray) -> None:
         """Compute ``gram_factor`` now, by potrf on a copy of ``gram``,
-        which must be this model's :meth:`gram`, as a caller built it
-        from :func:`gram_rows`, so that the caller may keep the
-        unfactored matrix and grow it for a model on more inputs. A model
-        factors once: nothing happens when it has factored already."""
-        if not self.factored:
+        which must be this model's matrix as a caller built it from
+        :func:`gram_rows`, so that the caller may keep the unfactored
+        matrix and grow it for a model on more inputs. A model factors
+        once: nothing happens when it has factored already."""
+        if "gram_factor" not in self.__dict__:
             self.__dict__["gram_factor"] = _factor_in_place(gram.copy())
 
     @cached_property
@@ -412,8 +397,7 @@ class GPModel:
     def add_observation(self, x, y: float) -> "GPModel":
         """Condition on one more (input, target) pair; returns a new model,
         on this model's index grown by one row."""
-        index = self.index.extend([np.ravel(x)])
-        return self.with_data(index.inputs, np.append(self.targets, float(y)), index=index)
+        return bind((self,), self.index.extend([np.ravel(x)]), np.append(self.targets, float(y))[None])[0]
 
     def gain_covariance(self, gains, nodes=None) -> np.ndarray:
         """The (m, u) block s2 * m(gains, nodes): the Matern gain factor
@@ -426,28 +410,18 @@ class GPModel:
         sq = _scaled_sq_dists(self.kernel.lengthscales[:2], _as_points(gains, 2), nodes)
         return self.kernel.signal_variance * _matern_profile(np.sqrt(sq[0] + sq[1]))
 
-    def posterior_batch(self, x, gain_cov=None) -> tuple[np.ndarray, np.ndarray]:
+    def posterior_batch(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at a batch of query points:
         :func:`posteriors` for one model, its queries grouped by context.
 
-        G is :meth:`gain_covariance` of the queries' gains. A caller that
-        holds it already, for example as rows of a block computed once
-        for the whole grid, passes it as ``gain_cov`` and skips the m u
-        kernel entries; ``None`` computes the queried rows only. Each of
-        the c contexts among the queries takes its own solve; the worst
-        case, u = n with every query at its own context, costs an n^3
-        solve per query instead of n^2.
-
-        Each row's mean and variance depend only on that row and the
-        model, bit for bit, whatever else the batch holds (see
-        :func:`_gemm_rows`).
+        Each of the c contexts among the queries takes its own solve; the
+        worst case, u = n with every query at its own context, costs an
+        n^3 solve per query instead of n^2. Each row's mean and variance
+        depend only on that row and the model, bit for bit, whatever else
+        the batch holds (see :func:`_gemm_rows`).
         """
         pts = _as_points(x, self.kernel.input_dim)
-        u = self.index.nodes.shape[0]
-        if gain_cov is not None and np.shape(gain_cov) != (pts.shape[0], u):
-            raise ValueError(f"gain_cov must have shape {(pts.shape[0], u)}, got {np.shape(gain_cov)}")
-        if gain_cov is None:
-            gain_cov = self.gain_covariance(pts[:, :2])
+        gain_cov = self.gain_covariance(pts[:, :2])
         contexts, context_of = _distinct_rows(pts[:, 2:])
         if len(contexts) == 1:
             return posteriors((self,), (gain_cov,), contexts[0, 0])[0]

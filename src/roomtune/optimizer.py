@@ -29,12 +29,13 @@ four cost surrogates in one call that computes their context
 correlations once (``gp.posteriors``). A ``QueryWorkspace`` carries, per
 surrogate prior, what the queries of one state leave for the next: the
 unfactored Gram matrix and the grid gain block. At the first query of a
-day's state it computes, once, the new Gram rows of every surrogate
-that has not factored (seven for ``scbo``, four for ``bo`` and ``cbo``)
-in arrays stacked over them, and each surrogate then factors by potrf at
-its own first query only; a new node's block column is computed when
-its surrogate is queried. Every LAPACK and BLAS call stays per
-surrogate. A season keeps one workspace for all its days and
+day's state it computes, in one call stacked over every surrogate of
+the state (seven for ``scbo``, four for ``bo`` and ``cbo``), the Gram
+rows past the day before's inputs, or whole matrices when the state
+does not extend the one it last saw, and each surrogate then factors by
+potrf at its own first query only; a new node's block column is
+computed when its surrogate is queried. Every LAPACK and BLAS call stays
+per surrogate. A season keeps one workspace for all its days and
 ``gain_schedule`` one for all its temperatures. The workspace is never
 part of a state, and every choice is the same without it.
 
@@ -358,76 +359,66 @@ class QueryWorkspace:
 
     A season's states differ from day to day by one observation, so the
     workspace keeps, per surrogate prior (kernel and noise), the
-    unfactored Gram matrix of the inputs it last covered, in a buffer
-    with room for more rows, and the grid gain block over the nodes it
-    last covered. The first query of a state builds, once, the Gram
-    matrix of every surrogate of the state that has not factored yet: a
-    surrogate with a carried matrix computes only the rows past it and
-    writes them into its buffer, any other one builds in full, and the
-    rows of all of them are computed in arrays stacked over the
-    surrogates, grouped by the carried length (``gp.gram_rows``). A
-    surrogate still factors (potrf) only at its own first query, on a
-    copy of its matrix from that build. Its nodes extend the carried ones
-    too (first-seen order), so its block grows by the new nodes' columns,
-    when it is queried. What is carried covers a prefix of the inputs of
-    the state last seen; a state whose inputs do not extend those drops
-    it all. Every posterior, and so every choice, is the same bit for bit
-    without a workspace. One workspace serves one season or one
-    ``gain_schedule`` call and never enters a state.
+    unfactored Gram matrix over the inputs of the state it last saw, in a
+    buffer with room for more rows, and the grid gain block over the
+    nodes it last covered. The first query of a state builds the Gram
+    matrices of all its surrogates in one ``gp.gram_rows`` call, stacked
+    over them, factored or not: only the rows past the last state's
+    inputs when the state is on the same grid, its inputs extend the last
+    state's and every prior of it has a carried matrix, and in full,
+    with the whole carry dropped, otherwise. A surrogate still factors
+    (potrf) only at its own first query, on a copy of its matrix from
+    that build. Its nodes extend the carried ones too (first-seen order),
+    so its block grows by the new nodes' columns, when it is queried.
+    Every posterior, and so every choice, is the same bit for bit without
+    a workspace. One workspace serves one season or one ``gain_schedule``
+    call and never enters a state.
     """
 
     def __init__(self):
-        self._index = None  # the index of the state last seen
-        self._grams: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}  # inputs, Gram buffer
-        self._blocks: dict[tuple[KernelSpec, float], tuple[np.ndarray, np.ndarray]] = {}  # grid, block
+        self._index = self._grid = None  # the index and grid of the state last seen
+        self._grams: dict[tuple[KernelSpec, float], np.ndarray] = {}  # Gram buffer per prior
+        self._blocks: dict[tuple[KernelSpec, float], np.ndarray] = {}  # grid block per prior
 
     def _build_grams(self, state: OptimizerState) -> None:
-        """Once per state: the Gram matrices of its surrogates that have
-        not factored, one per prior, each grown from its carried matrix."""
+        """Once per state: the Gram matrices of all its surrogates, one per
+        prior, grown from the carried ones when the carry rule holds."""
         models = state.cost_models + state.constraint_models
-        index = models[0].index
-        if index is self._index:
+        index, grid = models[0].index, state.domain.unit_points
+        if index is self._index and grid is self._grid:
             return
-        if self._index is None or not _extends(index.inputs, self._index.inputs):
-            self._grams.clear()
-            self._blocks.clear()
-        self._index = index
+        keys = [(model.kernel, model.noise_variance) for model in models]
+        carry = grid is self._grid and _extends(index.inputs, self._index.inputs)
+        m = self._index.inputs.shape[0] if carry and all(key in self._grams for key in keys) else 0
+        if not m:
+            self._blocks = {}
         n = index.inputs.shape[0]
-        groups, seen = {}, set()  # carried length -> (prior, model) pairs
-        for model in models:
-            key = (model.kernel, model.noise_variance)
-            if not model.factored and key not in seen:
-                seen.add(key)
-                carried = len(self._grams[key][0]) if key in self._grams else 0
-                groups.setdefault(carried, []).append((key, model))
-        for m, members in groups.items():
-            for (key, _), rows in zip(members, gram_rows([model for _, model in members], m)):
-                buffer = rows  # a whole matrix when m = 0
-                if m:
-                    buffer = self._grams[key][1]
-                    if buffer.shape[0] < n:
-                        buffer = np.empty((n + _SPARE_ROWS, n + _SPARE_ROWS))
-                        buffer[:m, :m] = self._grams[key][1][:m, :m]
-                    place_rows(buffer[:n, :n], rows)
-                self._grams[key] = (index.inputs, buffer)
+        grams = {}
+        for key, rows in zip(keys, gram_rows(models, m)):
+            buffer = rows  # a whole matrix when m = 0
+            if m:
+                buffer = self._grams[key]
+                if buffer.shape[0] < n:
+                    buffer = np.empty((n + _SPARE_ROWS, n + _SPARE_ROWS))
+                    buffer[:m, :m] = self._grams[key][:m, :m]
+                place_rows(buffer[:n, :n], rows)
+            grams[key] = buffer
+        self._index, self._grid, self._grams = index, grid, grams
 
     def gain_covariance(self, state: OptimizerState, model: GPModel) -> np.ndarray:
         """``model.gain_covariance`` over every grid gain of ``state``, with
         ``model``, one of the surrogates of ``state``, factored."""
         self._build_grams(state)
-        key = (model.kernel, model.noise_variance)
-        if not model.factored and model.num_observations:
-            inputs, buffer = self._grams.get(key, (None, None))
-            if inputs is not model.index.inputs:
-                raise ValueError("the model is not a surrogate of the state")
-            model.factor(buffer[: len(inputs), : len(inputs)])
-        grid, nodes = state.domain.unit_points, model.index.nodes
-        carried_grid, block = self._blocks.get(key, (None, None))
-        if carried_grid is not grid:
-            block = np.empty((grid.shape[0], 0))
+        key, n = (model.kernel, model.noise_variance), model.num_observations
+        if model.index is not self._index or key not in self._grams:
+            raise ValueError("the model is not a surrogate of the state")
+        if n:
+            model.factor(self._grams[key][:n, :n])
+        nodes = model.index.nodes
+        block = self._blocks.get(key, np.empty((self._grid.shape[0], 0)))
         if block.shape[1] < nodes.shape[0]:
-            block = np.hstack([block, model.gain_covariance(grid, nodes[block.shape[1] :])])
-            self._blocks[key] = (grid, block)
+            block = np.hstack([block, model.gain_covariance(self._grid, nodes[block.shape[1] :])])
+            self._blocks[key] = block
         return block
 
 
@@ -560,11 +551,13 @@ def update(
     checked (a gain on the grid, a finite context and costs, an integer
     day after the last logged one; a fractional or boolean day raises
     ``ValueError``), and one row is appended to the surrogates' shared
-    index and to their targets. It equals, bit for bit, the state built
-    on the whole log, and holds no reference to ``state``."""
+    index and to their targets. ``day`` defaults to the day after the
+    last logged one, or 1 on an empty log. The new state equals, bit for
+    bit, the state built on the whole log, and holds no reference to
+    ``state``."""
     values = (costs.j1, costs.j2, costs.j3, costs.j4)
     if day is None:
-        day = len(state.observations) + 1
+        day = state.observations[-1].day + 1 if state.observations else 1
     obs = Observation(day, float(oat), state.domain.index_of(gains), tuple(float(v) for v in values))
     _check_observations(state.domain, (obs,), state.observations[-1].day if state.observations else -math.inf)
     models = state.cost_models + state.constraint_models

@@ -495,6 +495,45 @@ def test_a_config_value_the_tuner_refuses_exits_with_error_before_any_write(comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["calibrate"], ["run", "--method", "scbo", "--seed", "0"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "case, detail",
+    [
+        ("missing", "No such file or directory"),
+        ("not a number", "could not convert string to float"),
+        ("not increasing", "timestamps must strictly increase"),
+        ("too few days", "covers 2 days, need 40"),
+    ],
+)
+def test_a_bad_weather_csv_exits_with_error_before_any_write(command, case, detail, workspace, tmp_path, capsys):
+    """A config whose weather CSV is missing, holds a non-number, has
+    timestamps that do not increase or covers fewer days than the season
+    ended in a traceback; it is refused like any other bad input: status
+    2, one error line that names the CSV, nothing on stdout and nothing
+    written. The CSV holds two days of hourly rows, the season 40."""
+    weather = tmp_path / "weather.csv"
+    hours = range(48, -1, -1) if case == "not increasing" else range(49)
+    oat = {5: "warm"} if case == "not a number" else {}
+    rows = [f"2024-01-{1 + h // 24:02d}T{h % 24:02d}:00:00,{oat.get(h, 3.0)},100.0" for h in hours]
+    if case != "missing":
+        weather.write_text("\n".join(["timestamp,oat_celsius,solar_wm2", *rows]) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "costs": {"calibration_days": 40},
+                "season": {"days": 3, "output_dir": str(tmp_path / "out"), "weather": {"source": "csv", "path": str(weather)}},
+            }
+        )
+    )
+    calibration = ["--calibration", str(workspace[1] / "calibration_seed0.json")] if command[0] == "run" else []
+    assert main([command[0], "--config", str(config), *command[1:], *calibration]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: weather CSV {weather}: ")
+    assert detail in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", ["greedy", "ada"])
 def test_unknown_method_rejected_by_parser(method, workspace, capsys):
     config, _ = workspace

@@ -176,10 +176,11 @@ def test_distinct_rows_matches_np_unique(dim, pool, n, data_seed):
 def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     """A query row gets the same bits in batches of 1, 2, 3, some drawn
     size and 1600 rows, as the tuner relies on when it queries only the
-    gains it can choose, and the same bits again when the batch's gain
-    block is passed in as rows of one block computed for the whole grid.
-    Seasons reach 68 nodes; the row sums go through gemm, whose kernels
-    must give a row the same bits in any batch at every node count."""
+    gains it can choose, and the same bits again when the batch's rows
+    are taken from one gain block computed for the whole grid, as a
+    workspace passes them to posteriors. Seasons reach 68 nodes; the row
+    sums go through gemm, whose kernels must give a row the same bits in
+    any batch at every node count."""
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
     spec = random_spec(rng)
@@ -187,18 +188,18 @@ def test_posterior_rows_do_not_depend_on_the_batch(u, n, with_basis, data_seed):
     x = np.column_stack([nodes[rng.integers(0, u, n)], rng.uniform(0.0, 1.0, n)])
     basis = float(rng.normal()) if with_basis else None
     model = GPModel.empty(spec, float(rng.uniform(1e-4, 0.1)), basis).with_data(x, rng.normal(size=n))
-    query = np.column_stack([grid, np.full(grid.shape[0], rng.uniform())])
+    context = rng.uniform()
+    query = np.column_stack([grid, np.full(grid.shape[0], context)])
     mean, var = model.posterior_batch(query)
     block = model.gain_covariance(grid)
-    np.testing.assert_array_equal(model.posterior_batch(query, block), (mean, var))
+    np.testing.assert_array_equal(posteriors((model,), (block,), context)[0], (mean, var))
     for size in (1, 2, 3, int(rng.integers(4, grid.shape[0]))):
         rows = rng.choice(grid.shape[0], size, replace=False)
         sub_mean, sub_var = model.posterior_batch(query[rows])
         np.testing.assert_array_equal(sub_mean, mean[rows])
         np.testing.assert_array_equal(sub_var, var[rows])
-        np.testing.assert_array_equal(model.posterior_batch(query[rows], block[rows]), (sub_mean, sub_var))
-    with pytest.raises(ValueError, match="gain_cov"):
-        model.posterior_batch(query[:2], block[:3])
+        np.testing.assert_array_equal(posteriors((model,), (block,), context, rows)[0], (sub_mean, sub_var))
+        np.testing.assert_array_equal(posteriors((model,), (block[rows],), context)[0], (sub_mean, sub_var))
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,8 +215,9 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     distinct gain rows equal, bit for bit, scipy's Cholesky of the dense
     kernel_matrix and cho_solve, for u from 1 to n, at one shared context
     and at distinct contexts, with and without a basis mean; so do those
-    of a build on an index of the same inputs, as a state's models share
-    one, and a build on an index of other inputs is refused."""
+    of a build bound to an index of the same inputs, as a state's models
+    share one, and targets of another length than that index are
+    refused."""
     u = data.draw(st.integers(1, n), label="u")
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
@@ -236,10 +238,10 @@ def test_node_built_model_equals_a_dense_cholesky(n, data, shared_context, with_
     assert np.array_equal(model.index.nodes, want_nodes)
     assert np.array_equal(model.index.node_of, want_node_of)
     index = InputIndex().extend(x.copy())
-    shared = GPModel.empty(spec, noise, basis).with_data(x, y, index=index)
+    (shared,) = bind((GPModel.empty(spec, noise, basis),), index, y[None])
     assert np.array_equal(shared.gram_factor, factor) and np.array_equal(shared.alpha, model.alpha)
-    with pytest.raises(ValueError, match="other inputs"):
-        GPModel.empty(spec, noise, basis).with_data(x + 1.0, y, index=index)
+    with pytest.raises(ValueError, match="length mismatch"):
+        bind((GPModel.empty(spec, noise, basis),), index, np.append(y, 0.0)[None])
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,17 +268,17 @@ def test_a_gram_matrix_grown_by_rows_equals_the_full_build(n, data, shared_conte
     x = np.column_stack([nodes[rng.integers(0, len(nodes), n)], contexts])
     y = rng.normal(size=n)
     prior = GPModel.empty(spec, noise)
-    head = prior.with_data(x[:m], y[:m]).gram()
+    head = gram_rows((prior.with_data(x[:m], y[:m]),), 0)[0]
     grown_index = InputIndex().extend(x[:m]).extend(x[m:])
     whole = prior.with_data(x, y)
     for name in ("inputs", "nodes", "node_of"):
         assert np.array_equal(getattr(grown_index, name), getattr(whole.index, name)), name
-    grown = prior.with_data(x, y, index=grown_index)
+    (grown,) = bind((prior,), grown_index, y[None])
     gram = np.empty((n, n))
     gram[:m, :m] = head
     place_rows(gram, gram_rows((grown,), m)[0])
     grown.factor(gram)
-    assert np.array_equal(gram, whole.gram())
+    assert np.array_equal(gram, gram_rows((whole,), 0)[0])
     assert np.array_equal(gram, gram.T)
     factor = grown.gram_factor
     assert np.array_equal(factor, whole.gram_factor)
@@ -298,11 +300,11 @@ def test_stacked_gram_rows_and_posteriors_equal_each_models_own_build(k, n, shar
     shared context or at mixed ones. On each row, surrogate j grows the
     matrix it carries from lags[j] rows before the previous one, the
     surrogates with the same carried length stacked in one gram_rows
-    call, as a workspace grows them: every matrix must equal the dense
-    kernel_matrix plus its diagonal bit for bit. The final models,
-    factored on those matrices and queried stacked over all k, on the
-    whole grid and on drawn rows, must give each model's own full build's
-    factor and grid posterior bit for bit."""
+    call, so a row is built at several m and beside several models:
+    every matrix must equal the dense kernel_matrix plus its diagonal
+    bit for bit. The final models, factored on those matrices and queried
+    stacked over all k, on the whole grid and on drawn rows, must give
+    each model's own full build's factor and grid posterior bit for bit."""
     rng = np.random.default_rng(data_seed)
     grid = GainDomain.build().unit_points
     priors = [

@@ -366,9 +366,23 @@ def test_update_appends_observation_and_retrains():
         assert model.targets[-1] == obs.costs[i]
     for i, model in enumerate(new.constraint_models):
         assert model.targets[-1] == pytest.approx(obs.costs[i] - THRESHOLDS[i])
-    # default day counts up from the log length
+    # the default day follows the last logged one
     again = update(new, state.anchor_gains, 0.0, costs_of(0.5))
     assert again.observations[-1].day == 2
+
+
+def test_update_defaults_to_the_day_after_the_last_logged_one():
+    """With no day given, update logs the day after the last logged one,
+    or day 1 on an empty log: on a log with gaps (days 1, 2, 5) the log's
+    length + 1 is day 4, which does not come after day 5."""
+    state = make_state(METHOD_SCBO)
+    assert update(state, state.anchor_gains, 0.0, costs_of(0.5)).observations[-1].day == 1
+    for day in (1, 2, 5):
+        state = update(state, state.anchor_gains, float(day), costs_of(0.5), day=day)
+    gapped = state_from_json(state_to_json(state))
+    for parent in (state, gapped):
+        grown = update(parent, parent.anchor_gains, 0.0, costs_of(0.5))
+        assert [o.day for o in grown.observations] == [1, 2, 5, 6]
 
 
 def test_update_rejects_bad_inputs():
@@ -724,15 +738,15 @@ def test_pruned_queries_match_full_grid_queries(log, oat, subset):
     without one."""
     workspace = QueryWorkspace()
     for state in logged_states(METHOD_SCBO, log, prior=with_distinct_kernels(make_state(METHOD_SCBO, noise=0.02))):
-        size = state.domain.size
-        x = np.column_stack([state.domain.unit_points, np.full(size, state.scaler.normalize(oat))])
+        size, context = state.domain.size, state.scaler.normalize(oat)
+        x = np.column_stack([state.domain.unit_points, np.full(size, context)])
         drawn = np.array([(subset >> i) & 1 for i in range(size)], dtype=bool)
         for model in state.cost_models + state.constraint_models:
             block = workspace.gain_covariance(state, model)
             full = model.posterior_batch(x)
-            np.testing.assert_array_equal(model.posterior_batch(x, block), full)
+            np.testing.assert_array_equal(gp.posteriors((model,), (block,), context)[0], full)
             rows = np.flatnonzero(drawn)
-            got = model.posterior_batch(x[rows], block[rows])
+            got = gp.posteriors((model,), (block,), context, rows)[0]
             np.testing.assert_array_equal(got, model.posterior_batch(x[rows]))
             np.testing.assert_array_equal(got, (full[0][rows], full[1][rows]))
         masks = []
@@ -787,8 +801,8 @@ def test_a_workspace_carries_gram_matrices_and_gain_blocks_bit_for_bit():
     block from day to day and computes only the new rows and the new
     nodes' columns; both must equal the full builds bit for bit on every
     day, on the 40 x 40 grid. Each surrogate is queried on some days
-    only, as scbo's later constraint surrogates are, so the carried
-    matrix may be several rows behind."""
+    only, as scbo's later constraint surrogates are, so it may factor on
+    a matrix grown on days it was not queried."""
     prior = with_distinct_kernels(make_state(METHOD_SCBO, domain=GainDomain.build(), noise=0.02))
     workspace = QueryWorkspace()
     rng = np.random.default_rng(3)
@@ -818,11 +832,12 @@ def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
     others = [state_at_day(final, 9), state_at_day(final, 3), grid_states(grid_log(2, 14), prior)[-1]]
     for other in others:
         restored = state_from_json(state_to_json(other))
-        x = np.column_stack([other.domain.unit_points, np.full(other.domain.size, other.scaler.normalize(1.0))])
+        context = other.scaler.normalize(1.0)
+        x = np.column_stack([other.domain.unit_points, np.full(other.domain.size, context)])
         for model, fresh in zip(other.cost_models + other.constraint_models, restored.cost_models + restored.constraint_models):
             block = workspace.gain_covariance(other, model)
             np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
-            np.testing.assert_array_equal(model.posterior_batch(x, block), fresh.posterior_batch(x))
+            np.testing.assert_array_equal(gp.posteriors((model,), (block,), context)[0], fresh.posterior_batch(x))
         for eps in (0.05, 0.45):
             assert np.array_equal(safe_set(other, 1.0, eps, workspace=workspace), safe_set(restored, 1.0, eps))
         assert propose(other, 1.0, workspace) == propose(restored, 1.0)
@@ -831,11 +846,11 @@ def test_a_workspace_builds_in_full_on_a_state_that_does_not_extend_its_carry():
 def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_the_carry(monkeypatch):
     """A model that has factored already, as a state queried without the
     workspace has, still gets its grid block from the carried one, grown
-    by the new nodes' columns only, and keeps the Gram matrix carried for
-    its prior: the next model, which extends its inputs, builds only its
-    Gram rows past that matrix and its own new node's column. The other
-    surrogates of each state build their rows past their own carried
-    matrices, in the same call."""
+    by the new nodes' columns only, and its Gram rows are built beside
+    the other surrogates' in the state's one call, past the matrices
+    carried from the last state the workspace saw: the next model, which
+    extends its inputs, builds only its Gram rows past that matrix and
+    its own new node's column."""
     prior = with_distinct_kernels(make_state(METHOD_CBO, domain=GainDomain.build(), noise=0.02))
     rng = np.random.default_rng(4)
     log = [(int(g), float(rng.uniform(-10.0, 10.0)), (0.5, 0.6, 0.4, 0.3)) for g in rng.choice(1600, 10, replace=False)]
@@ -860,13 +875,71 @@ def test_a_model_factored_before_the_workspace_saw_it_grows_its_block_and_keeps_
     monkeypatch.setattr(GPModel, "gain_covariance", recording_gain_covariance)
     grid = prior.domain.unit_points
     block = workspace.gain_covariance(states[9], early)
-    assert (heads, columns) == ([(3, 7)], [2]) and early.gram_factor is factor  # the other three surrogates
+    assert (heads, columns) == ([(4, 7)], [2]) and early.gram_factor is factor  # every surrogate, past day 7
     np.testing.assert_array_equal(block, gain_covariance(early, grid))
     later = states[10].cost_models[0]
     block = workspace.gain_covariance(states[10], later)
-    assert (heads, columns) == ([(3, 7), (1, 7), (3, 9)], [2, 1])  # day 7's Gram matrix, day 9's block
+    assert (heads, columns) == ([(4, 7), (4, 9)], [2, 1])  # day 9's Gram matrices, day 9's block
     np.testing.assert_array_equal(block, gain_covariance(later, grid))
     np.testing.assert_array_equal(later.gram_factor, dataclasses.replace(later).gram_factor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    days=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+    moves=st.lists(st.sampled_from([1, 1, 1, 2, 0, -1, -3, "other"]), min_size=1, max_size=14),
+    data=st.data(),
+)
+def test_a_workspace_builds_each_state_in_one_gram_rows_call_under_one_carry_rule(days, seed, moves, data):
+    """A workspace handed a generated scbo season on the 40 x 40 grid,
+    mostly a day at a time but also skipping days, going back to an
+    earlier day or to another season's state of the same day, builds the
+    Gram matrices of every surrogate of each state at its first query in
+    exactly one gram_rows call: past the last state's n inputs when the
+    state extends that one's log (a later day of the same season), from
+    m = 0 otherwise. Each day a drawn subset of the surrogates is queried
+    and some may have factored before the workspace sees the state; every
+    factor, block and choice must equal, bit for bit, a fresh unfactored
+    build's without a workspace."""
+    prior = with_distinct_kernels(make_state(METHOD_SCBO, domain=GainDomain.build(), noise=0.02))
+    seasons = [grid_states(grid_log(seed, days), prior), grid_states(grid_log(seed + 1, days), prior)]
+    grid = prior.domain.unit_points
+    workspace, calls, seen, last = QueryWorkspace(), [], set(), None
+    gram_rows = optimizer.gram_rows
+
+    def recording_gram_rows(models, m):
+        calls.append((len(models), m))
+        return gram_rows(models, m)
+
+    day = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "gram_rows", recording_gram_rows)
+        for move in moves:
+            season = int(move == "other")
+            day = day if move == "other" else min(max(day + move, 0), days)
+            state = seasons[season][day]
+            if id(state) in seen:  # both seasons start from the prior
+                state = dataclasses.replace(state)  # the same log on a new index, unfactored
+            seen.add(id(seasons[season][day]))
+            models = state.cost_models + state.constraint_models
+            factored = data.draw(st.one_of(st.just(0), st.integers(0, 127)), label="factored")
+            queried = data.draw(st.integers(1, 127), label="queried")
+            for i, model in enumerate(models):
+                if factored >> i & 1:
+                    model.gram_factor  # factored before the workspace sees the state
+            calls.clear()
+            for i, model in enumerate(models):
+                if queried >> i & 1:
+                    fresh = dataclasses.replace(model)
+                    block = workspace.gain_covariance(state, model)
+                    np.testing.assert_array_equal(model.gram_factor, fresh.gram_factor)
+                    np.testing.assert_array_equal(block, fresh.gain_covariance(grid))
+            oat = data.draw(st.floats(-10.0, 10.0), label="oat")
+            assert propose(state, oat, workspace) == propose(dataclasses.replace(state), oat)
+            extends = last is not None and last[0] == season and last[1] <= day
+            assert calls == [(7, last[1] if extends else 0)]
+            last = (season, day)
 
 
 def test_repeated_queries_of_models_factored_before_the_workspace_saw_them_build_each_block_once(monkeypatch):
@@ -943,7 +1016,8 @@ def test_surrogates_regress_the_costs_then_the_headrooms(method, log, oat):
             np.testing.assert_array_equal(model.index.nodes, node_rows)
             posterior = reference.posterior_batch(grid)
             np.testing.assert_array_equal(model.posterior_batch(grid), posterior)
-            np.testing.assert_array_equal(model.posterior_batch(grid, workspace.gain_covariance(state, model)), posterior)
+            block = workspace.gain_covariance(state, model)
+            np.testing.assert_array_equal(gp.posteriors((model,), (block,), context)[0], posterior)
 
     states = zip(logged_states(method, log, prior=priors), logged_states(method, mirrored, prior=priors))
     for day, (logged, logged_mirror) in enumerate(states):
