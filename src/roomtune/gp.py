@@ -56,6 +56,14 @@ whole matrix as ``gram_rows((model,), 0)``, and one helper factors every
 Gram matrix, of a model or of a likelihood call, by LAPACK ``potrf`` in
 place.
 
+A likelihood evaluation works on the n(n - 1)/2 input pairs i < j
+(:class:`LikelihoodWorkspace`): K, W = a a^T - K^-1 and the elementwise
+factors of the gradient are symmetric, so each entry is computed once,
+the kernel values are scattered into the triangle that potrf reads and
+K^-1 is gathered back from potri's. K is the matrix of a full (n, n)
+build bit for bit, and so is the value; the gradient's sums differ in
+their last bits. At n = 145 a call takes about 670 us instead of 860 us.
+
 A hyperparameter fit runs L-BFGS-B from ``N_STARTS`` starts, which do
 not depend on one another, and stops each where the likelihood is
 stationary: at a relative decrease of at most ``FTOL`` = 1e-11 or a
@@ -95,7 +103,7 @@ import os
 import signal
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -593,35 +601,49 @@ class FitResult:
         return sum(any(abs(math.log(v) - math.log(b)) <= 1e-6 for b in bounds) for v, bounds in values)
 
 
-def _unpack(theta: np.ndarray, template: KernelSpec):
-    d = template.input_dim
-    ells = tuple(np.exp(theta[:d]))
-    sig = float(np.exp(theta[d]))
-    noise = float(np.exp(theta[d + 1]))
-    return replace(template, lengthscales=ells, signal_variance=sig), noise
+def _hyperparameters(theta: np.ndarray) -> tuple[list[float], float, float]:
+    """The three lengthscales, the signal variance and the noise variance
+    of theta (their logs), as Python floats; ``ValueError`` unless the
+    lengthscales and the signal variance are positive and finite, as
+    :class:`KernelSpec` asks. A likelihood call builds no KernelSpec."""
+    ells = np.exp(theta[:3]).tolist()
+    s2, noise = float(np.exp(theta[3])), float(np.exp(theta[4]))
+    if not all(0 < v < math.inf for v in (*ells, s2)):
+        raise ValueError("lengthscales and signal variance must be positive and finite")
+    return ells, s2, noise
 
 
 class LikelihoodWorkspace:
     """Buffers for repeated likelihood calls on one fixed input set.
 
-    Holds the unscaled differences x_i - x_j of each input dimension,
-    computed once, and every (n, n) array that the value and the gradient
-    need. :func:`log_marginal_likelihood` fills them in place, so the
-    calls of one fit allocate no (n, n) temporaries.
+    K, W = a a^T - K^-1 and every elementwise factor of the gradient are
+    symmetric with a known diagonal, so they are held as 1-D arrays over
+    the p = n(n - 1)/2 input pairs i < j, row by row: the differences
+    x_i - x_j of each input dimension, computed once, and every pair
+    array the value and the gradient need. ``flat`` is where pair (i, j)
+    sits in a C-ordered (n, n) array, the triangle that LAPACK ``potrf``
+    reads through its Fortran view and ``potri`` writes K^-1 to; ``cov``
+    is that (n, n) array. :func:`log_marginal_likelihood` fills the
+    buffers in place, so the calls of one fit allocate nothing of p or
+    more entries.
+
+    Every buffer is its own allocation, which numpy places on a 16-byte
+    boundary. OpenBLAS's Sandybridge kernels round otherwise on an
+    operand 8 bytes off that boundary (gemv, and potrf, potrs and potri
+    on the matrix), and the rows of a (3, p) block would sit there
+    whenever p is odd.
     """
 
     def __init__(self, x: np.ndarray):
         n, d = x.shape
         self.x = x
-        self.diffs = np.empty((d, n, n))
-        for i in range(d):
-            np.subtract(x[:, i, None], x[None, :, i], out=self.diffs[i])
-        self.sq = np.empty((d, n, n))
-        # Not views of one (5, n, n) block: the AVX (Sandybridge) gemv sums
-        # sq[:2] @ dprof in an order that follows dprof's alignment.
-        self.gram, self.decay, self.dprof, self.cov, self.w = (np.empty((n, n)) for _ in range(5))
-        self.cov_diagonal = self.cov.reshape(-1)[:: n + 1]  # writable view
-        self.finite = np.empty((n, n), dtype=bool)
+        rows, cols = np.triu_indices(n, 1)
+        self.rows, self.cols, self.flat = rows, cols, rows * n + cols
+        self.diffs = [x[rows, i] - x[cols, i] for i in range(d)]
+        self.sq = [np.empty(rows.shape[0]) for _ in range(d)]
+        self.gram, self.decay, self.dprof, self.w, self.gathered = (np.empty(rows.shape[0]) for _ in range(5))
+        self.finite = np.empty(rows.shape[0], dtype=bool)
+        self.cov = np.empty((n, n))
 
 
 def log_marginal_likelihood(
@@ -634,31 +656,40 @@ def log_marginal_likelihood(
 ) -> tuple[float, np.ndarray]:
     """Concentrated log marginal likelihood and its gradient.
 
-    ``theta`` holds log lengthscales, log signal variance, log noise
-    variance. The constant-basis coefficient, when enabled, is profiled
+    ``theta`` holds the three log lengthscales, the log signal variance
+    and the log noise variance of ``template``'s product kernel. The
+    constant-basis coefficient, when enabled, is profiled
     out by generalized least squares; by the envelope theorem the
     gradient then only needs the kernel-parameter partials.
 
     ``workspace`` must have been built on this same ``x``; a fit passes
     one to all of its calls, and ``None`` builds a fresh one.
+
+    Evaluated on the strict upper triangle of its symmetric arrays (see
+    :class:`LikelihoodWorkspace`), which halves the elementwise work: at
+    n = 145 a call fell from about 860 to 670 us. The kernel values of
+    the pairs i < j are scattered into the triangle potrf reads, and the
+    diagonal is set to s2 + (noise + jitter): every squared distance on
+    it is 0, so K is, bit for bit, the matrix of a full (n, n) build, and
+    the factor and the value are those of that build. The gradient's
+    sums run over the pairs, counted once, plus the diagonal's share in
+    closed form, so they differ from the full sums in their last bits.
     """
-    spec, noise = _unpack(theta, template)
+    ells, s2, noise = _hyperparameters(theta)
     ws = LikelihoodWorkspace(x) if workspace is None else workspace
     if ws.x is not x:
         raise ValueError("workspace was built on other inputs")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite target values rejected")
     n = x.shape[0]
-    s2 = spec.signal_variance
-    # Every (n, n) array lives in the workspace and is filled with out=:
-    # at n = 145 a call that allocated its temporaries (about 1.7 MB) had
-    # glibc hand them back to the OS and fault them in again on the next
-    # call, which took about as long as the arithmetic. Each step keeps the
-    # operation and operand order of the allocating form, and the Gram
-    # matrix takes the operations of _unit_kernel, so value and gradient
-    # are bit-identical to those of a kernel_matrix build.
+    # Every pair array lives in the workspace and is filled with out=: at
+    # n = 145 a call that allocated its (n, n) temporaries (about 1.7 MB)
+    # had glibc hand them back to the OS and fault them in again on the
+    # next call, which took about as long as the arithmetic. The kernel
+    # values take the operations of _unit_kernel in their order, so K is
+    # bit-identical to that of a kernel_matrix build.
     sq = ws.sq
-    for i, ell in enumerate(spec.lengthscales):
+    for i, ell in enumerate(ells):
         np.divide(ws.diffs[i], ell, out=sq[i])
         np.square(sq[i], out=sq[i])
     # The value and the gradient share r and exp(-sqrt5 r).
@@ -683,12 +714,13 @@ def log_marginal_likelihood(
     dprof *= se
     gram *= s2
     jitter = JITTER * s2
-    cov = ws.cov
-    np.copyto(cov, gram)
-    ws.cov_diagonal += noise + jitter
-    if not np.isfinite(cov, out=ws.finite).all():
+    diagonal = s2 + (noise + jitter)  # the unit kernel is 1 at distance 0
+    if not (np.isfinite(gram, out=ws.finite).all() and math.isfinite(diagonal)):
         raise ValueError("non-finite covariance; check theta and the inputs")
-    factor = _factor_in_place(cov)
+    cov = ws.cov.reshape(-1)  # a view
+    cov[ws.flat] = gram
+    cov[:: n + 1] = diagonal
+    factor = _factor_in_place(ws.cov)
     if with_basis:
         ones = np.ones(n)
         ci_y = _solve_factored(factor, y)
@@ -701,24 +733,29 @@ def log_marginal_likelihood(
     lml = -0.5 * float(resid @ a) - float(np.sum(np.log(np.diag(factor)))) - 0.5 * n * math.log(2 * math.pi)
 
     # GPML eq. 5.9: d lml / d theta_j = 1/2 tr(W dK/dtheta_j), W = a a^T - K^-1.
-    # potri overwrites the factor with the lower triangle of K^-1 and
-    # leaves the zeros above it.
+    # potri overwrites the factor with the triangle of K^-1 that potrf read.
     cov_inv, info = dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"potri failed with info={info}")
-    w = np.multiply(a[:, None], a[None, :], out=ws.w)
-    w -= cov_inv  # lower triangle and diagonal
-    ws.cov_diagonal[:] = 0.0  # the diagonal of cov_inv, taken once already
-    w -= cov_inv.T  # strict upper triangle
-    tr_w = float(np.trace(w))
+    inv = cov_inv.T.reshape(-1)  # K^-1 of pair (i, j) at flat[i, j], a view
+    # mode="clip" (the indices are in range) spares np.take a buffer for out
+    w = np.take(a, ws.rows, out=ws.w, mode="clip")
+    w *= np.take(a, ws.cols, out=ws.gathered, mode="clip")
+    w -= np.take(inv, ws.flat, out=ws.gathered, mode="clip")
+    tr_w = float(np.sum(a * a - inv[:: n + 1]))
     dprof *= w
     w *= gram
-    grad = 0.5 * np.concatenate(
+    # Each pair stands for two symmetric entries, which cancels the 1/2.
+    # On the diagonal, dK/dtheta_j is 0 for a lengthscale (every squared
+    # distance is 0), s2 + jitter for the signal variance (the jitter
+    # scales with it) and the noise variance for the noise.
+    grad = np.array(
         [
-            sq[:2].reshape(2, n * n) @ dprof.ravel(),
-            sq[2:].reshape(1, n * n) @ w.ravel(),
-            # the signal-variance partial also scales the jitter term
-            [float(np.sum(w)) + jitter * tr_w, noise * tr_w],
+            float(sq[0] @ dprof),
+            float(sq[1] @ dprof),
+            float(sq[2] @ w),
+            float(np.sum(w)) + 0.5 * (s2 + jitter) * tr_w,
+            0.5 * noise * tr_w,
         ]
     )
     return lml, grad
@@ -767,7 +804,12 @@ def _run_starts(template: KernelSpec, x: np.ndarray, y: np.ndarray, with_basis: 
     start restarted, no start ending in an abnormal line search (23 of
     175 did), each fitted LML within 2.6e-11 nats and each
     hyperparameter within 2.6e-6 relative of its former value, and
-    every results CSV byte-identical."""
+    every results CSV byte-identical. Since the likelihood sums its
+    gradient over the input pairs i < j, which moves the gradient in its
+    last bits, the same calibrations take 5165 evaluations, no start
+    restarts, and 2 of the 175 starts end in an abnormal line search at
+    their optimum (-LML within 1e-14 relative of a converged run from
+    the same start, projected gradient below 2e-6)."""
     from scipy.optimize import minimize
 
     workspace = LikelihoodWorkspace(x)
@@ -1000,7 +1042,8 @@ def fit_hyperparameters(
         if best is None or outcome.fun < best.fun:
             best = outcome
 
-    spec, noise = _unpack(best.theta, template)
+    ells, s2, noise = _hyperparameters(best.theta)
+    spec = KernelSpec(template.family, tuple(ells), s2)
     alpha = None
     if with_basis:
         # 1^T K^-1 y / 1^T K^-1 1; a zero-mean model's alpha is K^-1 y

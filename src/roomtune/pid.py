@@ -28,3 +28,7 @@ class PIGains:
             raise ValueError("gains must be finite")
         if self.kp < 0 or self.ki < 0:
             raise ValueError("gains must be non-negative")
+        # Python floats, whatever the caller passed: simulate_day's loop on
+        # numpy scalars took 470 us a day against 190 us, with the same bits.
+        object.__setattr__(self, "kp", float(self.kp))
+        object.__setattr__(self, "ki", float(self.ki))

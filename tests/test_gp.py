@@ -540,7 +540,7 @@ def test_lml_gradient_matches_finite_differences():
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
-def dense_lml(theta, template, x, y, with_basis):
+def explicit_inverse_lml(theta, template, x, y, with_basis):
     """Reference value and gradient: an explicit inverse and one dense
     dK/dtheta_j per parameter, contracted as in GPML eq. 5.9."""
     ells, s2, noise = np.exp(theta[:3]), math.exp(theta[3]), math.exp(theta[4])
@@ -586,7 +586,7 @@ def test_lml_matches_dense_reference(with_basis, n, duplicates, data_seed, log_e
     y = 2.0 + rng.normal(size=n)
     theta = np.array(log_ells + log_variances)
     value, grad = log_marginal_likelihood(theta, template, x, y, with_basis)
-    want_value, want_grad = dense_lml(theta, template, x, y, with_basis)
+    want_value, want_grad = explicit_inverse_lml(theta, template, x, y, with_basis)
     assert value == pytest.approx(want_value, rel=1e-9)
     assert np.max(np.abs(grad - want_grad)) <= 1e-9 * np.max(np.abs(want_grad))
 
@@ -702,10 +702,12 @@ def test_fit_requires_enough_samples():
         fit_hyperparameters(KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0), x, np.arange(5.0))
 
 
-def allocating_lml(theta, template, x, y, with_basis):
-    """The likelihood body as it was before the reusable workspace: fresh
-    (n, n) temporaries, scipy's checked Cholesky and solves. Kept as the
-    bit-for-bit reference of the in-place form."""
+def dense_lml(theta, template, x, y, with_basis):
+    """The likelihood body as it was on full (n, n) arrays, with fresh
+    temporaries, scipy's checked Cholesky and solves: the oracle of the
+    triangle evaluation. Returns the value, the gradient and, per
+    gradient component, half the sum of its summands' magnitudes, the
+    scale of the rounding error of any order of summing them."""
     ells = tuple(float(v) for v in np.exp(theta[:3]))
     s2, noise = float(np.exp(theta[3])), float(np.exp(theta[4]))
     n = x.shape[0]
@@ -745,6 +747,16 @@ def allocating_lml(theta, template, x, y, with_basis):
     w -= np.tril(cov_inv)
     w -= np.tril(cov_inv, -1).T
     tr_w = float(np.trace(w))
+    abs_w = np.abs(w)
+    scale = 0.5 * np.array(
+        [
+            np.sum(sq[0] * dprof * abs_w),
+            np.sum(sq[1] * dprof * abs_w),
+            np.sum(sq[2] * gram * abs_w),
+            np.sum(gram * abs_w) + jitter * np.trace(abs_w),
+            noise * np.trace(abs_w),
+        ]
+    )
     dprof *= w
     w *= gram
     grad = 0.5 * np.concatenate(
@@ -754,7 +766,46 @@ def allocating_lml(theta, template, x, y, with_basis):
             [float(np.sum(w)) + jitter * tr_w, noise * tr_w],
         ]
     )
-    return lml, grad
+    return lml, grad, scale
+
+
+def allocating_lml(theta, template, x, y, with_basis):
+    """The triangle evaluation with fresh temporaries, scipy's checked
+    Cholesky and solves, and K^-1 gathered from potri by fancy indexing:
+    the bit-for-bit reference of the in-place form on its workspace."""
+    ells = np.exp(theta[:3]).tolist()
+    s2, noise = float(np.exp(theta[3])), float(np.exp(theta[4]))
+    n = x.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    sq = [((x[rows, i] - x[cols, i]) / ell) ** 2 for i, ell in enumerate(ells)]
+    r = np.sqrt(sq[0] + sq[1])
+    decay = np.exp(-math.sqrt(5.0) * r)
+    lin = 1.0 + math.sqrt(5.0) * r
+    gram = (r**2 * (5.0 / 3.0) + lin) * decay * np.exp(-0.5 * sq[2])
+    dprof = lin * decay * (s2 * (5.0 / 3.0)) * np.exp(-0.5 * sq[2])
+    gram *= s2
+    jitter = JITTER * s2
+    cov = np.zeros((n, n))
+    cov[cols, rows] = gram  # the lower triangle, which scipy's cholesky reads
+    cov[np.diag_indices(n)] = s2 + (noise + jitter)
+    factor = cholesky(cov, lower=True)
+    if with_basis:
+        ones = np.ones(n)
+        ci_y = cho_solve((factor, True), y)
+        ci_1 = cho_solve((factor, True), ones)
+        resid = y - float(ones @ ci_y) / float(ones @ ci_1)
+    else:
+        resid = y
+    a = cho_solve((factor, True), resid)
+    lml = -0.5 * float(resid @ a) - float(np.sum(np.log(np.diag(factor)))) - 0.5 * n * math.log(2 * math.pi)
+    cov_inv, info = dpotri(factor, lower=1, overwrite_c=1)
+    assert info == 0
+    w = a[rows] * a[cols] - cov_inv[cols, rows]
+    tr_w = float(np.sum(a * a - np.diag(cov_inv)))
+    dprof = dprof * w
+    w = w * gram
+    grad = [sq[0] @ dprof, sq[1] @ dprof, sq[2] @ w, float(np.sum(w)) + 0.5 * (s2 + jitter) * tr_w, 0.5 * noise * tr_w]
+    return lml, np.array(grad)
 
 
 def lml_bits(value, grad) -> bytes:
@@ -762,6 +813,39 @@ def lml_bits(value, grad) -> bytes:
 
 
 _THETA = st.tuples(*[_LOG_LENGTHSCALE] * 3, *[_LOG_VARIANCE] * 2).map(np.array)
+
+
+def lml_data(n, duplicates, data_seed):
+    """n inputs in the unit cube, the first ``duplicates`` rows copies of
+    the last ones, and targets around 2."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    x[:duplicates] = x[n - duplicates :]
+    return x, 2.0 + rng.normal(size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    with_basis=st.booleans(),
+    n=st.integers(10, 160),
+    duplicates=st.integers(0, 5),
+    data_seed=st.integers(0, 2**32 - 1),
+    theta=_THETA,
+)
+def test_triangle_lml_equals_the_full_matrix_body(with_basis, n, duplicates, data_seed, theta):
+    """The value is bit-equal to the full-matrix body's: K is the same
+    matrix. Each gradient component is within 1e-12 max(1, |g|inf) plus
+    32 eps times the magnitude of its summands of it: the two forms add
+    the same products in another order, and where the summands cancel
+    (noise near 1e-4, s2 near 10, duplicate rows) the full sums are
+    themselves off from the exact sum of their float terms by more than
+    1e-12 |g|inf."""
+    x, y = lml_data(n, duplicates, data_seed)
+    value, grad = log_marginal_likelihood(theta, _TEMPLATE, x, y, with_basis)
+    want_value, want_grad, scale = dense_lml(theta, _TEMPLATE, x, y, with_basis)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(want_grad)))) + 32 * np.finfo(float).eps * scale
+    assert np.all(np.abs(grad - want_grad) <= bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -775,16 +859,50 @@ _THETA = st.tuples(*[_LOG_LENGTHSCALE] * 3, *[_LOG_VARIANCE] * 2).map(np.array)
 def test_reused_workspace_is_bit_identical(with_basis, n, duplicates, data_seed, thetas):
     """One workspace reused over a sequence of theta in the fit box gives
     the bits of a fresh-workspace call and of the allocating reference."""
-    template = KernelSpec(PRODUCT, (0.3, 0.3, 0.3), 1.0)
-    rng = np.random.default_rng(data_seed)
-    x = rng.uniform(0.0, 1.0, (n, 3))
-    x[:duplicates] = x[n - duplicates :]
-    y = 2.0 + rng.normal(size=n)
+    x, y = lml_data(n, duplicates, data_seed)
     workspace = LikelihoodWorkspace(x)
     for theta in thetas:
-        reused = lml_bits(*log_marginal_likelihood(theta, template, x, y, with_basis, workspace=workspace))
-        assert reused == lml_bits(*log_marginal_likelihood(theta, template, x, y, with_basis))
-        assert reused == lml_bits(*allocating_lml(theta, template, x, y, with_basis))
+        reused = lml_bits(*log_marginal_likelihood(theta, _TEMPLATE, x, y, with_basis, workspace=workspace))
+        assert reused == lml_bits(*log_marginal_likelihood(theta, _TEMPLATE, x, y, with_basis))
+        assert reused == lml_bits(*allocating_lml(theta, _TEMPLATE, x, y, with_basis))
+
+
+def shifted(array, elements):
+    """A copy of ``array`` that starts ``elements`` 8-byte elements past a
+    64-byte boundary of a larger array."""
+    block = np.empty(array.size + 8 + elements, dtype=array.dtype)
+    start = -block.ctypes.data % 64 // 8 + elements
+    moved = block[start : start + array.size].reshape(array.shape)
+    moved[...] = array
+    return moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    with_basis=st.booleans(),
+    n=st.integers(10, 160),
+    duplicates=st.integers(0, 5),
+    data_seed=st.integers(0, 2**32 - 1),
+    thetas=st.lists(_THETA, min_size=1, max_size=3),
+)
+def test_likelihood_bits_do_not_depend_on_where_its_buffers_sit(with_basis, n, duplicates, data_seed, thetas):
+    """A workspace whose pair buffers are moved one element into a larger
+    array, and its (n, n) matrix two, gives the bits of a fresh one: no
+    BLAS or LAPACK call sums in an order that follows its operands'
+    alignment. The matrix moves by 16 bytes because OpenBLAS's
+    Sandybridge potrf, potrs and potri round otherwise on a matrix 8
+    bytes off 16-byte alignment, where numpy never allocates one."""
+    x, y = lml_data(n, duplicates, data_seed)
+    fresh, moved = LikelihoodWorkspace(x), LikelihoodWorkspace(x)
+    for name, value in vars(moved).items():
+        if isinstance(value, list):
+            setattr(moved, name, [shifted(v, 1) for v in value])
+        elif isinstance(value, np.ndarray) and value is not x:
+            setattr(moved, name, shifted(value, 2 if name == "cov" else 1))
+    assert fresh.w.ctypes.data % 16 == 0 and moved.w.ctypes.data % 16 == 8
+    for theta in thetas:
+        want = lml_bits(*log_marginal_likelihood(theta, _TEMPLATE, x, y, with_basis, workspace=fresh))
+        assert lml_bits(*log_marginal_likelihood(theta, _TEMPLATE, x, y, with_basis, workspace=moved)) == want
 
 
 @pytest.mark.parametrize("with_basis", [False, True])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -109,3 +110,9 @@ def test_control_step_invariants(gains, state, setpoint, measurement):
     raw = gains.kp * error + gains.ki * (state.integrator + error)
     if (raw > 1.0 and error > 0.0) or (raw < 0.0 and error < 0.0):
         assert new.integrator == kept
+
+
+def test_gains_hold_python_floats_whatever_the_caller_passes():
+    gains = PIGains(np.float64(0.6), np.float64(0.004))
+    assert type(gains.kp) is float and type(gains.ki) is float
+    assert (gains.kp, gains.ki) == (0.6, 0.004)

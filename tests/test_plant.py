@@ -441,3 +441,25 @@ def test_weather_day_validation():
         WeatherDay(np.zeros(10), np.zeros(9), np.zeros(10))
     with pytest.raises(ValueError):
         WeatherDay(np.full(10, np.nan), np.zeros(10), np.zeros(10))
+
+
+def test_a_day_on_numpy_scalar_gains_has_the_bits_of_one_on_float_gains():
+    """PIGains stores Python floats; a loop run on numpy float64 gains,
+    forced past that conversion, gives the same trace, final state and
+    carry bit for bit, so the conversion changes only the speed."""
+    rng = np.random.default_rng(5)
+    factors = 1.0 + rng.uniform(-0.5, 0.5, 2)
+    numpy_gains = PIGains(0.6, 0.004)
+    object.__setattr__(numpy_gains, "kp", 0.6 * factors[0])
+    object.__setattr__(numpy_gains, "ki", 0.004 * factors[1])
+    float_gains = PIGains(0.6 * factors[0], 0.004 * factors[1])
+    assert type(numpy_gains.kp) is np.float64 and type(float_gains.kp) is float
+    outs = []
+    for gains in (numpy_gains, float_gains):
+        trace, state, carry = simulate_day(
+            PlantParams(), DEFAULT_COMPENSATION, quiet_day(-3.0), gains, DaySchedule(),
+            RoomState(17.0, 16.0), np.random.default_rng(11), initial_integral_action=0.4,
+        )
+        scalars = [float(v).hex() for v in (state.t_room, state.t_wall, carry)]
+        outs.append((trace.t_room.tobytes(), trace.valve.tobytes(), *scalars))
+    assert outs[0] == outs[1]
